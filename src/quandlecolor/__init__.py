@@ -67,7 +67,6 @@ from .solver import (
     build_system,
     count_solutions,
     enumerate_solutions,
-    system_smith_form,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "render_quandle_file",
     "smith_normal_form",
     "solution_count_mod",
-    "system_smith_form",
     "takasaki",
     "trivial",
     "trivial_t_classes",

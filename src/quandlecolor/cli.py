@@ -30,7 +30,8 @@ from .errors import (
 from .invariants import all_colorings, compare, counting_invariant, phi_polynomial
 from .presentation import extract
 from .quandle import AlexanderParams, FiniteQuandle, alexander, parse_quandle_file
-from .solver import DEFAULT_CAP, build_system, system_smith_form
+from .smith import smith_normal_form
+from .solver import DEFAULT_CAP, build_system
 
 
 class UsageError(QuandleColorError):
@@ -53,6 +54,11 @@ def _resolve_link(target: str) -> tuple[str, LinkDiagram]:
     raise UnknownLinkError(f"{target!r} is neither a catalog name nor a readable file")
 
 
+def _check_modulus(n: int) -> None:
+    if n < 2:
+        raise UsageError("moduli must be >= 2")
+
+
 def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
     has_params = args.n is not None or args.t is not None
     if args.quandle_file is not None:
@@ -62,6 +68,7 @@ def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
         return parse_quandle_file(text), {"quandle_file": args.quandle_file}
     if args.n is None or args.t is None:
         raise UsageError("need both --n and --t (or a --quandle-file)")
+    _check_modulus(args.n)
     return alexander(args.n, args.t), {"n": args.n, "t": args.t}
 
 
@@ -151,6 +158,7 @@ def cmd_phi(args) -> int:
     p = extract(diagram)
     if args.n is None or args.t is None:
         raise UsageError("phi needs both --n and --t")
+    _check_modulus(args.n)
     q = alexander(args.n, args.t)
     poly = phi_polynomial(p, q, args.cap)
     inputs = {"link": name, "n": args.n, "t": args.t, "cap": args.cap}
@@ -166,8 +174,7 @@ def _parse_n_list(text: str) -> list[int]:
         raise UsageError(f"--n expects integers like '2,3,5,7', got {text!r}") from None
     if not values:
         raise UsageError("--n expects at least one modulus")
-    if min(values) < 2:
-        raise UsageError("moduli must be >= 2")
+    _check_modulus(min(values))
     return values
 
 
@@ -220,9 +227,10 @@ def cmd_matrix(args) -> int:
     name, diagram = _resolve_link(args.link)
     if args.n is None or args.t is None:
         raise UsageError("matrix needs both --n and --t")
+    _check_modulus(args.n)
     params = AlexanderParams(args.n, args.t)
     system = build_system(extract(diagram), params)
-    snf = system_smith_form(system)
+    snf = smith_normal_form(system.matrix, cols=system.cols)
     reduced = snf.diagonal_matrix()
 
     def block(matrix) -> list[str]:

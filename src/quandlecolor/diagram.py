@@ -24,8 +24,29 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DiagramError, PDCodeError, RelationSyntaxError
+
+
+def _merged_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of ``items`` under the equivalence generated by ``pairs``, by smallest member."""
+    parent = {x: x for x in items}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes: dict[int, list[int]] = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return sorted(classes.values(), key=min)
 
 
 @dataclass(frozen=True)
@@ -123,24 +144,11 @@ class LinkDiagram:
         component; arcs never passing under (over-only circles and free
         circles) are singleton components.  Sorted by smallest member.
         """
-        parent = list(range(self.arc_count + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.crossings:
-            ra, rb = find(c.under_in), find(c.under_out)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for arc in range(1, self.arc_count + 1):
-            groups.setdefault(find(arc), set()).add(arc)
-        return tuple(
-            frozenset(g) for g in sorted(groups.values(), key=min)
+        classes = _merged_classes(
+            range(1, self.arc_count + 1),
+            ((c.under_in, c.under_out) for c in self.crossings),
         )
+        return tuple(frozenset(g) for g in classes)
 
     def component_count(self) -> int:
         return len(self.components())
@@ -404,25 +412,8 @@ def parse_pd_code(text: str) -> LinkDiagram:
             propagate(queue)
 
     # Arcs: edges merged across over-passages, numbered by smallest edge.
-    parent: dict[int, int] = {e: e for e in occurrences}
-
-    def find(e: int) -> int:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for a, b, c, d in quads:
-        ra, rb = find(b), find(d)
-        if ra != rb:
-            parent[ra] = rb
-    classes: dict[int, list[int]] = {}
-    for e in occurrences:
-        classes.setdefault(find(e), []).append(e)
-    arc_of = {}
-    for arc_id, members in enumerate(sorted(classes.values(), key=min), start=1):
-        for e in members:
-            arc_of[e] = arc_id
+    classes = _merged_classes(occurrences, ((b, d) for a, b, c, d in quads))
+    arc_of = {e: arc_id for arc_id, members in enumerate(classes, start=1) for e in members}
 
     crossings = tuple(
         Crossing(

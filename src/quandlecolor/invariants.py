@@ -5,7 +5,9 @@ fundamental quandle into a fixed finite quandle; the enhanced polynomial
 refines it by recording how many distinct colors each coloring uses,
 ``phi = sum over colorings of q ** image_size``.  ``compare`` sweeps both
 invariants across a grid of Alexander quandles and reports whether two
-links are distinguished anywhere on the grid.
+links are distinguished anywhere on the grid; it eliminates each link's
+system once per grid point and takes the count from the enumeration (or,
+past the cap, from the CapExceededError, which carries it exactly).
 """
 
 from __future__ import annotations
@@ -82,12 +84,15 @@ def counting_invariant(
     return len(brute_force_colorings(p, q, cap))
 
 
+def _phi_of(colorings: list[Coloring]) -> PhiPolynomial:
+    return PhiPolynomial.from_counts(Counter(c.image_size for c in colorings))
+
+
 def phi_polynomial(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
 ) -> PhiPolynomial:
     """The enhanced polynomial; requires enumerating colorings, so the cap applies."""
-    colorings = all_colorings(p, q, cap)
-    return PhiPolynomial.from_counts(Counter(c.image_size for c in colorings))
+    return _phi_of(all_colorings(p, q, cap))
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -128,6 +133,21 @@ def resolve_t_values(policy: TPolicy, n: int) -> tuple[int, ...]:
     if isinstance(policy, int):
         return (AlexanderParams(n, policy).t,)
     raise ValueError(f"unknown t policy {policy!r}")
+
+
+def _count_and_phi(
+    p: QuandlePresentation, params: AlexanderParams, cap: int
+) -> tuple[int, PhiPolynomial | None]:
+    """Exact count and polynomial from one elimination.
+
+    The count is the number of enumerated colorings or, past the cap, the
+    exact count the CapExceededError carries; the polynomial is then None.
+    """
+    try:
+        colorings = enumerate_solutions(build_system(p, params), params.n, cap)
+    except CapExceededError as exc:
+        return exc.count, None
+    return len(colorings), _phi_of(colorings)
 
 
 @dataclass(frozen=True)
@@ -200,27 +220,19 @@ def compare(
 ) -> DistinguishabilityReport:
     """Sweep both links over the (n, t) grid and compare counts and polynomials.
 
-    Cells whose enumeration would exceed the cap keep their exact counts and
-    drop the polynomials (count-only cells) rather than failing the grid.
-    Cells are evaluated independently and assembled in (n, t) order.
+    Each link's system is eliminated once per cell (see _count_and_phi).
+    Cells where either enumeration would exceed the cap keep their exact
+    counts and drop both polynomials (count-only cells) rather than failing
+    the grid.  Cells are evaluated independently and assembled in (n, t) order.
     """
     cells = []
     for n in sorted(set(int(n) for n in n_values)):
         for t in resolve_t_values(t_policy, n):
             params = AlexanderParams(n, t)
-            sys_a = build_system(a, params)
-            sys_b = build_system(b, params)
-            count_a = count_solutions(sys_a, n)
-            count_b = count_solutions(sys_b, n)
-            phi_a = phi_b = None
-            try:
-                phi_a = PhiPolynomial.from_counts(
-                    Counter(c.image_size for c in enumerate_solutions(sys_a, n, cap))
-                )
-                phi_b = PhiPolynomial.from_counts(
-                    Counter(c.image_size for c in enumerate_solutions(sys_b, n, cap))
-                )
-            except CapExceededError:
+            count_a, phi_a = _count_and_phi(a, params, cap)
+            # past the cap on a, the cell keeps no polynomial: b needs only its count
+            count_b, phi_b = _count_and_phi(b, params, cap if phi_a is not None else 0)
+            if phi_a is None or phi_b is None:
                 phi_a = phi_b = None
             cells.append(ComparisonCell(n, t, count_a, count_b, phi_a, phi_b))
     return DistinguishabilityReport(

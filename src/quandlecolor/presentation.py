@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, render_relations_text
+from .diagram import LinkDiagram, _merged_classes, render_relations_text
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,7 @@ def trivial_t_classes(p: QuandlePresentation) -> tuple[frozenset[int], ...]:
     diagram's components, and the coloring count with a trivial quandle of
     order m is m ** len(classes).
     """
-    parent = list(range(p.arc_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in p.relations:
-        ra, rb = find(r.in_), find(r.out)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for arc in range(1, p.arc_count + 1):
-        groups.setdefault(find(arc), set()).add(arc)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    classes = _merged_classes(
+        range(1, p.arc_count + 1), ((r.in_, r.out) for r in p.relations)
+    )
+    return tuple(frozenset(g) for g in classes)

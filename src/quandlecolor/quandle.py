@@ -96,12 +96,13 @@ def validate(table, alexander: AlexanderParams | None = None) -> FiniteQuandle:
     IdempotenceError, RightInvertibilityError, or SelfDistributivityError
     with a witness for the first violated axiom, in that order.
     """
+    m = len(table)
+    # checked on the Python ints, before an entry past int64 can overflow numpy
+    if any(min(row, default=0) < 0 or max(row, default=0) >= m for row in table):
+        raise QuandleTableError(f"table entries must lie in [0, {m - 1}]")
     op = np.asarray(table, dtype=np.int64)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise QuandleTableError(f"expected a nonempty square table, got shape {op.shape}")
-    m = op.shape[0]
-    if op.min() < 0 or op.max() >= m:
-        raise QuandleTableError(f"table entries must lie in [0, {m - 1}]")
 
     diag = np.diagonal(op)
     bad = np.nonzero(diag != np.arange(m))[0]

@@ -1,14 +1,16 @@
 """Integer Smith normal form with exact (arbitrary-precision) arithmetic.
 
-Diagonalizes an integer matrix A by unimodular row and column operations,
-returning D = U * A * V with d1 | d2 | ... | dk > 0 on the diagonal.  The
+Diagonalizes an integer matrix A by unimodular row and column operations
+into D = U * A * V with d1 | d2 | ... | dk > 0 on the diagonal.  The
 pivot strategy picks the minimal nonzero absolute value with row/column
 swaps and Euclidean reduction; entries stay Python ints throughout, so
 intermediate growth never overflows.
 
-The diagonal gives exact solution counts of homogeneous systems over Z_n:
-A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and the
-right transform V parameterizes them.
+Only the column transform V is kept.  The diagonal gives exact solution
+counts of homogeneous systems over Z_n: A*x = 0 (mod n) has
+n**(cols - k) * prod(gcd(d_i, n)) solutions, and x = V*y parameterizes
+them from the solutions y of D*y = 0.  Neither needs the row transform U,
+and no pivot choice reads it, so it is never built.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal)."""
+    """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal).
+
+    U is some unimodular matrix; only V is kept (see the module docstring).
+    """
 
     rows: int
     cols: int
     diagonal: tuple[int, ...]
-    row_transform: Matrix  # U, rows x rows, |det| = 1
     col_transform: Matrix  # V, cols x cols, |det| = 1
 
     @property
@@ -40,10 +44,6 @@ class SmithForm:
         for i, v in enumerate(self.diagonal):
             d[i][i] = v
         return tuple(tuple(row) for row in d)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) -> SmithForm:
@@ -64,12 +64,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
         if cols is None:
             raise ValueError("cols is required for a matrix with no rows")
         n = cols
-    u = _identity(m)
-    v = _identity(n)
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
@@ -79,17 +77,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
 
     def add_row(dst: int, src: int, factor: int) -> None:
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst: int, src: int, factor: int) -> None:
         for row in a:
             row[dst] += factor * row[src]
         for row in v:
             row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     rank = 0
     for s in range(min(m, n)):
@@ -112,7 +105,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
             if pivot[1] != s:
                 swap_cols(s, pivot[1])
             if a[s][s] < 0:
-                negate_row(s)
+                a[s] = [-x for x in a[s]]
             # Euclidean clearing of column s and row s; floor division keeps
             # residues in [0, pivot), so each swap shrinks the pivot
             while True:
@@ -153,7 +146,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
         rows=m,
         cols=n,
         diagonal=diagonal,
-        row_transform=tuple(tuple(row) for row in u),
         col_transform=tuple(tuple(row) for row in v),
     )
 

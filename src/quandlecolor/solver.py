@@ -5,7 +5,8 @@ Two independent routes:
 * an exact linear-algebra path for Alexander quandles, which turns the
   presentation into an integer coefficient matrix and counts/enumerates
   solutions of the homogeneous system over Z_n through the Smith normal
-  form (sound for composite n, where naive row reduction is not);
+  form (sound for composite n, where naive row reduction is not), one
+  elimination per call;
 * a brute-force backtracking search over arc assignments that works for
   any finite quandle and serves as the oracle for the first.
 """
@@ -75,13 +76,9 @@ def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSys
     return ColoringSystem(rows=len(rows), cols=p.arc_count, matrix=tuple(rows))
 
 
-def system_smith_form(system: ColoringSystem) -> SmithForm:
-    return smith_normal_form(system.matrix, cols=system.cols)
-
-
 def count_solutions(system: ColoringSystem, n: int) -> int:
     """Exact number of solutions of A*x = 0 (mod n); exact for any n >= 1."""
-    return solution_count_mod(system_smith_form(system), n)
+    return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols), n)
 
 
 def _solution_value_lists(snf: SmithForm, n: int) -> list[range]:
@@ -101,16 +98,18 @@ def enumerate_solutions(
 
     Torsion coordinates range over the gcd(d_i, n) multiples of n/gcd(d_i, n),
     free coordinates over all of Z_n, and the right transform maps them back
-    to arc space.
+    to arc space.  V is unimodular, so y -> V*y (mod n) is injective on these
+    ranges and no two y give the same coloring.  The error carries the exact
+    count, so a caller never needs a second elimination to learn it.
     """
-    snf = system_smith_form(system)
+    snf = smith_normal_form(system.matrix, cols=system.cols)
     count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
     value_lists = _solution_value_lists(snf, n)
     dtype = object if n > 2**25 else np.int64
     v_mod = np.array([[x % n for x in row] for row in snf.col_transform], dtype=dtype)
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     chunk: list[tuple[int, ...]] = []
 
     def flush() -> None:
@@ -118,7 +117,7 @@ def enumerate_solutions(
             return
         ys = np.array(chunk, dtype=dtype)
         xs = ys.dot(v_mod.T) % n  # np.dot, not matmul: works for object dtype too
-        found.update(tuple(int(c) for c in row) for row in xs)
+        found.extend(tuple(row.tolist()) for row in xs)
         chunk.clear()
 
     for y in itertools.product(*value_lists):

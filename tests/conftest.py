@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -32,6 +33,37 @@ def exact_det(matrix) -> int:
                 m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+def matmul(a, b):
+    return [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
+    ]
+
+
+def smith_columns(matrix, snf) -> list[list[int]]:
+    """W with A*V = W*D: column j of A*V is d_j * w_j, and zero from the rank on.
+
+    With V unimodular, W extending to a unimodular matrix M = [W | W'] gives
+    A*V = M*D, so D = U*A*V for the unimodular U = M^-1.  Returns W as
+    rows x rank.
+    """
+    av = matmul(matrix, snf.col_transform)
+    assert all(v == 0 for row in av for v in row[snf.rank:])
+    for row in av:
+        assert all(v % d == 0 for v, d in zip(row, snf.diagonal))
+    return [[v // d for v, d in zip(row, snf.diagonal)] for row in av]
+
+
+def minors_gcd(matrix, k: int) -> int:
+    """gcd of all k x k minors of a matrix with k columns (1 when k = 0).
+
+    It is 1 exactly when the columns extend to a unimodular matrix.
+    """
+    g = 0
+    for rows in itertools.combinations(matrix, k):
+        g = gcd(g, exact_det(rows))
+    return g
 
 
 def modular_solutions(matrix, cols: int, n: int) -> set[tuple[int, ...]]:

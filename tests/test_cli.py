@@ -83,6 +83,18 @@ def test_colorings_flag_conflicts(capsys):
     assert code == 2
 
 
+def test_modulus_below_2_is_a_usage_error(capsys):
+    for argv in (
+        ("colorings", "trefoil", "--n", "1", "--t", "1"),
+        ("phi", "trefoil", "--n", "0", "--t", "1"),
+        ("matrix", "trefoil", "--n", "1", "--t", "0"),
+        ("compare", "unknot", "trefoil", "--n", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: moduli must be >= 2\n"
+
+
 def test_exit_code_not_a_unit(capsys):
     code, _, err = run(capsys, "colorings", "trefoil", "--n", "4", "--t", "2")
     assert code == 4
@@ -169,6 +181,16 @@ def test_validate_quandle_good_and_bad(tmp_path, capsys):
     code, _, err = run(capsys, "validate-quandle", str(bad))
     assert code == 2
     assert "bijection" in err
+
+    big = tmp_path / "big.txt"
+    big.write_text("order: 2\n0 99999999999999999999\n1 1\n")  # past int64
+    for argv in (
+        ("validate-quandle", str(big)),
+        ("colorings", "trefoil", "--quandle-file", str(big)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: table entries must lie in [0, 1]\n"
 
 
 def test_compare_verdicts_and_exit_codes(capsys):

@@ -211,6 +211,35 @@ def test_compare_cap_exceeded_cells_keep_counts():
     assert cell.phi_a is None and cell.phi_b is None
     assert not report.distinguished
 
+    # only one side over the cap: both polynomials still dropped, counts exact
+    unknot, trefoil = extract(catalog("unknot")), extract(catalog("trefoil"))
+    for a, b, counts in ((unknot, trefoil, (3, 9)), (trefoil, unknot, (9, 3))):
+        report = compare(a, b, (3,), t_policy=2, cap=5)
+        (cell,) = report.grid
+        assert (cell.count_a, cell.count_b) == counts
+        assert cell.phi_a is None and cell.phi_b is None
+        assert report.distinguished
+
+
+def test_compare_eliminates_each_system_once(monkeypatch):
+    import quandlecolor.solver as solver
+
+    calls = []
+    original = solver.smith_normal_form
+
+    def counting(matrix, cols=None):
+        calls.append(cols)
+        return original(matrix, cols=cols)
+
+    monkeypatch.setattr(solver, "smith_normal_form", counting)
+    a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
+    report = compare(a, b, (2, 3, 5), t_policy="all-units")
+    assert len(report.grid) == 7
+    assert len(calls) == 2 * len(report.grid)
+    calls.clear()
+    compare(a, b, (5,), t_policy=1, cap=10)  # both over the cap
+    assert len(calls) == 2
+
 
 def test_report_serialization_round_trips():
     report = compare(

@@ -103,6 +103,8 @@ def test_validate_shape_and_range_errors():
         validate([[0, 1]])
     with pytest.raises(QuandleTableError):
         validate([[0, 5], [0, 1]])
+    with pytest.raises(QuandleTableError):
+        validate([[0, -(2**70)], [1, 1]])
 
 
 def test_dual_consistency():
@@ -182,3 +184,5 @@ def test_quandle_file_errors():
         parse_quandle_file("order: 2\n0 0 0\n1 1\n")
     with pytest.raises(QuandleTableError):
         parse_quandle_file("order: 2\n0 x\n1 1\n")
+    with pytest.raises(QuandleTableError, match="must lie in"):
+        parse_quandle_file("order: 2\n0 99999999999999999999\n1 1\n")  # past int64

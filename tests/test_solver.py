@@ -19,12 +19,12 @@ from quandlecolor import (
     extract,
     parse_relations_file,
     reidemeister_r2,
-    system_smith_form,
+    smith_normal_form,
     takasaki,
     trivial,
 )
 
-from conftest import modular_solutions
+from conftest import exact_det, modular_solutions, smith_columns
 
 
 def test_build_system_hopf_sum_coefficient_pattern():
@@ -197,21 +197,16 @@ def test_oracle_equivalence_small_grid(small_catalog):
 
 
 def test_smith_reconstruction_for_catalog_systems():
+    # D = U * A * V for some unimodular U: V unimodular, A*V = W*D, and W
+    # extends to a unimodular matrix (its own Smith diagonal is all ones)
     for name in ("hopf", "trefoil", "hopf_sum", "allen_swenberg"):
         p = extract(catalog(name))
         for n, t in ((3, 2), (4, 3)):
             sys = build_system(p, AlexanderParams(n, t))
-            snf = system_smith_form(sys)
-            u = [list(r) for r in snf.row_transform]
-            v = [list(r) for r in snf.col_transform]
-            a = [list(r) for r in sys.matrix]
-            ua = [
-                [sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in u
-            ]
-            uav = [
-                [sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in ua
-            ]
-            assert tuple(tuple(r) for r in uav) == snf.diagonal_matrix()
+            snf = smith_normal_form(sys.matrix, cols=sys.cols)
+            assert abs(exact_det(snf.col_transform)) == 1
+            w = smith_columns(sys.matrix, snf)
+            assert smith_normal_form(w, cols=snf.rank).diagonal == (1,) * snf.rank
             for da, db in zip(snf.diagonal, snf.diagonal[1:]):
                 assert db % da == 0
 
@@ -227,7 +222,7 @@ def test_count_is_invariant_under_row_shuffles_of_catalog_system():
 
 
 def test_count_equals_enumeration_length():
-    for name in ("hopf", "trefoil", "hopf_sum", "unlink2"):
+    for name in ("hopf", "trefoil", "hopf_sum", "unlink2", "allen_swenberg"):
         p = extract(catalog(name))
         for n, t in ((2, 1), (3, 2), (4, 3), (6, 5)):
             sys = build_system(p, AlexanderParams(n, t))
