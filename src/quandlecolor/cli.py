@@ -59,6 +59,11 @@ def _check_modulus(n: int) -> None:
         raise UsageError("moduli must be >= 2")
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise UsageError("--cap must be >= 0")
+
+
 def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
     has_params = args.n is not None or args.t is not None
     if args.quandle_file is not None:
@@ -132,6 +137,7 @@ def cmd_validate_quandle(args) -> int:
 
 
 def cmd_colorings(args) -> int:
+    _check_cap(args.cap)
     name, diagram = _resolve_link(args.link)
     p = extract(diagram)
     q, quandle_inputs = _resolve_quandle(args)
@@ -154,6 +160,7 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    _check_cap(args.cap)
     name, diagram = _resolve_link(args.link)
     p = extract(diagram)
     if args.n is None or args.t is None:
@@ -190,6 +197,7 @@ def _parse_t_policy(text: str):
 
 
 def cmd_compare(args) -> int:
+    _check_cap(args.cap)
     name_a, diagram_a = _resolve_link(args.link_a)
     name_b, diagram_b = _resolve_link(args.link_b)
     n_values = _parse_n_list(args.n)

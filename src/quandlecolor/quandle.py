@@ -1,12 +1,13 @@
 """Finite quandles as explicit operation tables.
 
 A quandle is a set with a binary operation ``x > y`` that is idempotent,
-right-invertible, and self-distributive.  Tables are validated against all
-three axioms on construction, and every quandle carries the dual table for
-the inverse operation ``x >^-1 y``.  The Alexander family over Z_n
-(``x > y = t*x + (1-t)*y`` for a unit t) is the workhorse here; its closed
-form is used to build the table, but validation and all downstream
-computations treat the table as ground truth.
+right-invertible, and self-distributive.  Every quandle carries the dual
+table for the inverse operation ``x >^-1 y``.  Tables from outside the
+program (quandle files, library callers) go through :func:`validate`, which
+checks all three axioms.  The Alexander family over Z_n
+(``x > y = t*x + (1-t)*y`` for a unit t) and the trivial quandles are built
+from their closed forms, whose axioms hold by algebra, so their tables are
+not checked again.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ class AlexanderParams:
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """Validated quandle on {0, ..., order-1}.
+    """Quandle on {0, ..., order-1}.
 
     ``op[x][y]`` is x > y and ``dual[x][y]`` is x >^-1 y, so
     ``dual[op[x][y]][y] == x`` and ``op[dual[x][y]][y] == x`` always hold.
     ``alexander`` is set when the table came from the Alexander/Takasaki
     constructors, letting solvers pick the exact linear-algebra route.
-    Instances are immutable; build them through :func:`validate` or the
-    constructors below.
+    Instances are immutable; build them through :func:`validate` (tables
+    from outside, checked against the axioms) or the closed-form
+    constructors below (axioms hold by algebra).
     """
 
     order: int
@@ -89,7 +91,7 @@ class FiniteQuandle:
         )
 
 
-def validate(table, alexander: AlexanderParams | None = None) -> FiniteQuandle:
+def validate(table) -> FiniteQuandle:
     """Check all three quandle axioms and return the validated quandle.
 
     ``table`` is any m x m nested sequence of ints in [0, m-1].  Raises
@@ -100,6 +102,8 @@ def validate(table, alexander: AlexanderParams | None = None) -> FiniteQuandle:
     # checked on the Python ints, before an entry past int64 can overflow numpy
     if any(min(row, default=0) < 0 or max(row, default=0) >= m for row in table):
         raise QuandleTableError(f"table entries must lie in [0, {m - 1}]")
+    if len({len(row) for row in table}) > 1:
+        raise QuandleTableError("expected a nonempty square table, got rows of unequal length")
     op = np.asarray(table, dtype=np.int64)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise QuandleTableError(f"expected a nonempty square table, got shape {op.shape}")
@@ -129,35 +133,47 @@ def validate(table, alexander: AlexanderParams | None = None) -> FiniteQuandle:
         order=m,
         op=tuple(tuple(int(v) for v in row) for row in op),
         dual=tuple(tuple(int(v) for v in row) for row in dual),
-        alexander=alexander,
     )
+
+
+def _affine_table(n: int, a: int) -> Table:
+    """The table of x > y = a*x + (1-a)*y mod n."""
+    return tuple(tuple((a * x + (1 - a) * y) % n for y in range(n)) for x in range(n))
 
 
 def alexander(n: int, t: int) -> FiniteQuandle:
     """Alexander quandle on Z_n: x > y = t*x + (1-t)*y mod n.
 
     Requires gcd(n, t) = 1 (NotAUnitError otherwise).  At t=1 this is the
-    trivial quandle x > y = x.
+    trivial quandle x > y = x.  The axioms hold by algebra, so the table is
+    not passed through :func:`validate`:
+
+    - idempotence: x > x = t*x + (1-t)*x = x;
+    - right-invertibility: t is a unit, so x >^-1 y = t^-1*x + (1-t^-1)*y
+      undoes x > y, and the dual table is the same closed form at t^-1;
+    - self-distributivity: (x > y) > z and (x > z) > (y > z) both expand
+      to t^2*x + t*(1-t)*y + (1-t)*z.
     """
     params = AlexanderParams(n, t)
-    t = params.t
-    table = [[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)]
-    return validate(table, alexander=params)
+    return FiniteQuandle(
+        order=n,
+        op=_affine_table(n, params.t),
+        dual=_affine_table(n, params.t_inverse),
+        alexander=params,
+    )
 
 
 def takasaki(n: int) -> FiniteQuandle:
     """Takasaki quandle on Z_n: x > y = 2y - x mod n; same table as alexander(n, n-1)."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
     return alexander(n, n - 1)
 
 
 def trivial(m: int) -> FiniteQuandle:
-    """Trivial quandle of order m: x > y = x for all y."""
+    """Trivial quandle of order m: x > y = x for all y, its own dual."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    table = [[x] * m for x in range(m)]
-    return validate(table)
+    table = tuple((x,) * m for x in range(m))
+    return FiniteQuandle(order=m, op=table, dual=table)
 
 
 def parse_quandle_file(text: str) -> FiniteQuandle:

@@ -24,6 +24,7 @@ from quandlecolor import (
     reidemeister_r2,
     takasaki,
     trivial_t_classes,
+    validate,
 )
 
 
@@ -153,10 +154,13 @@ def test_criterion_7_axiom_suite():
         "criterion 7: axioms exhaustive n <= 30, takasaki identity, involutory iff t^2=1", 60
     ):
         for n in range(2, 31):
-            tak = takasaki(n)  # construction validates all three axioms
+            tak = takasaki(n)
             assert tak.op == alexander(n, n - 1).op
-            for t in _units(n):
-                q = alexander(n, t)
+            for q in [tak] + [alexander(n, t) for t in _units(n)]:
+                # construction skips the check, so run all three axioms here
+                checked = validate(q.op)
+                assert checked.dual == q.dual, (n, q.alexander)
+                t = q.alexander.t
                 assert q.is_involutory() == ((t * t) % n == 1), (n, t)
 
 

@@ -95,6 +95,28 @@ def test_modulus_below_2_is_a_usage_error(capsys):
         assert err == "error: moduli must be >= 2\n"
 
 
+def test_negative_cap_is_a_usage_error(capsys):
+    for argv in (
+        ("colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate", "--cap", "-1"),
+        ("colorings", "trefoil", "--n", "3", "--t", "2", "--cap", "-1"),
+        ("phi", "trefoil", "--n", "3", "--t", "2", "--cap", "-1"),
+        ("compare", "hopf_sum", "trefoil", "--n", "3", "--cap", "-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --cap must be >= 0\n"
+    # cap 0 keeps its meaning: compare gives counts only, enumeration is over the cap
+    code, out, _ = run(
+        capsys, "compare", "unknot", "trefoil", "--n", "3", "--t", "2", "--cap", "0"
+    )
+    assert code == 0
+    assert "count_a=3 count_b=9 phi_a=(-) phi_b=(-)" in out
+    code, _, err = run(
+        capsys, "colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate", "--cap", "0"
+    )
+    assert code == 3 and "exceed" in err
+
+
 def test_exit_code_not_a_unit(capsys):
     code, _, err = run(capsys, "colorings", "trefoil", "--n", "4", "--t", "2")
     assert code == 4

@@ -1,7 +1,12 @@
 """Tables, axiom validation, and the Alexander/Takasaki constructors."""
 
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quandlecolor.quandle
 from quandlecolor import (
     AlexanderParams,
     IdempotenceError,
@@ -105,16 +110,56 @@ def test_validate_shape_and_range_errors():
         validate([[0, 5], [0, 1]])
     with pytest.raises(QuandleTableError):
         validate([[0, -(2**70)], [1, 1]])
+    for ragged in ([[0], [0, 1]], [[0, 0], [1]], [[0, 1, 1], [1, 1], [2, 2, 2]]):
+        with pytest.raises(QuandleTableError, match="unequal length"):
+            validate(ragged)
 
 
 def test_dual_consistency():
-    quandles = [takasaki(6), alexander(5, 3), alexander(8, 3), trivial(4)]
+    quandles = [takasaki(6), alexander(5, 3), alexander(8, 3)]
+    quandles += [trivial(m) for m in range(1, 7)]
     for q in quandles:
         m = q.order
         for x in range(m):
             for y in range(m):
                 assert q.dual[q.op[x][y]][y] == x
                 assert q.op[q.dual[x][y]][y] == x
+        # the closed-form constructors skip validate; it must agree with them
+        checked = validate(q.op)
+        assert checked.op == q.op and checked.dual == q.dual
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=64).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.sampled_from([t for t in range(1, n) if gcd(n, t) == 1])
+        )
+    )
+)
+def test_alexander_closed_form_passes_validate(nt):
+    n, t = nt
+    q = alexander(n, t)
+    checked = validate(q.op)
+    assert checked.op == q.op
+    assert checked.dual == q.dual
+
+
+def test_only_tables_from_outside_are_validated(monkeypatch):
+    calls = []
+    original = quandlecolor.quandle.validate
+
+    def counting(table):
+        calls.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(quandlecolor.quandle, "validate", counting)
+    alexander(7, 3)
+    takasaki(5)
+    trivial(4)
+    assert calls == []
+    parse_quandle_file(render_quandle_file(takasaki(4)))
+    assert calls == [4]
 
 
 def test_alexander_dual_closed_form():
