@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except (InputError, DiagramError, UnknownLinkError, AxiomError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -293,10 +293,11 @@ def parse_relations_file(text: str) -> LinkDiagram:
     max_ref = max(referenced, default=0)
     if max_ref == 0 and free_circles == 0:
         raise DiagramError("empty input: declare relations or a circles header")
-    missing = sorted(set(range(1, max_ref + 1)) - referenced)
-    if missing:
+    # the first index i whose i-th smallest reference is not i is the gap
+    gap = next((i for i, a in enumerate(sorted(referenced), start=1) if a != i), None)
+    if gap is not None:
         raise DiagramError(
-            f"arc index gap: x{missing[0]} is never referenced "
+            f"arc index gap: x{gap} is never referenced "
             f"(indices must be contiguous from 1 to {max_ref})"
         )
     return LinkDiagram(

@@ -48,9 +48,6 @@ class PhiPolynomial:
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def coefficient(self, exponent: int) -> int:
-        return self.as_dict().get(exponent, 0)
-
     def total(self) -> int:
         """Sum of coefficients, i.e. the counting invariant."""
         return sum(c for _, c in self.terms)

@@ -1,10 +1,13 @@
 """Integer Smith normal form with exact (arbitrary-precision) arithmetic.
 
 Diagonalizes an integer matrix A by unimodular row and column operations
-into D = U * A * V with d1 | d2 | ... | dk > 0 on the diagonal.  The
-pivot strategy picks the minimal nonzero absolute value with row/column
-swaps and Euclidean reduction; entries stay Python ints throughout, so
-intermediate growth never overflows.
+into D = U * A * V with d1 | d2 | ... | dk > 0 on the diagonal, in two
+stages.  First, one pass per pivot: the minimal nonzero absolute value of
+the trailing block is swapped into place, and Euclidean reduction clears
+its row and column.  Second, the divisibility chain is made on the
+diagonal alone: each pair d_i, d_j with d_i not dividing d_j becomes
+gcd, lcm by a 2x2 unimodular step that changes only columns i and j of
+V.  Entries stay Python ints throughout, so growth never overflows.
 
 Only the column transform V is kept.  The diagonal gives exact solution
 counts of homogeneous systems over Z_n: A*x = 0 (mod n) has
@@ -26,7 +29,8 @@ Matrix = tuple[tuple[int, ...], ...]
 class SmithForm:
     """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal).
 
-    U is some unimodular matrix; only V is kept (see the module docstring).
+    ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0; U is some
+    unimodular matrix, and only V is kept (see the module docstring).
     """
 
     rows: int
@@ -84,68 +88,60 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
         for row in v:
             row[dst] += factor * row[src]
 
-    rank = 0
+    d: list[int] = []  # the pivots, in order
     for s in range(min(m, n)):
-        exhausted = False
-        while True:
-            # minimal |entry| != 0 in the trailing submatrix becomes the pivot
-            pivot = None
-            best = None
-            for i in range(s, m):
-                for j in range(s, n):
-                    w = abs(a[i][j])
-                    if w and (best is None or w < best):
-                        best = w
-                        pivot = (i, j)
-            if pivot is None:
-                exhausted = True
-                break
-            if pivot[0] != s:
-                swap_rows(s, pivot[0])
-            if pivot[1] != s:
-                swap_cols(s, pivot[1])
-            if a[s][s] < 0:
-                a[s] = [-x for x in a[s]]
-            # Euclidean clearing of column s and row s; floor division keeps
-            # residues in [0, pivot), so each swap shrinks the pivot
-            while True:
-                for i in range(s + 1, m):
-                    if a[i][s]:
-                        add_row(i, s, -(a[i][s] // a[s][s]))
-                left = next((i for i in range(s + 1, m) if a[i][s]), None)
-                if left is not None:
-                    swap_rows(s, left)
-                    continue
-                for j in range(s + 1, n):
-                    if a[s][j]:
-                        add_col(j, s, -(a[s][j] // a[s][s]))
-                left = next((j for j in range(s + 1, n) if a[s][j]), None)
-                if left is not None:
-                    swap_cols(s, left)
-                    continue
-                break
-            # divisibility chain: the pivot must divide the rest of the block
-            piv = a[s][s]
-            bad_row = next(
-                (
-                    i
-                    for i in range(s + 1, m)
-                    if any(a[i][j] % piv for j in range(s + 1, n))
-                ),
-                None,
-            )
-            if bad_row is None:
-                rank += 1
-                break
-            add_row(s, bad_row, 1)
-        if exhausted:
+        # minimal |entry| != 0 in the trailing block becomes the pivot; ties
+        # go to the first in row-major order
+        pivot = min(
+            ((abs(a[i][j]), i, j) for i in range(s, m) for j in range(s, n) if a[i][j]),
+            default=None,
+        )
+        if pivot is None:
             break
+        _, pi, pj = pivot
+        if pi != s:
+            swap_rows(s, pi)
+        if pj != s:
+            swap_cols(s, pj)
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+        # Euclidean clearing of column s and row s; floor division keeps
+        # residues in [0, pivot), so each swap shrinks the pivot
+        while True:
+            for i in range(s + 1, m):
+                if a[i][s]:
+                    add_row(i, s, -(a[i][s] // a[s][s]))
+            left = next((i for i in range(s + 1, m) if a[i][s]), None)
+            if left is not None:
+                swap_rows(s, left)
+                continue
+            for j in range(s + 1, n):
+                if a[s][j]:
+                    add_col(j, s, -(a[s][j] // a[s][s]))
+            left = next((j for j in range(s + 1, n) if a[s][j]), None)
+            if left is not None:
+                swap_cols(s, left)
+                continue
+            break
+        d.append(a[s][s])
 
-    diagonal = tuple(a[i][i] for i in range(rank))
+    # divisibility chain on the diagonal alone: diag(p, q) becomes
+    # diag(g, p*q/g), g = gcd(p, q), by a determinant-1 change of columns i
+    # and j of V; the matching row operations would only touch U
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            p, q = d[i], d[j]
+            if q % p:
+                g = gcd(p, q)
+                x = pow(p // g, -1, q // g)
+                f, h = (x * p - g) // g, x * p // g
+                for row in v:
+                    row[i], row[j] = row[i] + row[j], f * row[i] + h * row[j]
+                d[i], d[j] = g, p * q // g
     return SmithForm(
         rows=m,
         cols=n,
-        diagonal=diagonal,
+        diagonal=tuple(d),
         col_transform=tuple(tuple(row) for row in v),
     )
 

@@ -54,12 +54,6 @@ class Coloring:
         """Number of distinct colors used."""
         return len(set(self.colors))
 
-    def color_of(self, arc: int) -> int:
-        return self.colors[arc - 1]
-
-    def assignment(self) -> dict[int, int]:
-        return {arc: c for arc, c in enumerate(self.colors, start=1)}
-
 
 def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSystem:
     """Coefficient matrix of the coloring equations, one row per relation."""

@@ -192,8 +192,8 @@ def test_criterion_9_composite_modulus_soundness():
         # independent re-check: every returned assignment satisfies the table
         for c in brute:
             for r in p.relations:
-                assert c.color_of(r.out) == q.apply(
-                    c.color_of(r.in_), c.color_of(r.over), r.positive
+                assert c.colors[r.out - 1] == q.apply(
+                    c.colors[r.in_ - 1], c.colors[r.over - 1], r.positive
                 )
         assert linear == len(brute) == 16
         assert linear > 4  # why criteria 2 and 3 restrict to prime n

@@ -138,6 +138,18 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "colorings", str(bad), "--n", "3", "--t", "2")
     assert code == 2
     assert "line 1" in err
+    # a file that is not UTF-8 is a clean error, not a decode traceback
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (
+        ("relations", str(binary)),
+        ("colorings", "trefoil", "--quandle-file", str(binary)),
+        ("validate-quandle", str(binary)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "decode" in err
 
 
 def test_unknown_link(capsys):

@@ -109,6 +109,12 @@ def test_parse_circles_header_rules():
 def test_parse_arc_index_gap():
     with pytest.raises(DiagramError, match="gap"):
         parse_relations_file("x1 = x1 * x3\nx3 = x3 * x1\n")
+    # a huge index finds the gap without listing every index below it
+    with pytest.raises(DiagramError) as exc:
+        parse_relations_file("x2 = x1 * x999999999\nx1 = x2 * x3\n")
+    assert str(exc.value) == (
+        "arc index gap: x4 is never referenced (indices must be contiguous from 1 to 999999999)"
+    )
 
 
 def test_parse_empty_input():

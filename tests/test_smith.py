@@ -2,7 +2,7 @@
 
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlecolor import smith_normal_form, solution_count_mod
@@ -48,6 +48,12 @@ def test_empty_and_degenerate_shapes():
 
 @settings(max_examples=150, deadline=None)
 @given(matrices)
+# fixed inputs for the chain step: a diagonal that is not a chain, a first
+# entry fixed against both later ones, and a 10**30 pivot whose step makes
+# V's entries that large
+@example([[2, 0], [0, 3]])
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+@example([[10**30, 0, 0], [0, 6, 0], [0, 0, 10]])
 def test_reconstruction_and_unimodularity(matrix):
     # D = U * A * V for some unimodular U, checked without U
     snf = smith_normal_form(matrix)
