@@ -3,8 +3,8 @@
 Parse a diagram (relations grammar or PD code) or pick one from the
 catalog, extract its fundamental-quandle presentation, and count or
 enumerate colorings by finite quandles — exactly, over any modulus, via
-integer Smith normal form for the Alexander family, with a brute-force
-oracle for arbitrary tables.
+a sparse Smith-form elimination over Z_n for the Alexander family, with a
+brute-force oracle for arbitrary tables.
 """
 
 from .catalog import CATALOG, catalog, catalog_entry, catalog_names

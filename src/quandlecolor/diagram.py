@@ -219,7 +219,8 @@ class _LineScanner:
         start = self.pos
         self.pos += 1
         digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also takes '²', which int() rejects
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             digits += self.text[self.pos]
             self.pos += 1
         if not digits:

@@ -1,24 +1,43 @@
-"""Integer Smith normal form with exact (arbitrary-precision) arithmetic.
+"""Smith normal form by one sparse elimination, over Z or over Z_n.
 
-Diagonalizes an integer matrix A by unimodular row and column operations
-into D = U * A * V with d1 | d2 | ... | dk > 0 on the diagonal, in two
-stages.  First, one pass per pivot: the minimal nonzero absolute value of
-the trailing block is swapped into place, and Euclidean reduction clears
-its row and column.  Second, the divisibility chain is made on the
-diagonal alone: each pair d_i, d_j with d_i not dividing d_j becomes
-gcd, lcm by a 2x2 unimodular step that changes only columns i and j of
-V.  Entries stay Python ints throughout, so growth never overflows.
+Diagonalizes an integer matrix A by row and column operations into
+D = U * A * V.  The ``modulus`` argument picks the ring:
 
-Only the column transform V is kept.  The diagonal gives exact solution
-counts of homogeneous systems over Z_n: A*x = 0 (mod n) has
-n**(cols - k) * prod(gcd(d_i, n)) solutions, and x = V*y parameterizes
-them from the solutions y of D*y = 0.  Neither needs the row transform U,
-and no pivot choice reads it, so it is never built.
+* ``modulus=0`` works over Z, with unimodular operations on exact Python
+  ints.  The diagonal is then made the Smith chain d1 | d2 | ... | dk > 0
+  on the diagonal alone: each pair d_i, d_j with d_i not dividing d_j
+  becomes gcd, lcm by a determinant-1 step that changes only columns i and
+  j of V (Cohen, GTM 138, §2.4).
+* ``modulus=n`` works over Z_n.  Every entry of A and of V is kept as its
+  symmetric residue in (-n/2, n/2], so no coefficient grows past n/2.  This
+  is sound: integer row and column operations that are unimodular stay
+  invertible mod n, and reducing an entry mod n changes nothing in Z_n, so
+  U*A*V = D (mod n) with V invertible mod n.  No chain step runs; the
+  count and the parameterization below hold for any diagonal.
+
+Storage is sparse, because a coloring system has at most 3 nonzeros per
+row: each live row is a {col: value} dict, each column keeps the set of
+live rows that hold it, and V is kept column by column as {row: value}
+dicts, made dense only for the returned :class:`SmithForm`.  The pivot is
+taken from the live rows with the fewest nonzeros (Markowitz): the entry of
+least absolute value, ties to the lowest row and then the lowest column.  A
+heap of (nonzeros, row) finds those rows without scanning the rest of the
+matrix.  The pivot's column is cleared by row operations and its row by
+column operations, Euclidean as ever: floor division leaves remainders in
+[0, pivot), and a nonzero remainder becomes the next pivot.  Once its row
+and column are clear, the pivot leaves the live matrix.
+
+The diagonal gives exact solution counts of homogeneous systems over Z_n:
+A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and
+x = V*y parameterizes them from the solutions y of D*y = 0.  Neither needs
+the row transform U, and no pivot choice reads it, so it is never built.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -29,14 +48,19 @@ Matrix = tuple[tuple[int, ...], ...]
 class SmithForm:
     """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal).
 
-    ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0; U is some
-    unimodular matrix, and only V is kept (see the module docstring).
+    With ``modulus`` 0, ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0
+    and V is unimodular.  With ``modulus`` n, the equation holds mod n,
+    ``diagonal`` holds positive residues in [1, n/2] (not a chain), V's
+    entries are symmetric residues and V is invertible mod n.  U is some
+    matrix invertible in the same ring; only V is kept (see the module
+    docstring).
     """
 
     rows: int
     cols: int
     diagonal: tuple[int, ...]
-    col_transform: Matrix  # V, cols x cols, |det| = 1
+    col_transform: Matrix  # V, cols x cols
+    modulus: int = 0
 
     @property
     def rank(self) -> int:
@@ -50,15 +74,16 @@ class SmithForm:
         return tuple(tuple(row) for row in d)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) -> SmithForm:
-    """Compute the Smith normal form of an integer matrix.
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]], cols: int | None = None, modulus: int = 0
+) -> SmithForm:
+    """Diagonalize an integer matrix over Z (``modulus=0``) or over Z_modulus.
 
     ``cols`` is only needed when ``matrix`` has no rows.
     """
-    a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
+    m = len(matrix)
     if m:
-        widths = {len(row) for row in a}
+        widths = {len(row) for row in matrix}
         if len(widths) != 1:
             raise ValueError("matrix rows have differing lengths")
         n = widths.pop()
@@ -68,88 +93,165 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], cols: int | None = None) 
         if cols is None:
             raise ValueError("cols is required for a matrix with no rows")
         n = cols
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if modulus < 0:
+        raise ValueError(f"modulus must be >= 0, got {modulus}")
+    half = modulus // 2
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
+    def residue(x: int) -> int:
+        if modulus:
+            x %= modulus
+            if x > half:
+                x -= modulus
+        return x
 
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    rows: dict[int, dict[int, int]] = {}  # live rows, maybe empty; no stored zeros
+    holders: list[set[int]] = [set() for _ in range(n)]  # column -> live rows
+    for i, row in enumerate(matrix):
+        entries = {}
+        for j in compress(range(n), row):
+            x = residue(int(row[j]))
+            if x:
+                entries[j] = x
+                holders[j].add(i)
+        if entries:
+            rows[i] = entries
+    v: list[dict[int, int]] = [{j: residue(1)} for j in range(n)]  # columns of V
+    queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
+    heapq.heapify(queue)
 
-    def add_row(dst: int, src: int, factor: int) -> None:
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+    def add_row(dst: int, src: dict[int, int], q: int) -> None:
+        row = rows[dst]
+        for j, x in src.items():
+            y = row.get(j, 0) - q * x
+            if modulus:
+                y %= modulus
+                if y > half:
+                    y -= modulus
+            if y:
+                if j not in row:
+                    holders[j].add(dst)
+                row[j] = y
+            elif j in row:
+                del row[j]
+                holders[j].discard(dst)
+        heapq.heappush(queue, (len(row), dst))
 
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+    def add_col(dst: int, src: int, q: int) -> None:
+        col = v[dst]
+        for k, x in v[src].items():
+            y = col.get(k, 0) - q * x
+            if modulus:
+                y %= modulus
+                if y > half:
+                    y -= modulus
+            if y:
+                col[k] = y
+            else:
+                col.pop(k, None)
+
+    def pick() -> tuple[int, int] | None:
+        """The next pivot (row, col), or None once every live row is zero."""
+        popped: list[tuple[int, int]] = []
+        best = None  # (nonzeros, |value|, row, col)
+        while queue:
+            k, i = queue[0]
+            row = rows.get(i)
+            if not row or len(row) != k or (popped and popped[-1][1] == i):
+                heapq.heappop(queue)
+                continue
+            if best is not None and k > best[0]:
+                break
+            popped.append(heapq.heappop(queue))
+            a, j = min((abs(x), j) for j, x in row.items())
+            if best is None or a < best[1]:
+                best = (k, a, i, j)
+                if a == 1:  # rows come in index order, so nothing later beats it
+                    break
+        for entry in popped:
+            heapq.heappush(queue, entry)
+        return None if best is None else best[2:]
 
     d: list[int] = []  # the pivots, in order
-    for s in range(min(m, n)):
-        # minimal |entry| != 0 in the trailing block becomes the pivot; ties
-        # go to the first in row-major order
-        pivot = min(
-            ((abs(a[i][j]), i, j) for i in range(s, m) for j in range(s, n) if a[i][j]),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != s:
-            swap_rows(s, pi)
-        if pj != s:
-            swap_cols(s, pj)
-        if a[s][s] < 0:
-            a[s] = [-x for x in a[s]]
-        # Euclidean clearing of column s and row s; floor division keeps
-        # residues in [0, pivot), so each swap shrinks the pivot
+    pivot_cols: list[int] = []
+    while (pivot := pick()) is not None:
+        pi, pj = pivot
         while True:
-            for i in range(s + 1, m):
-                if a[i][s]:
-                    add_row(i, s, -(a[i][s] // a[s][s]))
-            left = next((i for i in range(s + 1, m) if a[i][s]), None)
+            prow = rows[pi]
+            if prow[pj] < 0:
+                for j in prow:
+                    prow[j] = residue(-prow[j])
+            p = prow[pj]
+            # clear column pj by row operations; the least remainder left
+            # becomes the pivot
+            left = None
+            for i in sorted(holders[pj] - {pi}):
+                add_row(i, prow, rows[i][pj] // p)
+                r = rows[i].get(pj)
+                if r and (left is None or r < left[0]):
+                    left = (r, i)
             if left is not None:
-                swap_rows(s, left)
+                pi = left[1]
                 continue
-            for j in range(s + 1, n):
-                if a[s][j]:
-                    add_col(j, s, -(a[s][j] // a[s][s]))
-            left = next((j for j in range(s + 1, n) if a[s][j]), None)
-            if left is not None:
-                swap_cols(s, left)
-                continue
-            break
-        d.append(a[s][s])
+            # clear row pi by column operations; column pj is zero outside
+            # row pi, so in A they change row pi alone
+            for j in sorted(prow.keys() - {pj}):
+                q = prow[j] // p
+                add_col(j, pj, q)
+                r = prow[j] - q * p
+                if r:
+                    prow[j] = r
+                    if left is None or r < left[0]:
+                        left = (r, j)
+                else:
+                    del prow[j]
+                    holders[j].discard(pi)
+            if left is None:
+                break
+            pj = left[1]
+        del rows[pi]  # its column pj is now zero in every live row
+        d.append(p)
+        pivot_cols.append(pj)
 
-    # divisibility chain on the diagonal alone: diag(p, q) becomes
-    # diag(g, p*q/g), g = gcd(p, q), by a determinant-1 change of columns i
-    # and j of V; the matching row operations would only touch U
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            p, q = d[i], d[j]
-            if q % p:
-                g = gcd(p, q)
-                x = pow(p // g, -1, q // g)
-                f, h = (x * p - g) // g, x * p // g
-                for row in v:
-                    row[i], row[j] = row[i] + row[j], f * row[i] + h * row[j]
-                d[i], d[j] = g, p * q // g
+    # V's columns in pivot order, then the columns never pivoted
+    pivoted = set(pivot_cols)
+    order = pivot_cols + [j for j in range(n) if j not in pivoted]
+    dense = [[0] * n for _ in range(n)]
+    for c, j in enumerate(order):
+        for k, x in v[j].items():
+            dense[k][c] = x
+
+    if not modulus:
+        # divisibility chain on the diagonal alone: diag(p, q) becomes
+        # diag(g, p*q/g), g = gcd(p, q), by a determinant-1 change of columns
+        # i and j of V; the matching row operations would only touch U
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                p, q = d[i], d[j]
+                if q % p:
+                    g = gcd(p, q)
+                    x = pow(p // g, -1, q // g)
+                    f, h = (x * p - g) // g, x * p // g
+                    for row in dense:
+                        row[i], row[j] = row[i] + row[j], f * row[i] + h * row[j]
+                    d[i], d[j] = g, p * q // g
     return SmithForm(
         rows=m,
         cols=n,
         diagonal=tuple(d),
-        col_transform=tuple(tuple(row) for row in v),
+        col_transform=tuple(tuple(row) for row in dense),
+        modulus=modulus,
     )
 
 
 def solution_count_mod(snf: SmithForm, n: int) -> int:
-    """Number of x in (Z_n)^cols with A*x = 0 (mod n), from A's Smith form."""
+    """Number of x in (Z_n)^cols with A*x = 0 (mod n), from A's Smith form.
+
+    A form computed over Z_m answers only for n = m.
+    """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
+    if snf.modulus and n != snf.modulus:
+        raise ValueError(f"this Smith form was computed mod {snf.modulus}, not mod {n}")
     count = n ** (snf.cols - snf.rank)
     for d in snf.diagonal:
         count *= gcd(d, n)

@@ -4,9 +4,13 @@ Two independent routes:
 
 * an exact linear-algebra path for Alexander quandles, which turns the
   presentation into an integer coefficient matrix and counts/enumerates
-  solutions of the homogeneous system over Z_n through the Smith normal
-  form (sound for composite n, where naive row reduction is not), one
-  elimination per call;
+  solutions of the homogeneous system over Z_n, one elimination per call.
+  The matrix is diagonalized over Z_n itself (``smith_normal_form`` with
+  ``modulus=n``), so no coefficient exceeds n/2.  This is sound for
+  composite n, where naive row reduction is not: the row and column
+  operations are integer unimodular ones reduced mod n, hence invertible
+  mod n, so U*A*V = D (mod n) and the count n**(cols - rank) *
+  prod(gcd(d_i, n)) and the parameterization x = V*y still hold;
 * a brute-force backtracking search over arc assignments that works for
   any finite quandle and serves as the oracle for the first.
 """
@@ -72,7 +76,7 @@ def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSys
 
 def count_solutions(system: ColoringSystem, n: int) -> int:
     """Exact number of solutions of A*x = 0 (mod n); exact for any n >= 1."""
-    return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols), n)
+    return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols, modulus=n), n)
 
 
 def _solution_value_lists(snf: SmithForm, n: int) -> list[range]:
@@ -92,11 +96,11 @@ def enumerate_solutions(
 
     Torsion coordinates range over the gcd(d_i, n) multiples of n/gcd(d_i, n),
     free coordinates over all of Z_n, and the right transform maps them back
-    to arc space.  V is unimodular, so y -> V*y (mod n) is injective on these
-    ranges and no two y give the same coloring.  The error carries the exact
+    to arc space.  V is invertible mod n, so y -> V*y (mod n) is injective on
+    these ranges and no two y give the same coloring.  The error carries the exact
     count, so a caller never needs a second elimination to learn it.
     """
-    snf = smith_normal_form(system.matrix, cols=system.cols)
+    snf = smith_normal_form(system.matrix, cols=system.cols, modulus=n)
     count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from quandlecolor import catalog, catalog_names
+from quandlecolor import (
+    ColoringSystem,
+    catalog,
+    catalog_names,
+    enumerate_solutions,
+    reidemeister_r1,
+    reidemeister_r2,
+    smith_normal_form,
+    solution_count_mod,
+)
 
 
 def exact_det(matrix) -> int:
@@ -53,6 +63,136 @@ def smith_columns(matrix, snf) -> list[list[int]]:
     for row in av:
         assert all(v % d == 0 for v, d in zip(row, snf.diagonal))
     return [[v // d for v, d in zip(row, snf.diagonal)] for row in av]
+
+
+def dense_smith(matrix, cols: int | None = None) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Oracle: dense integer Smith form, returning (diagonal, V).
+
+    The kernel the program used before its sparse elimination: dense rows,
+    each pivot the least |entry| of the whole trailing block, Euclidean
+    clearing, then the divisibility chain made on the diagonal alone.
+    """
+    a = [[int(v) for v in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else cols
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(dst: int, src: int, factor: int) -> None:
+        for row in a + v:
+            row[dst] += factor * row[src]
+
+    d: list[int] = []
+    for s in range(min(m, n)):
+        pivot = min(
+            ((abs(a[i][j]), i, j) for i in range(s, m) for j in range(s, n) if a[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        a[s], a[pi] = a[pi], a[s]
+        if pj != s:
+            swap_cols(s, pj)
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+        while True:
+            for i in range(s + 1, m):
+                if a[i][s]:
+                    q = a[i][s] // a[s][s]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
+            left = next((i for i in range(s + 1, m) if a[i][s]), None)
+            if left is not None:
+                a[s], a[left] = a[left], a[s]
+                continue
+            for j in range(s + 1, n):
+                if a[s][j]:
+                    add_col(j, s, -(a[s][j] // a[s][s]))
+            left = next((j for j in range(s + 1, n) if a[s][j]), None)
+            if left is not None:
+                swap_cols(s, left)
+                continue
+            break
+        d.append(a[s][s])
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            p, q = d[i], d[j]
+            if q % p:
+                g = gcd(p, q)
+                x = pow(p // g, -1, q // g)
+                f, h = (x * p - g) // g, x * p // g
+                for row in v:
+                    row[i], row[j] = row[i] + row[j], f * row[i] + h * row[j]
+                d[i], d[j] = g, p * q // g
+    return tuple(d), v
+
+
+def invertible_mod(matrix, n: int) -> bool:
+    """gcd(det M, n) == 1: M has full rank mod every prime dividing n."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    for p in primes:
+        m = [[v % p for v in row] for row in matrix]
+        for col in range(len(m)):
+            pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+            if pivot is None:
+                return False
+            m[col], m[pivot] = m[pivot], m[col]
+            inv = pow(m[col][col], -1, p)
+            for i in range(col + 1, len(m)):
+                f = m[i][col] * inv % p
+                if f:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[col])]
+    return True
+
+
+def check_against_oracle(matrix, cols: int, moduli, max_enumerated: int = 5000) -> None:
+    """The sparse kernel agrees with :func:`dense_smith` over Z and over each Z_n.
+
+    Over Z the diagonals are equal.  Over Z_n the count is the oracle's,
+    gcd(det V, n) == 1, the columns of A*V vanish mod n from the rank on,
+    and, up to ``max_enumerated`` solutions, the sorted enumeration equals
+    the oracle's x = V*y (mod n).
+    """
+    diagonal, v = dense_smith(matrix, cols)
+    assert smith_normal_form(matrix, cols=cols).diagonal == diagonal
+    system = ColoringSystem(len(matrix), cols, tuple(tuple(row) for row in matrix))
+    for n in moduli:
+        snf = smith_normal_form(matrix, cols=cols, modulus=n)
+        count = solution_count_mod(snf, n)
+        expected = n ** (cols - len(diagonal))
+        for d in diagonal:
+            expected *= gcd(d, n)
+        assert count == expected, n
+        assert all(-n < 2 * x <= n for row in snf.col_transform for x in row)
+        assert invertible_mod(snf.col_transform, n), n
+        av = matmul(matrix, snf.col_transform)
+        assert all(x % n == 0 for row in av for x in row[snf.rank:]), n
+        if count <= max_enumerated:
+            # y ranges over the solutions of D*y = 0; coordinates fixed at 0 add nothing
+            steps = [n // gcd(d, n) for d in diagonal] + [1] * (cols - len(diagonal))
+            active = [(k, range(0, n, step)) for k, step in enumerate(steps) if step < n]
+            columns = [[row[k] % n for row in v] for k, _ in active]
+            oracle = sorted(
+                tuple(sum(y * c[r] for y, c in zip(ys, columns)) % n for r in range(cols))
+                for ys in itertools.product(*(values for _, values in active))
+            )
+            assert [c.colors for c in enumerate_solutions(system, n)] == oracle, n
+
+
+def grown(name: str, arcs: int, seed: int):
+    """Catalog diagram ``name`` grown by seeded R1/R2 moves to at least ``arcs`` arcs."""
+    rng = random.Random(seed)
+    d = catalog(name)
+    while d.arc_count < arcs:
+        arc, other = rng.randint(1, d.arc_count), rng.randint(1, d.arc_count)
+        if rng.random() < 0.5:
+            d = reidemeister_r1(d, arc, rng.choice((1, -1)))
+        else:
+            d = reidemeister_r2(d, arc, other)
+    return d
 
 
 def minors_gcd(matrix, k: int) -> int:

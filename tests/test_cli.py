@@ -138,6 +138,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "colorings", str(bad), "--n", "3", "--t", "2")
     assert code == 2
     assert "line 1" in err
+    # a non-ASCII digit in an arc index is a syntax error, not a traceback
+    bad.write_text("x\u00b2 = x1 * x1\n", encoding="utf-8")
+    code, out, err = run(capsys, "colorings", str(bad), "--n", "3", "--t", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1, column 2:")
     # a file that is not UTF-8 is a clean error, not a decode traceback
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe")

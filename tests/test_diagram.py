@@ -95,6 +95,12 @@ def test_parse_syntax_error_positions():
         parse_relations_file("x0 = x1 * x1\n")
     with pytest.raises(RelationSyntaxError):
         parse_relations_file("x1 = x2 * x3 x4\n")
+    # arc indices take ASCII digits only: a superscript two and an
+    # Arabic-Indic three are syntax errors right after the 'x'
+    for text in ("x\u00b2 = x1 * x1\n", "x\u0663 = x1 * x1\n"):
+        with pytest.raises(RelationSyntaxError) as exc:
+            parse_relations_file(text)
+        assert (exc.value.line, exc.value.column) == (1, 2)
 
 
 def test_parse_circles_header_rules():

@@ -23,6 +23,8 @@ from quandlecolor import (
     units,
 )
 
+from conftest import grown
+
 
 def test_counting_invariant_examples():
     assert counting_invariant(extract(catalog("trefoil")), alexander(3, 2)) == 9
@@ -30,6 +32,17 @@ def test_counting_invariant_examples():
     for m in (2, 3, 7):
         assert counting_invariant(extract(catalog("unknot")), trivial(m)) == m
     assert counting_invariant(extract(catalog("unknot")), takasaki(6)) == 6
+
+
+def test_counting_invariant_unchanged_by_r1_r2_on_large_diagrams():
+    # 300-500-arc diagrams grown by seeded R1/R2 moves keep the count of the
+    # catalog diagram they came from, at composite and prime moduli
+    for name, arcs, seed in (("trefoil", 300, 11), ("hopf_sum", 400, 12), ("allen_swenberg", 500, 13)):
+        big, base = extract(grown(name, arcs, seed)), extract(catalog(name))
+        assert 300 <= big.arc_count <= 502
+        for n, t in ((9, 2), (12, 5), (16, 3), (7, 3), (31, 3)):
+            q = alexander(n, t)
+            assert counting_invariant(big, q) == counting_invariant(base, q), (name, n, t)
 
 
 def test_counting_invariant_brute_path_for_plain_tables():
@@ -227,9 +240,9 @@ def test_compare_eliminates_each_system_once(monkeypatch):
     calls = []
     original = solver.smith_normal_form
 
-    def counting(matrix, cols=None):
+    def counting(matrix, cols=None, modulus=0):
         calls.append(cols)
-        return original(matrix, cols=cols)
+        return original(matrix, cols=cols, modulus=modulus)
 
     monkeypatch.setattr(solver, "smith_normal_form", counting)
     a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))

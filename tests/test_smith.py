@@ -2,18 +2,42 @@
 
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlecolor import smith_normal_form, solution_count_mod
 
-from conftest import exact_det, minors_gcd, modular_solutions, smith_columns
+from conftest import (
+    check_against_oracle,
+    exact_det,
+    minors_gcd,
+    modular_solutions,
+    smith_columns,
+)
 
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+# mostly zeros, with non-unit entries so that Euclidean steps and the chain
+# step both fire
+sparse_matrices = st.integers(min_value=1, max_value=7).flatmap(
+    lambda r: st.integers(min_value=1, max_value=7).flatmap(
+        lambda c: st.lists(
+            st.lists(
+                st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 9, -12, 16)),
+                min_size=c,
+                max_size=c,
+            ),
             min_size=r,
             max_size=r,
         )
@@ -105,3 +129,22 @@ def test_gcd_based_count_formula_directly():
     brute = modular_solutions([[1, 0, 0], [0, 2, 0]], 3, 4)
     assert len(brute) == 8
     assert all(x == 0 and y in (0, 2) for x, y, _ in brute)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+@example([[2, 0], [0, 3]])
+@example([[4, 6, 0], [6, 9, 0], [0, 0, 12]])
+@example([[0, 0, 0]])
+def test_sparse_kernel_matches_dense_oracle(matrix):
+    check_against_oracle(matrix, len(matrix[0]), (2, 4, 8, 9, 12, 16))
+
+
+def test_modular_form_answers_only_its_modulus():
+    snf = smith_normal_form([[2, 0], [0, 3]], modulus=4)
+    assert snf.modulus == 4
+    assert solution_count_mod(snf, 4) == 2  # 2x = 0 has x in {0, 2}; 3y = 0 has y = 0
+    with pytest.raises(ValueError, match="mod 4"):
+        solution_count_mod(snf, 8)
+    with pytest.raises(ValueError):
+        smith_normal_form([[1]], modulus=-3)

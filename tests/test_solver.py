@@ -1,7 +1,6 @@
 """Coloring systems, exact counting/enumeration, and the brute-force oracle."""
 
 import itertools
-import random
 from math import gcd
 
 import pytest
@@ -20,14 +19,13 @@ from quandlecolor import (
     extract,
     connected_sum,
     parse_relations_file,
-    reidemeister_r1,
     reidemeister_r2,
     smith_normal_form,
     takasaki,
     trivial,
 )
 
-from conftest import exact_det, modular_solutions, smith_columns
+from conftest import check_against_oracle, exact_det, grown, modular_solutions, smith_columns
 
 
 def test_build_system_hopf_sum_coefficient_pattern():
@@ -197,31 +195,18 @@ def test_oracle_equivalence_small_grid(small_catalog):
             assert brute == linear, (name, n, t)
 
 
-def _grown_trefoil(arcs: int, seed: int):
-    """The trefoil grown by seeded R1/R2 moves to at least ``arcs`` arcs."""
-    rng = random.Random(seed)
-    d = catalog("trefoil")
-    while d.arc_count < arcs:
-        arc, other = rng.randint(1, d.arc_count), rng.randint(1, d.arc_count)
-        if rng.random() < 0.5:
-            d = reidemeister_r1(d, arc, rng.choice((1, -1)))
-        else:
-            d = reidemeister_r2(d, arc, other)
-    return d
-
-
 def test_smith_reconstruction_for_catalog_systems():
     # D = U * A * V for some unimodular U: V unimodular, A*V = W*D, and W
     # extends to a unimodular matrix (its own Smith diagonal is all ones).
     # At n=4, t=3 the 81-arc grown trefoil and the 52-arc connected-sum chain
-    # leave pivots that are not a chain (the chain step fires 4 and 27
-    # times), and V's entries grow to 188 and 113 bits.
+    # leave pivots that are not a chain (the chain step fires 5 and 11
+    # times), and V's entries grow to 222 and 101 bits.
     chain = connected_sum(
         connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1),
         catalog("allen_swenberg"), 1, 1,
     )
     diagrams = [catalog(name) for name in ("hopf", "trefoil", "hopf_sum", "allen_swenberg")]
-    for d in diagrams + [_grown_trefoil(80, seed=1), chain]:
+    for d in diagrams + [grown("trefoil", 80, seed=1), chain]:
         p = extract(d)
         for n, t in ((3, 2), (4, 3)):
             sys = build_system(p, AlexanderParams(n, t))
@@ -231,6 +216,22 @@ def test_smith_reconstruction_for_catalog_systems():
             assert smith_normal_form(w, cols=snf.rank).diagonal == (1,) * snf.rank
             for da, db in zip(snf.diagonal, snf.diagonal[1:]):
                 assert db % da == 0
+
+
+def test_sparse_kernel_matches_dense_oracle_on_diagrams():
+    # R1/R2-grown diagrams and connected-sum chains against the dense
+    # integer kernel, at composite moduli and units t whose 1 - t is not a unit
+    chain = connected_sum(
+        connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1),
+        catalog("allen_swenberg"), 1, 1,
+    )
+    trefoils = connected_sum(catalog("trefoil"), catalog("trefoil"), 1, 1)
+    for d in (grown("trefoil", 40, seed=2), grown("hopf_sum", 40, seed=3), chain, trefoils):
+        p = extract(d)
+        for n, ts in ((2, (1,)), (4, (3,)), (8, (3, 5)), (9, (2, 8)), (12, (5, 7)), (16, (3, 15))):
+            for t in ts:
+                sys = build_system(p, AlexanderParams(n, t))
+                check_against_oracle(sys.matrix, sys.cols, (n,))
 
 
 def test_count_is_invariant_under_row_shuffles_of_catalog_system():
