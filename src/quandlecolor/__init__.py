@@ -17,8 +17,6 @@ from .diagram import (
     parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
-    undo_reidemeister_r1,
-    undo_reidemeister_r2,
 )
 from .errors import (
     AxiomError,
@@ -42,7 +40,6 @@ from .invariants import (
     all_colorings,
     compare,
     counting_invariant,
-    involutory_analysis,
     involutory_units,
     phi_polynomial,
     units,
@@ -53,7 +50,6 @@ from .quandle import (
     FiniteQuandle,
     alexander,
     parse_quandle_file,
-    render_quandle_file,
     takasaki,
     trivial,
     validate,
@@ -113,7 +109,6 @@ __all__ = [
     "counting_invariant",
     "enumerate_solutions",
     "extract",
-    "involutory_analysis",
     "involutory_units",
     "parse_pd_code",
     "parse_quandle_file",
@@ -121,14 +116,11 @@ __all__ = [
     "phi_polynomial",
     "reidemeister_r1",
     "reidemeister_r2",
-    "render_quandle_file",
     "smith_normal_form",
     "solution_count_mod",
     "takasaki",
     "trivial",
     "trivial_t_classes",
-    "undo_reidemeister_r1",
-    "undo_reidemeister_r2",
     "units",
     "validate",
 ]

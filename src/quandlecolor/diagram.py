@@ -155,10 +155,10 @@ class LinkDiagram:
 
     def render_relations(self) -> str:
         """Render to the relations-file grammar; parsing it back is the identity."""
-        return render_relations_text(
-            ((c.under_out, c.under_in, c.over, c.positive) for c in self.crossings),
-            self.free_circles,
-        )
+        lines = [f"circles: {self.free_circles}"] if self.free_circles else []
+        for c in self.crossings:
+            lines.append(f"x{c.under_out} = x{c.under_in} {'*' if c.positive else '/'} x{c.over}")
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,6 @@ class CatalogEntry:
                 f"catalog entry {self.name}: derived component count "
                 f"{self.diagram.component_count()} != {self.expected_components}"
             )
-
-
-def render_relations_text(rows, free_circles: int) -> str:
-    lines = []
-    if free_circles:
-        lines.append(f"circles: {free_circles}")
-    for out, in_, over, positive in rows:
-        op = "*" if positive else "/"
-        lines.append(f"x{out} = x{in_} {op} x{over}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,11 @@ class _LineScanner:
             self.fail("unexpected trailing text")
 
 
-_CIRCLES_RE = re.compile(r"^circles\s*:\s*(\d+)\s*$")
+# ASCII digits only, as in arc indices: \d also takes other scripts' digits
+_CIRCLES_RE = re.compile(r"^circles\s*:\s*0*([0-9]+)\s*$")
+# each free circle is one more column of the coloring system, whose column
+# transform V over Z_n is dense, cols x cols
+MAX_CIRCLES = 4096
 
 
 def parse_relations_file(text: str) -> LinkDiagram:
@@ -277,7 +271,12 @@ def parse_relations_file(text: str) -> LinkDiagram:
                     lineno, 1, "circles header must precede all relations"
                 )
             saw_circles = True
-            free_circles = int(m.group(1))
+            count = m.group(1)  # no leading zeros: compare lengths before int()
+            if len(count) > len(str(MAX_CIRCLES)) or int(count) > MAX_CIRCLES:
+                raise RelationSyntaxError(
+                    lineno, raw.index(count) + 1, f"at most {MAX_CIRCLES} circles allowed"
+                )
+            free_circles = int(count)
             continue
         sc = _LineScanner(line, lineno)
         out = sc.arc_index()
@@ -312,7 +311,7 @@ def parse_relations_file(text: str) -> LinkDiagram:
 # PD-code parser
 
 _PD_TERM = re.compile(
-    r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)", re.IGNORECASE
+    r"X\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", re.IGNORECASE
 )
 
 
@@ -572,47 +571,4 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
         tail = arc
     cross.append(Crossing(1, under_in=arc, under_out=middle, over=over_arc))
     cross.append(Crossing(-1, under_in=middle, under_out=tail, over=over_arc))
-    return _normalized(cross, free)
-
-
-def undo_reidemeister_r1(d: LinkDiagram) -> LinkDiagram:
-    """Remove the kink appended by :func:`reidemeister_r1` (its inverse move)."""
-    if not d.crossings:
-        raise DiagramError("no crossing to remove")
-    last = d.crossings[-1]
-    if last.over != last.under_in:
-        raise DiagramError("last crossing is not a kink")
-    arc, split = last.under_in, last.under_out
-    cross = list(d.crossings[:-1])
-    free = d.free_circles
-    if split == arc:
-        if all(arc not in (c.under_in, c.under_out, c.over) for c in cross):
-            free += 1  # the kinked circle is free again
-    else:
-        _rename_arc(cross, split, arc)
-    return _normalized(cross, free)
-
-
-def undo_reidemeister_r2(d: LinkDiagram) -> LinkDiagram:
-    """Remove the poke appended by :func:`reidemeister_r2` (its inverse move)."""
-    if len(d.crossings) < 2:
-        raise DiagramError("need two crossings to remove")
-    c1, c2 = d.crossings[-2], d.crossings[-1]
-    if not (
-        c1.sign == 1
-        and c2.sign == -1
-        and c1.under_out == c2.under_in
-        and c1.over == c2.over
-    ):
-        raise DiagramError("last two crossings are not an opposite-operation poke")
-    arc, tail, over_arc = c1.under_in, c2.under_out, c1.over
-    cross = list(d.crossings[:-2])
-    if tail != arc:
-        _rename_arc(cross, tail, arc)
-    free = d.free_circles
-    remaining = {a for c in cross for a in (c.under_in, c.under_out, c.over)}
-    if arc not in remaining:
-        free += 1
-    if over_arc != arc and over_arc not in remaining:
-        free += 1
     return _normalized(cross, free)

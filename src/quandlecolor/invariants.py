@@ -45,9 +45,6 @@ class PhiPolynomial:
     def from_counts(cls, counts: Mapping[int, int]) -> "PhiPolynomial":
         return cls(tuple(sorted((e, c) for e, c in counts.items() if c)))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def total(self) -> int:
         """Sum of coefficients, i.e. the counting invariant."""
         return sum(c for _, c in self.terms)
@@ -102,20 +99,6 @@ def involutory_units(n: int) -> tuple[int, ...]:
     Always contains 1 and n-1; composite n can have more (t=3 mod 8, say).
     """
     return tuple(t for t in units(n) if (t * t) % n == 1)
-
-
-def involutory_analysis(p: QuandlePresentation, n: int) -> tuple[tuple[int, int], ...]:
-    """Counting invariant for every involutory Alexander quandle over Z_n.
-
-    Returns (t, count) rows in increasing t; t=1 (the trivial quandle, count
-    n ** classes) and t=n-1 are always present.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    return tuple(
-        (t, count_solutions(build_system(p, AlexanderParams(n, t)), n))
-        for t in involutory_units(n)
-    )
 
 
 TPolicy = Union[str, int]

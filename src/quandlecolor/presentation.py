@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, _merged_classes, render_relations_text
+from .diagram import LinkDiagram, _merged_classes
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,6 @@ class QuandlePresentation:
             for arc in r.arcs():
                 if not 1 <= arc <= self.arc_count:
                     raise ValueError(f"arc x{arc} out of range 1..{self.arc_count}")
-
-    def referenced_arcs(self) -> frozenset[int]:
-        return frozenset(a for r in self.relations for a in r.arcs())
-
-    def render(self) -> str:
-        """Render back to the relations-file grammar (bit-exact round trip).
-
-        Arcs beyond the highest referenced index are emitted as a
-        ``circles`` header, which is where diagram parsing puts them.
-        """
-        circles = self.arc_count - len(self.referenced_arcs())
-        return render_relations_text(
-            ((r.out, r.in_, r.over, r.positive) for r in self.relations), circles
-        )
 
 
 def extract(d: LinkDiagram) -> QuandlePresentation:

@@ -47,11 +47,6 @@ class AlexanderParams:
             raise NotAUnitError(self.t, self.n)
 
     @property
-    def s(self) -> int:
-        """The second coefficient 1 - t, reduced mod n."""
-        return (1 - self.t) % self.n
-
-    @property
     def t_inverse(self) -> int:
         return pow(self.t, -1, self.n)
 
@@ -122,17 +117,21 @@ def validate(table) -> FiniteQuandle:
         inverse[col] = np.arange(m)
         dual[:, y] = inverse
 
-    # (x > y) > z versus (x > z) > (y > z), all m^3 triples at once
-    left = op[op, :]
-    right = op[op[:, None, :], op[None, :, :]]
-    if not np.array_equal(left, right):
-        x, y, z = (int(v) for v in np.argwhere(left != right)[0])
-        raise SelfDistributivityError(x, y, z)
+    # (x > y) > z versus (x > z) > (y > z), one m x m slice [y, z] per x:
+    # m^2 memory, and the first witness in (x, y, z) order.  With
+    # p = op[op[x]], the left side is p[y, z] and the right p[z, op[y, z]].
+    right = op + m * np.arange(m)  # flat index of [z, op[y, z]] at [y, z]
+    for x in range(m):
+        p = op[op[x]]
+        bad = p != p.ravel().take(right)
+        if bad.any():
+            y, z = (int(v) for v in np.argwhere(bad)[0])
+            raise SelfDistributivityError(x, y, z)
 
     return FiniteQuandle(
         order=m,
-        op=tuple(tuple(int(v) for v in row) for row in op),
-        dual=tuple(tuple(int(v) for v in row) for row in dual),
+        op=tuple(map(tuple, op.tolist())),
+        dual=tuple(map(tuple, dual.tolist())),
     )
 
 
@@ -200,10 +199,3 @@ def parse_quandle_file(text: str) -> FiniteQuandle:
             raise QuandleTableError(f"row {i + 1}: expected {m} entries, found {len(row)}")
         table.append(row)
     return validate(table)
-
-
-def render_quandle_file(q: FiniteQuandle) -> str:
-    """Inverse of :func:`parse_quandle_file`."""
-    lines = [f"order: {q.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in q.op)
-    return "\n".join(lines) + "\n"

@@ -4,16 +4,17 @@ Diagonalizes an integer matrix A by row and column operations into
 D = U * A * V.  The ``modulus`` argument picks the ring:
 
 * ``modulus=0`` works over Z, with unimodular operations on exact Python
-  ints.  The diagonal is then made the Smith chain d1 | d2 | ... | dk > 0
-  on the diagonal alone: each pair d_i, d_j with d_i not dividing d_j
-  becomes gcd, lcm by a determinant-1 step that changes only columns i and
-  j of V (Cohen, GTM 138, §2.4).
-* ``modulus=n`` works over Z_n.  Every entry of A and of V is kept as its
-  symmetric residue in (-n/2, n/2], so no coefficient grows past n/2.  This
-  is sound: integer row and column operations that are unimodular stay
-  invertible mod n, and reducing an entry mod n changes nothing in Z_n, so
-  U*A*V = D (mod n) with V invertible mod n.  No chain step runs; the
-  count and the parameterization below hold for any diagonal.
+  ints, and returns the diagonal alone: its one caller reads nothing else,
+  so V is not built.  The diagonal is made the Smith chain
+  d1 | d2 | ... | dk > 0 on the diagonal itself: each pair d_i, d_j with
+  d_i not dividing d_j becomes gcd, lcm (Cohen, GTM 138, §2.4).
+* ``modulus=n`` works over Z_n and also returns V.  Every entry of A and of
+  V is kept as its symmetric residue in (-n/2, n/2], so no coefficient
+  grows past n/2.  This is sound: integer row and column operations that
+  are unimodular stay invertible mod n, and reducing an entry mod n changes
+  nothing in Z_n, so U*A*V = D (mod n) with V invertible mod n.  No chain
+  step runs; the count and the parameterization below hold for any
+  diagonal.
 
 Storage is sparse, because a coloring system has at most 3 nonzeros per
 row: each live row is a {col: value} dict, each column keeps the set of
@@ -30,7 +31,8 @@ and column are clear, the pivot leaves the live matrix.
 The diagonal gives exact solution counts of homogeneous systems over Z_n:
 A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and
 x = V*y parameterizes them from the solutions y of D*y = 0.  Neither needs
-the row transform U, and no pivot choice reads it, so it is never built.
+the row transform U, and no pivot choice reads U or V, so U is never built
+and building V or not leaves the diagonal the same.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ class SmithForm:
     """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal).
 
     With ``modulus`` 0, ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0
-    and V is unimodular.  With ``modulus`` n, the equation holds mod n,
-    ``diagonal`` holds positive residues in [1, n/2] (not a chain), V's
-    entries are symmetric residues and V is invertible mod n.  U is some
-    matrix invertible in the same ring; only V is kept (see the module
-    docstring).
+    for some unimodular U and V, and neither is kept.  With ``modulus`` n,
+    the equation holds mod n, ``diagonal`` holds positive residues in
+    [1, n/2] (not a chain), ``col_transform`` is V, whose entries are
+    symmetric residues, and V is invertible mod n; U is never kept (see the
+    module docstring).
     """
 
     rows: int
     cols: int
     diagonal: tuple[int, ...]
-    col_transform: Matrix  # V, cols x cols
+    col_transform: Matrix  # V (cols x cols) over Z_n; () over Z
     modulus: int = 0
 
     @property
@@ -115,7 +117,8 @@ def smith_normal_form(
                 holders[j].add(i)
         if entries:
             rows[i] = entries
-    v: list[dict[int, int]] = [{j: residue(1)} for j in range(n)]  # columns of V
+    # columns of V, kept over Z_n only
+    v: list[dict[int, int]] = [{j: residue(1)} for j in range(n)] if modulus else []
     queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
     heapq.heapify(queue)
 
@@ -139,11 +142,9 @@ def smith_normal_form(
     def add_col(dst: int, src: int, q: int) -> None:
         col = v[dst]
         for k, x in v[src].items():
-            y = col.get(k, 0) - q * x
-            if modulus:
-                y %= modulus
-                if y > half:
-                    y -= modulus
+            y = (col.get(k, 0) - q * x) % modulus
+            if y > half:
+                y -= modulus
             if y:
                 col[k] = y
             else:
@@ -196,7 +197,8 @@ def smith_normal_form(
             # row pi, so in A they change row pi alone
             for j in sorted(prow.keys() - {pj}):
                 q = prow[j] // p
-                add_col(j, pj, q)
+                if modulus:
+                    add_col(j, pj, q)
                 r = prow[j] - q * p
                 if r:
                     prow[j] = r
@@ -212,6 +214,16 @@ def smith_normal_form(
         d.append(p)
         pivot_cols.append(pj)
 
+    if not modulus:
+        # divisibility chain: diag(p, q) becomes diag(g, p*q/g), g = gcd(p, q)
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                p, q = d[i], d[j]
+                if q % p:
+                    g = gcd(p, q)
+                    d[i], d[j] = g, p * q // g
+        return SmithForm(rows=m, cols=n, diagonal=tuple(d), col_transform=())
+
     # V's columns in pivot order, then the columns never pivoted
     pivoted = set(pivot_cols)
     order = pivot_cols + [j for j in range(n) if j not in pivoted]
@@ -219,21 +231,6 @@ def smith_normal_form(
     for c, j in enumerate(order):
         for k, x in v[j].items():
             dense[k][c] = x
-
-    if not modulus:
-        # divisibility chain on the diagonal alone: diag(p, q) becomes
-        # diag(g, p*q/g), g = gcd(p, q), by a determinant-1 change of columns
-        # i and j of V; the matching row operations would only touch U
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                p, q = d[i], d[j]
-                if q % p:
-                    g = gcd(p, q)
-                    x = pow(p // g, -1, q // g)
-                    f, h = (x * p - g) // g, x * p // g
-                    for row in dense:
-                        row[i], row[j] = row[i] + row[j], f * row[i] + h * row[j]
-                    d[i], d[j] = g, p * q // g
     return SmithForm(
         rows=m,
         cols=n,

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import quandlecolor
 from quandlecolor import (
     ColoringSystem,
     catalog,
@@ -51,18 +57,18 @@ def matmul(a, b):
     ]
 
 
-def smith_columns(matrix, snf) -> list[list[int]]:
+def smith_columns(matrix, diagonal, v) -> list[list[int]]:
     """W with A*V = W*D: column j of A*V is d_j * w_j, and zero from the rank on.
 
     With V unimodular, W extending to a unimodular matrix M = [W | W'] gives
     A*V = M*D, so D = U*A*V for the unimodular U = M^-1.  Returns W as
     rows x rank.
     """
-    av = matmul(matrix, snf.col_transform)
-    assert all(v == 0 for row in av for v in row[snf.rank:])
+    av = matmul(matrix, v)
+    assert all(x == 0 for row in av for x in row[len(diagonal):])
     for row in av:
-        assert all(v % d == 0 for v, d in zip(row, snf.diagonal))
-    return [[v // d for v, d in zip(row, snf.diagonal)] for row in av]
+        assert all(x % d == 0 for x, d in zip(row, diagonal))
+    return [[x // d for x, d in zip(row, diagonal)] for row in av]
 
 
 def dense_smith(matrix, cols: int | None = None) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -253,3 +259,28 @@ def small_catalog():
         for name in catalog_names()
         if catalog(name).crossing_count <= 6
     }
+
+
+def run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m quandlecolor.cli`` in a child process under a 1 GB address-space limit.
+
+    The limit is set in the child alone, so an input that needs more memory
+    ends that child (with a MemoryError and exit 1) instead of using up the
+    memory of the test run.
+    """
+    src = str(Path(quandlecolor.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def limit() -> None:
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    return subprocess.run(
+        [sys.executable, "-m", "quandlecolor.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=limit,
+        timeout=120,
+    )

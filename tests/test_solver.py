@@ -25,7 +25,14 @@ from quandlecolor import (
     trivial,
 )
 
-from conftest import check_against_oracle, exact_det, grown, modular_solutions, smith_columns
+from conftest import (
+    check_against_oracle,
+    dense_smith,
+    exact_det,
+    grown,
+    modular_solutions,
+    smith_columns,
+)
 
 
 def test_build_system_hopf_sum_coefficient_pattern():
@@ -196,11 +203,11 @@ def test_oracle_equivalence_small_grid(small_catalog):
 
 
 def test_smith_reconstruction_for_catalog_systems():
-    # D = U * A * V for some unimodular U: V unimodular, A*V = W*D, and W
-    # extends to a unimodular matrix (its own Smith diagonal is all ones).
-    # At n=4, t=3 the 81-arc grown trefoil and the 52-arc connected-sum chain
-    # leave pivots that are not a chain (the chain step fires 5 and 11
-    # times), and V's entries grow to 222 and 101 bits.
+    # the oracle's D = U * A * V for some unimodular U: V unimodular,
+    # A*V = W*D, and W extends to a unimodular matrix (its own Smith diagonal
+    # is all ones); the kernel over Z gives the same diagonal.  At n=4, t=3
+    # the 81-arc grown trefoil and the 52-arc connected-sum chain leave
+    # pivots that are not a chain, so the chain step fires.
     chain = connected_sum(
         connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1),
         catalog("allen_swenberg"), 1, 1,
@@ -210,12 +217,14 @@ def test_smith_reconstruction_for_catalog_systems():
         p = extract(d)
         for n, t in ((3, 2), (4, 3)):
             sys = build_system(p, AlexanderParams(n, t))
-            snf = smith_normal_form(sys.matrix, cols=sys.cols)
-            assert abs(exact_det(snf.col_transform)) == 1
-            w = smith_columns(sys.matrix, snf)
-            assert smith_normal_form(w, cols=snf.rank).diagonal == (1,) * snf.rank
-            for da, db in zip(snf.diagonal, snf.diagonal[1:]):
+            diagonal, v = dense_smith(sys.matrix, sys.cols)
+            assert abs(exact_det(v)) == 1
+            w = smith_columns(sys.matrix, diagonal, v)
+            rank = len(diagonal)
+            assert smith_normal_form(w, cols=rank).diagonal == (1,) * rank
+            for da, db in zip(diagonal, diagonal[1:]):
                 assert db % da == 0
+            assert smith_normal_form(sys.matrix, cols=sys.cols).diagonal == diagonal
 
 
 def test_sparse_kernel_matches_dense_oracle_on_diagrams():
