@@ -237,8 +237,7 @@ class _LineScanner:
 
 # ASCII digits only, as in arc indices: \d also takes other scripts' digits
 _CIRCLES_RE = re.compile(r"^circles\s*:\s*0*([0-9]+)\s*$")
-# each free circle is one more column of the coloring system, whose column
-# transform V over Z_n is dense, cols x cols
+# each free circle adds a column: per-column kernel state, and a factor n to the count n**k
 MAX_CIRCLES = 4096
 
 

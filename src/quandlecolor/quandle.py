@@ -175,6 +175,13 @@ def trivial(m: int) -> FiniteQuandle:
     return FiniteQuandle(order=m, op=table, dual=table)
 
 
+def _integer(token: str) -> int:
+    """int(token) for an optional '-' and ASCII digits only, as in relations and PD files."""
+    if not (token.isascii() and token.removeprefix("-").isdecimal()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_quandle_file(text: str) -> FiniteQuandle:
     """Parse the table file format: a line ``order: m`` then m rows of m ints."""
     lines = [ln.strip() for ln in text.splitlines()]
@@ -182,7 +189,7 @@ def parse_quandle_file(text: str) -> FiniteQuandle:
     if not lines or not lines[0].startswith("order:"):
         raise QuandleTableError("first line must be 'order: <m>'")
     try:
-        m = int(lines[0].split(":", 1)[1])
+        m = _integer(lines[0].split(":", 1)[1].strip())
     except ValueError:
         raise QuandleTableError("first line must be 'order: <m>'") from None
     if m < 1:
@@ -192,7 +199,7 @@ def parse_quandle_file(text: str) -> FiniteQuandle:
     table = []
     for i, ln in enumerate(lines[1:]):
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = [_integer(tok) for tok in ln.split()]
         except ValueError:
             raise QuandleTableError(f"row {i + 1}: entries must be integers") from None
         if len(row) != m:

@@ -5,10 +5,10 @@ D = U * A * V.  The ``modulus`` argument picks the ring:
 
 * ``modulus=0`` works over Z, with unimodular operations on exact Python
   ints, and returns the diagonal alone: its one caller reads nothing else,
-  so V is not built.  The diagonal is made the Smith chain
+  so V is not kept.  The diagonal is made the Smith chain
   d1 | d2 | ... | dk > 0 on the diagonal itself: each pair d_i, d_j with
   d_i not dividing d_j becomes gcd, lcm (Cohen, GTM 138, §2.4).
-* ``modulus=n`` works over Z_n and also returns V.  Every entry of A and of
+* ``modulus=n`` works over Z_n and also keeps V.  Every entry of A and of
   V is kept as its symmetric residue in (-n/2, n/2], so no coefficient
   grows past n/2.  This is sound: integer row and column operations that
   are unimodular stay invertible mod n, and reducing an entry mod n changes
@@ -17,9 +17,10 @@ D = U * A * V.  The ``modulus`` argument picks the ring:
   diagonal.
 
 Storage is sparse, because a coloring system has at most 3 nonzeros per
-row: each live row is a {col: value} dict, each column keeps the set of
-live rows that hold it, and V is kept column by column as {row: value}
-dicts, made dense only for the returned :class:`SmithForm`.  The pivot is
+row: each live row is a {col: value} dict, and each column keeps the set of
+live rows that hold it.  V is not stored: each column operation is logged,
+and :meth:`SmithForm.column` replays the log for the one column asked for
+(the product form of Dantzig and Orchard-Hays, MTAC 1954).  The pivot is
 taken from the live rows with the fewest nonzeros (Markowitz): the entry of
 least absolute value, ties to the lowest row and then the lowest column.  A
 heap of (nonzeros, row) finds those rows without scanning the rest of the
@@ -32,7 +33,7 @@ The diagonal gives exact solution counts of homogeneous systems over Z_n:
 A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and
 x = V*y parameterizes them from the solutions y of D*y = 0.  Neither needs
 the row transform U, and no pivot choice reads U or V, so U is never built
-and building V or not leaves the diagonal the same.
+and a count builds no column of V.
 """
 
 from __future__ import annotations
@@ -53,20 +54,37 @@ class SmithForm:
     With ``modulus`` 0, ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0
     for some unimodular U and V, and neither is kept.  With ``modulus`` n,
     the equation holds mod n, ``diagonal`` holds positive residues in
-    [1, n/2] (not a chain), ``col_transform`` is V, whose entries are
-    symmetric residues, and V is invertible mod n; U is never kept (see the
-    module docstring).
+    [1, n/2] (not a chain), and V, invertible mod n with symmetric residues
+    as entries, is the product of the elementary matrices of ``column_ops``
+    in order, its columns taken in ``column_order``: the pivot columns, then
+    the rest.  U is never kept.
     """
 
     rows: int
     cols: int
     diagonal: tuple[int, ...]
-    col_transform: Matrix  # V (cols x cols) over Z_n; () over Z
     modulus: int = 0
+    column_ops: tuple[tuple[int, int, int], ...] = ()  # (j, pj, q): column j -= q * column pj
+    column_order: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    def column(self, c: int) -> tuple[int, ...]:
+        """Column c of V over Z_n: the log replayed, last operation first, on a unit vector."""
+        n, w = self.modulus, [0] * self.cols
+        w[self.column_order[c]] = 1 % n
+        for j, pj, q in reversed(self.column_ops):
+            if x := w[j]:
+                y = (w[pj] - q * x) % n
+                w[pj] = y - n if y > n // 2 else y
+        return tuple(w)
+
+    @property
+    def col_transform(self) -> Matrix:
+        """V (cols x cols) over Z_n, built from :meth:`column`; () over Z."""
+        return tuple(zip(*map(self.column, range(self.cols)))) if self.modulus else ()
 
     def diagonal_matrix(self) -> Matrix:
         """The full rows x cols diagonal matrix D."""
@@ -117,8 +135,6 @@ def smith_normal_form(
                 holders[j].add(i)
         if entries:
             rows[i] = entries
-    # columns of V, kept over Z_n only
-    v: list[dict[int, int]] = [{j: residue(1)} for j in range(n)] if modulus else []
     queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
     heapq.heapify(queue)
 
@@ -138,17 +154,6 @@ def smith_normal_form(
                 del row[j]
                 holders[j].discard(dst)
         heapq.heappush(queue, (len(row), dst))
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        col = v[dst]
-        for k, x in v[src].items():
-            y = (col.get(k, 0) - q * x) % modulus
-            if y > half:
-                y -= modulus
-            if y:
-                col[k] = y
-            else:
-                col.pop(k, None)
 
     def pick() -> tuple[int, int] | None:
         """The next pivot (row, col), or None once every live row is zero."""
@@ -174,6 +179,7 @@ def smith_normal_form(
 
     d: list[int] = []  # the pivots, in order
     pivot_cols: list[int] = []
+    ops: list[tuple[int, int, int]] = []  # V's column operations, over Z_n only
     while (pivot := pick()) is not None:
         pi, pj = pivot
         while True:
@@ -197,8 +203,8 @@ def smith_normal_form(
             # row pi, so in A they change row pi alone
             for j in sorted(prow.keys() - {pj}):
                 q = prow[j] // p
-                if modulus:
-                    add_col(j, pj, q)
+                if modulus and q:
+                    ops.append((j, pj, q))
                 r = prow[j] - q * p
                 if r:
                     prow[j] = r
@@ -222,22 +228,9 @@ def smith_normal_form(
                 if q % p:
                     g = gcd(p, q)
                     d[i], d[j] = g, p * q // g
-        return SmithForm(rows=m, cols=n, diagonal=tuple(d), col_transform=())
-
-    # V's columns in pivot order, then the columns never pivoted
-    pivoted = set(pivot_cols)
-    order = pivot_cols + [j for j in range(n) if j not in pivoted]
-    dense = [[0] * n for _ in range(n)]
-    for c, j in enumerate(order):
-        for k, x in v[j].items():
-            dense[k][c] = x
-    return SmithForm(
-        rows=m,
-        cols=n,
-        diagonal=tuple(d),
-        col_transform=tuple(tuple(row) for row in dense),
-        modulus=modulus,
-    )
+        return SmithForm(rows=m, cols=n, diagonal=tuple(d))
+    order = pivot_cols + sorted(set(range(n)).difference(pivot_cols))
+    return SmithForm(m, n, tuple(d), modulus, column_ops=tuple(ops), column_order=tuple(order))
 
 
 def solution_count_mod(snf: SmithForm, n: int) -> int:

@@ -10,7 +10,8 @@ Two independent routes:
   composite n, where naive row reduction is not: the row and column
   operations are integer unimodular ones reduced mod n, hence invertible
   mod n, so U*A*V = D (mod n) and the count n**(cols - rank) *
-  prod(gcd(d_i, n)) and the parameterization x = V*y still hold;
+  prod(gcd(d_i, n)) and the parameterization x = V*y still hold.  A count
+  builds no column of V, and an enumeration only the columns it reads;
 * a brute-force backtracking search over arc assignments that works for
   any finite quandle and serves as the oracle for the first.
 """
@@ -79,14 +80,13 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols, modulus=n), n)
 
 
-def _solution_value_lists(snf: SmithForm, n: int) -> list[range]:
-    """Per-coordinate ranges for y with D*y = 0 (mod n); x = V*y enumerates all solutions."""
-    lists = []
-    for d in snf.diagonal:
-        g = gcd(d, n)
-        lists.append(range(0, n, n // g))
-    lists.extend(range(n) for _ in range(snf.cols - snf.rank))
-    return lists
+def _solution_value_lists(snf: SmithForm, n: int) -> list[tuple[int, range]]:
+    """(k, range) for each coordinate k of y that varies over the solutions of D*y = 0 (mod n).
+
+    Torsion coordinates step by n/gcd(d_i, n), free ones by 1; a range of {0} adds nothing.
+    """
+    steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (snf.cols - snf.rank)
+    return [(k, range(0, n, step)) for k, step in enumerate(steps) if step < n]
 
 
 def enumerate_solutions(
@@ -94,19 +94,20 @@ def enumerate_solutions(
 ) -> list[Coloring]:
     """All solutions of the system over Z_n, sorted; CapExceededError if too many.
 
-    Torsion coordinates range over the gcd(d_i, n) multiples of n/gcd(d_i, n),
-    free coordinates over all of Z_n, and the right transform maps them back
-    to arc space.  V is invertible mod n, so y -> V*y (mod n) is injective on
-    these ranges and no two y give the same coloring.  The error carries the exact
+    Each solution is x = V*y (mod n) for y over the ranges of the varying
+    coordinates, so only their columns of V are built.  V is invertible mod
+    n, so no two y give the same coloring.  The error carries the exact
     count, so a caller never needs a second elimination to learn it.
     """
     snf = smith_normal_form(system.matrix, cols=system.cols, modulus=n)
     count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
-    value_lists = _solution_value_lists(snf, n)
-    dtype = object if n > 2**25 else np.int64
-    v_mod = np.array([[x % n for x in row] for row in snf.col_transform], dtype=dtype)
+    varying = _solution_value_lists(snf, n)
+    # each entry of x is a sum of len(varying) products below n**2; n itself must fit too
+    dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
+    basis = np.array([[x % n for x in snf.column(k)] for k, _ in varying], dtype=dtype)
+    basis = basis.reshape(len(varying), system.cols)
     found: list[tuple[int, ...]] = []
     chunk: list[tuple[int, ...]] = []
 
@@ -114,11 +115,11 @@ def enumerate_solutions(
         if not chunk:
             return
         ys = np.array(chunk, dtype=dtype)
-        xs = ys.dot(v_mod.T) % n  # np.dot, not matmul: works for object dtype too
+        xs = ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
         found.extend(tuple(row.tolist()) for row in xs)
         chunk.clear()
 
-    for y in itertools.product(*value_lists):
+    for y in itertools.product(*(values for _, values in varying)):
         chunk.append(y)
         if len(chunk) >= 4096:
             flush()

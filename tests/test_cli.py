@@ -235,6 +235,17 @@ def test_validate_quandle_good_and_bad(tmp_path, capsys):
         assert code == 2
         assert err == "error: table entries must lie in [0, 1]\n"
 
+    # ASCII digits only: int() would read this order as 3
+    arabic = tmp_path / "arabic.txt"
+    arabic.write_text("order: \u0663\n0 2 1\n2 1 0\n1 0 2\n", encoding="utf-8")
+    for argv in (
+        ("validate-quandle", str(arabic)),
+        ("colorings", "trefoil", "--quandle-file", str(arabic)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: first line must be 'order: <m>'\n"
+
 
 def test_compare_verdicts_and_exit_codes(capsys):
     code, out, _ = run(

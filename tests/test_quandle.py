@@ -234,3 +234,17 @@ def test_quandle_file_errors():
         parse_quandle_file("order: 2\n0 x\n1 1\n")
     with pytest.raises(QuandleTableError, match="must lie in"):
         parse_quandle_file("order: 2\n0 99999999999999999999\n1 1\n")  # past int64
+    # numbers are an optional '-' and ASCII digits, as in relations and PD files:
+    # int() alone would take each of these as 3, 3 and 2
+    for text, message in (
+        ("order: \u0663\n0 2 1\n2 1 0\n1 0 2\n", "first line"),  # Arabic-Indic three
+        ("order: +3\n0 2 1\n2 1 0\n1 0 2\n", "first line"),
+        ("order: 3\n0 0_2 1\n2 1 0\n1 0 2\n", "row 1: entries must be integers"),
+    ):
+        with pytest.raises(QuandleTableError, match=message):
+            parse_quandle_file(text)
+    # a negative order or entry keeps its own message
+    with pytest.raises(QuandleTableError, match="order must be >= 1, got -1"):
+        parse_quandle_file("order: -1\n")
+    with pytest.raises(QuandleTableError, match="must lie in"):
+        parse_quandle_file("order: 2\n0 -1\n1 1\n")

@@ -1,7 +1,9 @@
 """Coloring systems, exact counting/enumeration, and the brute-force oracle."""
 
 import itertools
-from math import gcd
+import random
+import tracemalloc
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +12,7 @@ from quandlecolor import (
     CapExceededError,
     Coloring,
     ColoringSystem,
+    SmithForm,
     alexander,
     brute_force_colorings,
     build_system,
@@ -30,6 +33,7 @@ from conftest import (
     dense_smith,
     exact_det,
     grown,
+    matmul,
     modular_solutions,
     smith_columns,
 )
@@ -138,6 +142,74 @@ def test_enumerate_matches_exhaustive_modular_solutions():
         assert {c.colors for c in enumerate_solutions(sys, n)} == modular_solutions(
             sys.matrix, sys.cols, n
         )
+
+
+def _unimodular(k: int, bound: int, rng: random.Random) -> list[list[int]]:
+    """A k x k unimodular integer matrix with entries far past ``bound``."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        f = rng.randrange(-bound, bound)
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.parametrize(
+    "n, diagonal",
+    [
+        (2**31, (2, 1, 1)),  # 1 varying coordinate: int64
+        (2**31, (2, 2, 1)),  # 2 * (n-1)**2 < 2**63: still int64
+        (2**31 - 2, (2, 2, 1)),  # int64, and not a power of two
+        (2**31, (2, 2, 2)),  # 3 varying coordinates: past the bound, object
+        (2**40, (2, 4, 1)),  # object
+        (10**12 + 2, (2, 6, 1)),  # object; an int64 product would wrap mod 2**64
+        (2**70, (1, 1, 1)),  # nothing varies, x = 0 is the one solution: object
+        (1, (2, 3, 1)),  # over Z_1 nothing varies either: int64
+    ],
+)
+def test_enumeration_on_both_sides_of_the_int64_bound(n, diagonal):
+    # A = P * diag * Q with P, Q unimodular: torsion only, prod(gcd(d, n)) solutions,
+    # and columns of V with entries of the size of n
+    rng = random.Random(n + sum(diagonal))
+    k = len(diagonal)
+    d = [[diagonal[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    matrix = matmul(matmul(_unimodular(k, n, rng), d), _unimodular(k, n, rng))
+    snf = smith_normal_form(matrix, modulus=n)
+    v = snf.col_transform
+    steps = [n // gcd(x, n) for x in snf.diagonal] + [1] * (k - snf.rank)
+    expected = sorted(
+        tuple(sum(row[c] * y for c, y in enumerate(ys)) % n for row in v)
+        for ys in itertools.product(*(range(0, n, step) for step in steps))
+    )
+    assert len(expected) == prod(gcd(x, n) for x in diagonal)
+    system = ColoringSystem(k, k, tuple(map(tuple, matrix)))
+    assert [c.colors for c in enumerate_solutions(system, n)] == expected
+
+
+def test_count_builds_no_column_transform():
+    # 4096 free columns: a dense 4096 x 4096 V would peak past 250 MB
+    tracemalloc.start()
+    try:
+        assert count_solutions(ColoringSystem(0, 4096, ()), 13) == 13**4096
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_enumeration_builds_only_the_varying_columns(monkeypatch):
+    # over Z_8 at t = 3: two torsion coordinates and one free one vary, 42 are fixed at 0
+    system = build_system(extract(catalog("allen_swenberg")), AlexanderParams(8, 3))
+    snf = smith_normal_form(system.matrix, cols=system.cols, modulus=8)
+    built = []
+    original = SmithForm.column
+    monkeypatch.setattr(SmithForm, "column", lambda self, c: built.append(c) or original(self, c))
+    count = count_solutions(system, 8)
+    assert built == []
+    assert len(enumerate_solutions(system, 8)) == count
+    varying = [k for k, d in enumerate(snf.diagonal) if gcd(d, 8) > 1]
+    assert built == varying + list(range(snf.rank, system.cols))
+    assert len(built) == 3
 
 
 def test_coloring_image_size():
