@@ -1,18 +1,19 @@
-"""Finite quandles as explicit operation tables.
+"""Finite quandles: operation tables, or the (n, t) of an Alexander quandle.
 
 A quandle is a set with a binary operation ``x > y`` that is idempotent,
-right-invertible, and self-distributive.  Every quandle carries the dual
-table for the inverse operation ``x >^-1 y``.  Tables from outside the
-program (quandle files, library callers) go through :func:`validate`, which
-checks all three axioms.  The Alexander family over Z_n
-(``x > y = t*x + (1-t)*y`` for a unit t) and the trivial quandles are built
-from their closed forms, whose axioms hold by algebra, so their tables are
-not checked again.
+right-invertible, and self-distributive; its dual table is the inverse
+``x >^-1 y``.  Tables from outside the program (quandle files, library
+callers) go through :func:`validate`, which checks all three axioms.  An
+Alexander quandle over Z_n (``x > y = t*x + (1-t)*y``, t a unit) is held as
+its (n, t) and builds its tables only when they are read; the trivial
+quandles are the same closed form at t = 1.  Closed-form axioms hold by
+algebra, so those tables are not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -57,17 +58,27 @@ class FiniteQuandle:
 
     ``op[x][y]`` is x > y and ``dual[x][y]`` is x >^-1 y, so
     ``dual[op[x][y]][y] == x`` and ``op[dual[x][y]][y] == x`` always hold.
-    ``alexander`` is set when the table came from the Alexander/Takasaki
-    constructors, letting solvers pick the exact linear-algebra route.
-    Instances are immutable; build them through :func:`validate` (tables
-    from outside, checked against the axioms) or the closed-form
-    constructors below (axioms hold by algebra).
+    ``tables`` is the (op, dual) pair of a quandle built from tables.  An
+    Alexander/Takasaki quandle has None there: ``alexander`` holds its (n, t),
+    which lets solvers pick the exact linear-algebra route, and each table is
+    built from the closed form on first read, kept outside ``==`` and hash.
+    Build instances through :func:`validate` (tables from outside, checked
+    against the axioms) or the closed-form constructors below.
     """
 
     order: int
-    op: Table
-    dual: Table
+    tables: tuple[Table, Table] | None
     alexander: AlexanderParams | None = None
+
+    @cached_property
+    def op(self) -> Table:
+        a = self.alexander
+        return self.tables[0] if self.tables else _affine_table(a.n, a.t)
+
+    @cached_property
+    def dual(self) -> Table:
+        a = self.alexander
+        return self.tables[1] if self.tables else _affine_table(a.n, a.t_inverse)
 
     def apply(self, x: int, y: int, positive: bool = True) -> int:
         """x > y when positive, x >^-1 y otherwise."""
@@ -80,10 +91,8 @@ class FiniteQuandle:
         quandles this is equivalent to t^2 = 1 (mod n), including the
         extra units that appear at composite n (e.g. t=3 mod 8).
         """
-        op = self.op
-        return all(
-            op[op[x][y]][y] == x for x in range(self.order) for y in range(self.order)
-        )
+        op, r = self.op, range(self.order)
+        return all(op[op[x][y]][y] == x for x in r for y in r)
 
 
 def validate(table) -> FiniteQuandle:
@@ -103,8 +112,7 @@ def validate(table) -> FiniteQuandle:
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise QuandleTableError(f"expected a nonempty square table, got shape {op.shape}")
 
-    diag = np.diagonal(op)
-    bad = np.nonzero(diag != np.arange(m))[0]
+    bad = np.nonzero(np.diagonal(op) != np.arange(m))[0]
     if bad.size:
         raise IdempotenceError(int(bad[0]))
 
@@ -113,9 +121,7 @@ def validate(table) -> FiniteQuandle:
         col = op[:, y]
         if len(np.unique(col)) != m:
             raise RightInvertibilityError(y)
-        inverse = np.empty(m, dtype=np.int64)
-        inverse[col] = np.arange(m)
-        dual[:, y] = inverse
+        dual[col, y] = np.arange(m)
 
     # (x > y) > z versus (x > z) > (y > z), one m x m slice [y, z] per x:
     # m^2 memory, and the first witness in (x, y, z) order.  With
@@ -128,11 +134,7 @@ def validate(table) -> FiniteQuandle:
             y, z = (int(v) for v in np.argwhere(bad)[0])
             raise SelfDistributivityError(x, y, z)
 
-    return FiniteQuandle(
-        order=m,
-        op=tuple(map(tuple, op.tolist())),
-        dual=tuple(map(tuple, dual.tolist())),
-    )
+    return FiniteQuandle(m, (tuple(map(tuple, op.tolist())), tuple(map(tuple, dual.tolist()))))
 
 
 def _affine_table(n: int, a: int) -> Table:
@@ -144,8 +146,9 @@ def alexander(n: int, t: int) -> FiniteQuandle:
     """Alexander quandle on Z_n: x > y = t*x + (1-t)*y mod n.
 
     Requires gcd(n, t) = 1 (NotAUnitError otherwise).  At t=1 this is the
-    trivial quandle x > y = x.  The axioms hold by algebra, so the table is
-    not passed through :func:`validate`:
+    trivial quandle x > y = x.  No table is built here (see
+    :class:`FiniteQuandle`), and the axioms hold by algebra, so none is ever
+    passed through :func:`validate`:
 
     - idempotence: x > x = t*x + (1-t)*x = x;
     - right-invertibility: t is a unit, so x >^-1 y = t^-1*x + (1-t^-1)*y
@@ -153,13 +156,7 @@ def alexander(n: int, t: int) -> FiniteQuandle:
     - self-distributivity: (x > y) > z and (x > z) > (y > z) both expand
       to t^2*x + t*(1-t)*y + (1-t)*z.
     """
-    params = AlexanderParams(n, t)
-    return FiniteQuandle(
-        order=n,
-        op=_affine_table(n, params.t),
-        dual=_affine_table(n, params.t_inverse),
-        alexander=params,
-    )
+    return FiniteQuandle(n, None, AlexanderParams(n, t))
 
 
 def takasaki(n: int) -> FiniteQuandle:
@@ -168,11 +165,11 @@ def takasaki(n: int) -> FiniteQuandle:
 
 
 def trivial(m: int) -> FiniteQuandle:
-    """Trivial quandle of order m: x > y = x for all y, its own dual."""
+    """Trivial quandle of order m: x > y = x, its own dual; held as tables (no alexander)."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    table = tuple((x,) * m for x in range(m))
-    return FiniteQuandle(order=m, op=table, dual=table)
+    table = _affine_table(m, 1)
+    return FiniteQuandle(m, (table, table))
 
 
 def _integer(token: str) -> int:

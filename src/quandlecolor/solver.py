@@ -147,16 +147,19 @@ def brute_force_colorings(
         if arc not in seen:
             order.append(arc)
     position = {arc: i for i, arc in enumerate(order)}
+    # each relation as (out, in, over, table of its sign), checked at its last-colored arc
+    op, dual = q.op, q.dual
     triggered: list[list] = [[] for _ in order]
     for r in p.relations:
-        triggered[max(position[a] for a in r.arcs())].append(r)
+        check = (r.out, r.in_, r.over, op if r.positive else dual)
+        triggered[max(position[a] for a in r.arcs())].append(check)
 
     colors = [0] * (p.arc_count + 1)
     found: list[tuple[int, ...]] = []
 
     def satisfied(idx: int) -> bool:
-        for r in triggered[idx]:
-            if colors[r.out] != q.apply(colors[r.in_], colors[r.over], r.positive):
+        for out, in_, over, table in triggered[idx]:
+            if colors[out] != table[colors[in_]][colors[over]]:
                 return False
         return True
 

@@ -3,6 +3,8 @@
 import json
 import sys
 
+import pytest
+
 from quandlecolor import alexander
 from quandlecolor.cli import main
 
@@ -357,3 +359,29 @@ def test_validate_large_table_in_bounded_memory(tmp_path):
     done = run_cli_limited("validate-quandle", str(table))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "valid quandle of order 401 (involutory: no)\n"
+
+
+BIG = "99999999999999999999999"  # 3 * 33333333333333333333333
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("colorings", "trefoil", "--n", "20011", "--t", "3"), (0, "count: 20011\n", "")),
+        (("phi", "trefoil", "--n", "20011", "--t", "3"), (0, "20011*q^1\n", "")),
+        (
+            ("phi", "trefoil", "--n", BIG, "--t", "2"),
+            (3, "", "error: 299999999999999999999997 colorings exceed cap 1000000\n"),
+        ),
+        (
+            ("colorings", "trefoil", "--n", BIG, "--t", "3"),
+            (4, "", f"error: t=3 is not a unit modulo n={BIG}\n"),
+        ),
+    ],
+    ids=["colorings-20011", "phi-20011", "phi-past-cap", "not-a-unit"],
+)
+def test_alexander_queries_build_no_table(argv, expected):
+    # the linear route reads only (n, t): an n x n table at n = 20011 would
+    # need several GB, past the 1 GB limit
+    done = run_cli_limited(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected

@@ -1,5 +1,6 @@
 """Tables, axiom validation, and the Alexander/Takasaki constructors."""
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -123,6 +124,9 @@ def test_dual_consistency():
     quandles = [takasaki(6), alexander(5, 3), alexander(8, 3)]
     quandles += [trivial(m) for m in range(1, 7)]
     for q in quandles:
+        # built the same way, tables never read: equal and hash-equal to q before and after
+        twin = alexander(q.alexander.n, q.alexander.t) if q.alexander else trivial(q.order)
+        assert q == twin and hash(q) == hash(twin)
         m = q.order
         for x in range(m):
             for y in range(m):
@@ -131,6 +135,8 @@ def test_dual_consistency():
         # the closed-form constructors skip validate; it must agree with them
         checked = validate(q.op)
         assert checked.op == q.op and checked.dual == q.dual
+        assert q == twin and hash(q) == hash(twin)
+        assert (q == checked) is (q.alexander is None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,6 +170,34 @@ def test_only_tables_from_outside_are_validated(monkeypatch):
     assert calls == []
     parse_quandle_file(TAKASAKI_4)
     assert calls == [4]
+
+
+def test_alexander_tables_are_built_once_when_read(monkeypatch):
+    built = []
+    original = quandlecolor.quandle._affine_table
+
+    def counting(n, a):
+        built.append((n, a))
+        return original(n, a)
+
+    monkeypatch.setattr(quandlecolor.quandle, "_affine_table", counting)
+    q, tak = alexander(7, 3), takasaki(5)
+    assert built == []
+    for _ in range(2):
+        assert q.apply(1, 3) == q.op[1][3] == (3 * 1 - 2 * 3) % 7
+        assert q.apply(1, 3, positive=False) == q.dual[1][3] == (5 * 1 - 4 * 3) % 7
+        assert q.is_involutory() is False
+    assert built == [(7, 3), (7, 5)]
+    assert tak.is_involutory() and built[2:] == [(5, 4)]
+
+    # an Alexander quandle is its (n, t): no n x n table at construction
+    tracemalloc.start()
+    try:
+        alexander(20011, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_alexander_dual_closed_form():

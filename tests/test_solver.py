@@ -12,6 +12,7 @@ from quandlecolor import (
     CapExceededError,
     Coloring,
     ColoringSystem,
+    FiniteQuandle,
     SmithForm,
     alexander,
     brute_force_colorings,
@@ -249,7 +250,12 @@ def test_brute_force_cap():
         brute_force_colorings(p, trivial(5), cap=10)
 
 
-def test_brute_force_handles_negative_relations():
+def test_brute_force_handles_negative_relations(monkeypatch):
+    # the search reads op and dual once, never apply per check
+    def no_apply(*args, **kwargs):
+        raise AssertionError("brute force called FiniteQuandle.apply")
+
+    monkeypatch.setattr(FiniteQuandle, "apply", no_apply)
     d = reidemeister_r2(catalog("unlink2"), 1, 2)
     p = extract(d)
     for n, t in ((3, 2), (4, 3), (5, 3)):
