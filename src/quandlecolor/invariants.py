@@ -5,9 +5,17 @@ fundamental quandle into a fixed finite quandle; the enhanced polynomial
 refines it by recording how many distinct colors each coloring uses,
 ``phi = sum over colorings of q ** image_size``.  ``compare`` sweeps both
 invariants across a grid of Alexander quandles and reports whether two
-links are distinguished anywhere on the grid; it eliminates each link's
-system once per grid point and takes the count from the enumeration (or,
-past the cap, from the CapExceededError, which carries it exactly).
+links are distinguished anywhere on the grid.
+
+For an Alexander quandle neither polynomial route builds a ``Coloring``:
+``image_size_counts`` solves the system over Z_n, searches one coloring
+per class of x -> x + c*1 and counts image sizes in numpy.  ``phi_polynomial``
+hands it build_system's matrix; ``compare`` presolves each link once per
+call over Z[t, t^-1] and, at each grid point, hands it the small residual
+and its back-substitutions evaluated at (n, t).  The count is the sum of
+the polynomial or, past the cap, the exact count the CapExceededError
+carries.  ``counting_invariant`` and ``all_colorings`` eliminate
+build_system's matrix once per call, as before.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
     Coloring,
+    LaurentSystem,
     brute_force_colorings,
     build_system,
     count_solutions,
     enumerate_solutions,
+    image_size_counts,
+    presolve,
 )
 
 
@@ -78,15 +89,20 @@ def counting_invariant(
     return len(brute_force_colorings(p, q, cap))
 
 
-def _phi_of(colorings: list[Coloring]) -> PhiPolynomial:
-    return PhiPolynomial.from_counts(Counter(c.image_size for c in colorings))
-
-
 def phi_polynomial(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
 ) -> PhiPolynomial:
-    """The enhanced polynomial; requires enumerating colorings, so the cap applies."""
-    return _phi_of(all_colorings(p, q, cap))
+    """The enhanced polynomial; requires enumerating colorings, so the cap applies.
+
+    An Alexander quandle's image sizes are counted in numpy from
+    build_system's matrix (see image_size_counts); other quandles go
+    through the brute-force search.
+    """
+    if q.alexander is not None:
+        counts = image_size_counts(build_system(p, q.alexander), q.alexander.n, cap)
+    else:
+        counts = Counter(c.image_size for c in brute_force_colorings(p, q, cap))
+    return PhiPolynomial.from_counts(counts)
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -116,18 +132,19 @@ def resolve_t_values(policy: TPolicy, n: int) -> tuple[int, ...]:
 
 
 def _count_and_phi(
-    p: QuandlePresentation, params: AlexanderParams, cap: int
+    system: LaurentSystem, params: AlexanderParams, cap: int
 ) -> tuple[int, PhiPolynomial | None]:
-    """Exact count and polynomial from one elimination.
+    """Exact count and polynomial from one elimination of the presolved residual.
 
-    The count is the number of enumerated colorings or, past the cap, the
-    exact count the CapExceededError carries; the polynomial is then None.
+    The count is the sum of the polynomial's coefficients or, past the cap,
+    the exact count the CapExceededError carries; the polynomial is then None.
     """
+    residual, back = system.at(params)
     try:
-        colorings = enumerate_solutions(build_system(p, params), params.n, cap)
+        counts = image_size_counts(residual, params.n, cap, back)
     except CapExceededError as exc:
         return exc.count, None
-    return len(colorings), _phi_of(colorings)
+    return sum(counts.values()), PhiPolynomial.from_counts(counts)
 
 
 @dataclass(frozen=True)
@@ -200,18 +217,20 @@ def compare(
 ) -> DistinguishabilityReport:
     """Sweep both links over the (n, t) grid and compare counts and polynomials.
 
-    Each link's system is eliminated once per cell (see _count_and_phi).
-    Cells where either enumeration would exceed the cap keep their exact
-    counts and drop both polynomials (count-only cells) rather than failing
-    the grid.  Cells are evaluated independently and assembled in (n, t) order.
+    Each link is presolved over Z[t, t^-1] once per call (see presolve);
+    each cell evaluates the two residuals at (n, t) and eliminates each once
+    (see _count_and_phi).  Cells where either enumeration would exceed the
+    cap keep their exact counts and drop both polynomials (count-only cells)
+    rather than failing the grid.  Cells are assembled in (n, t) order.
     """
+    system_a, system_b = presolve(a), presolve(b)
     cells = []
     for n in sorted(set(int(n) for n in n_values)):
         for t in resolve_t_values(t_policy, n):
             params = AlexanderParams(n, t)
-            count_a, phi_a = _count_and_phi(a, params, cap)
+            count_a, phi_a = _count_and_phi(system_a, params, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
-            count_b, phi_b = _count_and_phi(b, params, cap if phi_a is not None else 0)
+            count_b, phi_b = _count_and_phi(system_b, params, cap if phi_a is not None else 0)
             if phi_a is None or phi_b is None:
                 phi_a = phi_b = None
             cells.append(ComparisonCell(n, t, count_a, count_b, phi_a, phi_b))

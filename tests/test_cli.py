@@ -385,3 +385,29 @@ def test_alexander_queries_build_no_table(argv, expected):
     # need several GB, past the 1 GB limit
     done = run_cli_limited(*argv)
     assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("phi", "allen_swenberg", "--n", "1000003", "--t", "2", "--cap", "2000000"),
+            (0, "1000003*q^1\n", ""),
+        ),
+        (
+            ("phi", "trefoil", "--n", str(2**31 - 1), "--t", "2", "--cap", "10000000000"),
+            (0, f"{2**31 - 1}*q^1\n", ""),
+        ),
+        (
+            ("phi", "trefoil", "--n", str(2**40 + 1), "--t", "2", "--cap", "2000000000000"),
+            (0, f"{2**40 + 1}*q^1\n", ""),
+        ),
+    ],
+    ids=["allen_swenberg-1000003", "trefoil-2**31-1", "trefoil-2**40+1"],
+)
+def test_phi_enumerates_one_coloring_per_translation_class(argv, expected):
+    # only the n monochromatic colorings exist, and they are one class under
+    # x -> x + c: one coloring is enumerated, not n of them; past 2**31 the
+    # arithmetic leaves int64
+    done = run_cli_limited(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected

@@ -1,26 +1,35 @@
 """Counting invariant, enhanced polynomial, involutory sweep, and comparison grids."""
 
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from quandlecolor import (
+    AlexanderParams,
     CapExceededError,
+    CrossingRelation,
     PhiPolynomial,
+    QuandlePresentation,
     alexander,
     all_colorings,
     brute_force_colorings,
+    build_system,
     catalog,
     compare,
+    connected_sum,
     counting_invariant,
+    enumerate_solutions,
     extract,
     involutory_units,
+    parse_pd_code,
     phi_polynomial,
     takasaki,
     trivial,
     units,
 )
+from quandlecolor.solver import image_size_counts, presolve
 
 from conftest import grown
 
@@ -279,3 +288,116 @@ def test_phi_polynomial_equality_and_zero():
     )
     assert str(PhiPolynomial.from_counts({})) == "0"
     assert PhiPolynomial.from_counts({2: 0}) == PhiPolynomial.from_counts({})
+
+
+# closures of the 3-braid (s1 s2^-1)^3 (the Borromean rings) and of the
+# 4-braid s1 s2 s3^-1 s2 s1 s3^-1 s2^-1 s3 s1
+BRAID_PD_CODES = (
+    "X(2,5,4,1) X(5,3,7,6) X(6,9,8,4) X(9,7,11,10) X(10,12,1,8) X(12,11,3,2)",
+    "X(2,6,5,1) X(3,8,7,6) X(8,4,10,9) X(9,12,11,7) X(11,14,13,5) X(12,10,16,15) "
+    "X(14,15,18,17) X(16,4,3,18) X(17,2,1,13)",
+)
+
+
+def _histogram_cases():
+    chain = connected_sum(catalog("hopf_sum"), catalog("trefoil"), 2, 1)
+    chain = connected_sum(chain, catalog("allen_swenberg"), 5, 7)
+    # rows whose out equals in (t - 1, 1 - t) or over (t, -t): the first
+    # kind keeps no unit pivot; arc 5 is in no relation
+    degenerate = QuandlePresentation(5, (
+        CrossingRelation(1, 1, 2),
+        CrossingRelation(2, 3, 2, positive=False),
+        CrossingRelation(3, 1, 3),
+        CrossingRelation(4, 4, 1, positive=False),
+        CrossingRelation(2, 2, 2),
+    ))
+    return {
+        "grown-trefoil-40": extract(grown("trefoil", 40, 21)),
+        "grown-hopf_sum-120": extract(grown("hopf_sum", 120, 22)),
+        "grown-allen_swenberg-200": extract(grown("allen_swenberg", 200, 23)),
+        "chain": extract(chain),
+        "braid-3": extract(parse_pd_code(BRAID_PD_CODES[0])),
+        "braid-4": extract(parse_pd_code(BRAID_PD_CODES[1])),
+        "hopf": extract(catalog("hopf")),
+        "degenerate": degenerate,
+    }
+
+
+HISTOGRAM_CASES = _histogram_cases()
+
+
+def _counts_or_cap(route):
+    """A route's image-size histogram, or the exact count its CapExceededError carries."""
+    try:
+        return dict(route())
+    except CapExceededError as exc:
+        return exc.count
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_CASES))
+def test_image_size_counts_match_enumeration(name):
+    # the numpy histogram, with and without the Laurent presolve, equals
+    # enumerate_solutions + Counter in counts, histograms and cap decisions
+    p = HISTOGRAM_CASES[name]
+    system = presolve(p)
+    cap = 3000
+    for n in (4, 8, 9, 12, 16):
+        report = compare(p, p, (n,), "all-units", cap=cap)
+        for t, cell in zip(units(n), report.grid):
+            params = AlexanderParams(n, t)
+            full = build_system(p, params)
+            expected = _counts_or_cap(
+                lambda: Counter(c.image_size for c in enumerate_solutions(full, n, cap))
+            )
+            residual, back = system.at(params)
+            assert all(sum(row) % n == 0 for row in residual.matrix), (n, t)
+            assert all(sum(c for _, c in terms) % n == 1 for terms in back), (n, t)
+            assert _counts_or_cap(lambda: image_size_counts(residual, n, cap, back)) == expected
+            assert _counts_or_cap(lambda: image_size_counts(full, n, cap)) == expected
+            assert (cell.n, cell.t, cell.count_a) == (n, t, counting_invariant(p, alexander(n, t)))
+            if isinstance(expected, dict):
+                assert cell.phi_a == PhiPolynomial.from_counts(expected), (n, t)
+                assert sum(expected.values()) == cell.count_a
+                # the cap compares the full count, not the n-times-smaller search
+                count = cell.count_a
+                with pytest.raises(CapExceededError) as exc:
+                    image_size_counts(residual, n, count - 1, back)
+                assert exc.value.count == count
+                assert sum(image_size_counts(residual, n, count, back).values()) == count
+            else:
+                assert cell.phi_a is None and cell.count_a == expected, (n, t)
+
+
+def test_compare_presolves_each_link_once_per_call(monkeypatch):
+    import quandlecolor.invariants as invariants
+
+    calls = []
+    original = invariants.presolve
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(invariants, "presolve", counting)
+    a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
+    report = compare(a, b, (2, 3, 5, 7), t_policy="all-units")
+    assert len(report.grid) == 1 + 2 + 4 + 6
+    assert calls == [a, b]
+
+
+def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
+    import quandlecolor.solver as solver
+
+    widths = []
+    original = solver.smith_normal_form
+
+    def recording(matrix, cols=None, modulus=0):
+        widths.append(cols)
+        return original(matrix, cols=cols, modulus=modulus)
+
+    monkeypatch.setattr(solver, "smith_normal_form", recording)
+    # the 1000003 colorings are the constant ones, a single class under
+    # x -> x + c: the first arc is fixed at 0, and one coloring is searched
+    p = extract(catalog("allen_swenberg"))
+    assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
+    assert widths == [p.arc_count - 1]
