@@ -13,7 +13,15 @@ Two independent routes:
   prod(gcd(d_i, n)) and the parameterization x = V*y still hold.  A count
   builds no column of V, and an enumeration only the columns it reads;
 * a brute-force backtracking search over arc assignments that works for
-  any finite quandle and serves as the oracle for the first.
+  any finite quandle and serves as the oracle for the first.  It is
+  iterative, with an explicit stack of branches and a trail of colored
+  arcs, so it has no depth limit.  Each relation forces ``out`` once ``in``
+  and ``over`` are colored, ``in`` once ``out`` and ``over`` are, and
+  ``over`` once ``in`` and ``out`` are and one element fits; an element
+  fixed by all (a constant row of the table) forces ``out = in`` alone.
+  The search branches on the over-arc of the first relation with ``in`` or
+  ``out`` colored, and colors one arc per class of arcs that R1/R2 moves
+  make equal.
 
 Image sizes, which is all the enhanced polynomial reads, take a shorter
 way through the linear route.  ``presolve`` writes the system over
@@ -294,54 +302,157 @@ def image_size_counts(
     return {size: int(c) * n**fixed for size, c in enumerate(sizes.tolist()) if c}
 
 
+def _alike_arcs(p: QuandlePresentation) -> list[int]:
+    """A representative per arc (index 0 unused) of the arcs every coloring colors alike.
+
+    A relation ``out = in >^e over`` also reads ``in = out >^-e over``, so it
+    gives two facts ``target = source >^sign over``.  Facts with one source,
+    over and sign have one target, and a source equal to its over is its own
+    target (idempotence).  Classes merge until no fact merges two: this
+    undoes R1 kinks and R2 bigons (``b = a > o`` and ``c = b >^-1 o`` give
+    ``c = a``), whatever the quandle.
+    """
+    parent = list(range(p.arc_count + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merged = True
+    while merged:
+        merged, targets = False, {}
+        for r in p.relations:
+            out, in_, over = find(r.out), find(r.in_), find(r.over)
+            for source, target, sign in ((in_, out, r.positive), (out, in_, not r.positive)):
+                other = source if source == over else targets.setdefault((source, over, sign), target)
+                a, b = find(target), find(other)
+                if a != b:
+                    parent[a] = b
+                    merged = True
+    return [find(a) for a in range(p.arc_count + 1)]
+
+
+def _over_table(table) -> list[list[int | None]]:
+    """Row x, column z: the one y with table[x][y] == z; -1 if there is none, None if several."""
+    rows = []
+    for row in table:
+        solved: list[int | None] = [-1] * len(row)
+        for y, z in enumerate(row):
+            solved[z] = y if solved[z] == -1 else None
+        rows.append(solved)
+    return rows
+
+
 def brute_force_colorings(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
 ) -> list[Coloring]:
     """Backtracking enumeration of colorings for an arbitrary finite quandle.
 
-    Arcs are assigned in order of first appearance in the relations (so each
-    relation prunes as soon as its three arcs are colored), unconstrained
-    arcs last; the result is sorted by assignment.
+    The search colors one representative per class of arcs that every
+    coloring colors alike (:func:`_alike_arcs`).  It is iterative, so no
+    diagram is too long for it: an explicit stack holds one (arc, next
+    value, trail mark) per open branch, and the trail lists the arcs
+    colored since, to be uncolored on backtracking.  Coloring an arc visits
+    every relation ``out = in > over`` on it (``fwd``/``back`` = op/dual,
+    swapped for a negative crossing):
+
+    - all three colored: the relation is checked;
+    - ``in`` and ``over`` colored: ``out = fwd[in][over]`` is forced;
+    - ``out`` and ``over`` colored: ``in = back[out][over]`` is forced
+      (dual inverts op, so this is the only choice);
+    - ``in`` and ``out`` colored: ``over`` is forced when exactly one y has
+      ``fwd[in][y] == out``, and the relation fails when none has;
+    - ``in`` or ``out`` colored by an element fixed by all, whose rows of
+      op and dual are constant: the other is forced equal to it, so a
+      trivial quandle costs about m ** components.
+
+    A forced arc visits its relations in turn.  The search branches on the
+    over-arc of the first relation whose ``over`` is uncolored and whose
+    ``in`` or ``out`` is colored; failing that, on the first uncolored arc
+    in order of first appearance in the relations.  The result is sorted;
+    the (cap+1)-th coloring found raises CapExceededError.
     """
-    order: list[int] = []
-    seen: set[int] = set()
-    for r in p.relations:
-        for arc in (r.in_, r.over, r.out):
-            if arc not in seen:
-                seen.add(arc)
-                order.append(arc)
-    for arc in range(1, p.arc_count + 1):
-        if arc not in seen:
-            order.append(arc)
-    position = {arc: i for i, arc in enumerate(order)}
-    # each relation as (out, in, over, table of its sign), checked at its last-colored arc
-    op, dual = q.op, q.dual
-    triggered: list[list] = [[] for _ in order]
-    for r in p.relations:
-        check = (r.out, r.in_, r.over, op if r.positive else dual)
-        triggered[max(position[a] for a in r.arcs())].append(check)
+    op, dual, m = q.op, q.dual, q.order
+    fixed = [row.count(x) == m for x, row in enumerate(op)]
+    over_op, over_dual = _over_table(op), _over_table(dual)
+    rep = _alike_arcs(p)
+    relations = [
+        (out, in_, over, op, dual, over_op) if positive else (out, in_, over, dual, op, over_dual)
+        for out, in_, over, positive in dict.fromkeys(
+            (rep[r.out], rep[r.in_], rep[r.over], r.positive) for r in p.relations
+        )
+    ]
+    touching: list[list] = [[] for _ in range(p.arc_count + 1)]
+    for rel in relations:
+        for arc in set(rel[:3]):
+            touching[arc].append(rel)
+    order = list(dict.fromkeys(a for r in relations for a in (r[1], r[2], r[0])))
+    order += [a for a in range(1, p.arc_count + 1) if rep[a] == a and not touching[a]]
 
-    colors = [0] * (p.arc_count + 1)
-    found: list[tuple[int, ...]] = []
+    colors = [-1] * (p.arc_count + 1)  # -1: uncolored
+    trail: list[int] = []
 
-    def satisfied(idx: int) -> bool:
-        for out, in_, over, table in triggered[idx]:
-            if colors[out] != table[colors[in_]][colors[over]]:
-                return False
+    def color(arc: int, value: int) -> bool:
+        """Color arc and every arc it forces; False if some relation fails."""
+        colors[arc] = value
+        trail.append(arc)
+        pending = [arc]
+        while pending:
+            for out, in_, over, fwd, back, solve in touching[pending.pop()]:
+                o, i, v = colors[out], colors[in_], colors[over]
+                if v >= 0 and i >= 0:
+                    forced, c = out, fwd[i][v]
+                elif v >= 0 and o >= 0:
+                    forced, c = in_, back[o][v]
+                elif i >= 0 and o >= 0:
+                    forced, c = over, solve[i][o]
+                    if c is None:
+                        continue
+                    if c < 0:
+                        return False
+                elif i >= 0 and fixed[i]:
+                    forced, c = out, i
+                elif o >= 0 and fixed[o]:
+                    forced, c = in_, o
+                else:
+                    continue
+                if colors[forced] >= 0:
+                    if colors[forced] != c:
+                        return False
+                    continue
+                colors[forced] = c
+                trail.append(forced)
+                pending.append(forced)
         return True
 
-    def search(idx: int) -> None:
-        if idx == len(order):
+    def branch_arc() -> int | None:
+        for out, in_, over, _, _, _ in relations:
+            if colors[over] < 0 and (colors[in_] >= 0 or colors[out] >= 0):
+                return over
+        return next((a for a in order if colors[a] < 0), None)
+
+    found: list[tuple[int, ...]] = []
+    stack: list[list[int]] = []
+    while True:
+        arc = branch_arc()
+        if arc is None:
             if len(found) >= cap:
                 raise CapExceededError(cap)
-            found.append(tuple(colors[1:]))
-            return
-        arc = order[idx]
-        for c in range(q.order):
-            colors[arc] = c
-            if satisfied(idx):
-                search(idx + 1)
-        colors[arc] = 0
-
-    search(0)
-    return [Coloring(colors) for colors in sorted(found)]
+            found.append(tuple(colors[a] for a in rep[1:]))
+        else:
+            stack.append([arc, 0, len(trail)])
+        while stack:  # the deepest branch's next value that colors without a failure
+            frame = stack[-1]
+            arc, value, mark = frame
+            while len(trail) > mark:
+                colors[trail.pop()] = -1
+            if value == m:
+                stack.pop()
+            else:
+                frame[1] = value + 1
+                if color(arc, value):
+                    break
+        else:
+            return [Coloring(colors) for colors in sorted(found)]

@@ -8,7 +8,7 @@ import pytest
 from quandlecolor import alexander
 from quandlecolor.cli import main
 
-from conftest import run_cli_limited
+from conftest import grown, run_cli_limited
 
 
 def run(capsys, *argv):
@@ -410,4 +410,23 @@ def test_phi_enumerates_one_coloring_per_translation_class(argv, expected):
     # x -> x + c: one coloring is enumerated, not n of them; past 2**31 the
     # arithmetic leaves int64
     done = run_cli_limited(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize(
+    "name, table, expected",
+    [
+        ("trefoil", "order: 2\n0 0\n1 1\n", (0, "count: 2\n", "")),
+        ("allen_swenberg", "order: 3\n0 0 0\n1 1 1\n2 2 2\n", (0, "count: 27\n", "")),
+    ],
+    ids=["trefoil-1100", "allen_swenberg-1100"],
+)
+def test_quandle_file_on_1100_arcs(tmp_path, name, table, expected):
+    # the brute-force search keeps its own stack: no RecursionError however
+    # many arcs, and a trivial table forces every arc of a component
+    link = tmp_path / "grown.rel"
+    link.write_text(grown(name, 1100, 1).render_relations())
+    quandle = tmp_path / "q.txt"
+    quandle.write_text(table)
+    done = run_cli_limited("colorings", str(link), "--quandle-file", str(quandle))
     assert (done.returncode, done.stdout, done.stderr) == expected

@@ -22,11 +22,14 @@ from quandlecolor import (
     enumerate_solutions,
     extract,
     connected_sum,
+    parse_quandle_file,
     parse_relations_file,
+    reidemeister_r1,
     reidemeister_r2,
     smith_normal_form,
     takasaki,
     trivial,
+    validate,
 )
 
 from conftest import (
@@ -248,6 +251,70 @@ def test_brute_force_cap():
     p = extract(catalog("unlink2"))
     with pytest.raises(CapExceededError):
         brute_force_colorings(p, trivial(5), cap=10)
+
+
+def transpositions(k: int) -> FiniteQuandle:
+    """Conjugation quandle on the transpositions of S_k: x > y = y x y^-1."""
+    pairs = list(itertools.combinations(range(k), 2))
+
+    def conjugate(x, y):
+        swap = {y[0]: y[1], y[1]: y[0]}
+        return pairs.index(tuple(sorted(swap.get(a, a) for a in x)))
+
+    return validate([[conjugate(x, y) for y in pairs] for x in pairs])
+
+
+def as_table_file(q: FiniteQuandle) -> FiniteQuandle:
+    """q read back from its table file: no (n, t), so only brute force can color by it."""
+    rows = "\n".join(" ".join(map(str, row)) for row in q.op)
+    return parse_quandle_file(f"order: {q.order}\n{rows}\n")
+
+
+@pytest.mark.parametrize(
+    "name, q, k",
+    [("unlink2", trivial(5), 25), ("allen_swenberg", transpositions(4), 24)],
+    ids=["unlink2-trivial5", "allen_swenberg-S4"],
+)
+def test_brute_force_cap_boundary(name, q, k):
+    # the (cap+1)-th coloring found raises; cap = count returns them all, sorted
+    p = extract(catalog(name))
+    colorings = [c.colors for c in brute_force_colorings(p, q, cap=k)]
+    assert len(colorings) == k
+    assert colorings == sorted(colorings)
+    with pytest.raises(CapExceededError):
+        brute_force_colorings(p, q, cap=k - 1)
+
+
+def test_brute_force_quandle_with_a_fixed_element(small_catalog):
+    # element 2 is fixed by all (a constant row, so it forces out = in) and
+    # swaps 0 and 1, which act trivially: not a trivial quandle
+    q = validate([[0, 0, 1], [1, 1, 0], [2, 2, 2]])
+    diagrams = [*small_catalog.values(), reidemeister_r2(catalog("unlink2"), 1, 2),
+                reidemeister_r1(catalog("hopf_sum"), 2, -1)]
+    for d in diagrams:
+        p = extract(d)
+        naive = [
+            x for x in itertools.product(range(3), repeat=p.arc_count)
+            if all(x[r.out - 1] == q.apply(x[r.in_ - 1], x[r.over - 1], r.positive)
+                   for r in p.relations)
+        ]
+        assert [c.colors for c in brute_force_colorings(p, q)] == naive
+    assert len(brute_force_colorings(extract(catalog("allen_swenberg")), q)) == 11
+
+
+@pytest.mark.parametrize("n, t", [(5, 2), (7, 3), (9, 2)])
+def test_brute_force_matches_linear_route_on_grown_diagrams(n, t):
+    chain = connected_sum(
+        connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1), catalog("allen_swenberg"), 1, 1
+    )
+    diagrams = [grown("trefoil", 60, 1), grown("hopf_sum", 90, 1), grown("allen_swenberg", 120, 1),
+                chain]
+    q = as_table_file(alexander(n, t))
+    for d in diagrams:
+        p = extract(d)
+        brute = [c.colors for c in brute_force_colorings(p, q)]
+        linear = [c.colors for c in enumerate_solutions(build_system(p, AlexanderParams(n, t)), n)]
+        assert brute == linear, d.arc_count
 
 
 def test_brute_force_handles_negative_relations(monkeypatch):
