@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_entry, catalog_names
@@ -262,7 +263,14 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call of main.
+
+    ``parse_args`` keeps no state in it, and argparse reads the streams and
+    the terminal width only when it prints, so every call prints what a new
+    parser would (``prog`` is fixed, not taken from sys.argv).
+    """
     parser = argparse.ArgumentParser(
         prog="quandlecolor",
         description="Quandle coloring invariants of oriented link diagrams.",
@@ -351,8 +359,7 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotAUnitError as exc:

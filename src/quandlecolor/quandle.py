@@ -8,6 +8,11 @@ Alexander quandle over Z_n (``x > y = t*x + (1-t)*y``, t a unit) is held as
 its (n, t) and builds its tables only when they are read; the trivial
 quandles are the same closed form at t = 1.  Closed-form axioms hold by
 algebra, so those tables are not checked again.
+
+numpy is imported inside :func:`validate`, the one function here that
+builds arrays, and not when the module loads: an Alexander quandle is never
+validated, so a query on one does not pay the import (most of a fresh
+process's start-up time).
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-
-import numpy as np
 
 from .errors import (
     IdempotenceError,
@@ -102,6 +105,8 @@ def validate(table) -> FiniteQuandle:
     IdempotenceError, RightInvertibilityError, or SelfDistributivityError
     with a witness for the first violated axiom, in that order.
     """
+    import numpy as np
+
     m = len(table)
     # checked on the Python ints, before an entry past int64 can overflow numpy
     if any(min(row, default=0) < 0 or max(row, default=0) >= m for row in table):

@@ -33,6 +33,11 @@ residual over Z_n with one coloring per class of x -> x + c*1, lifts the
 solutions to every arc and counts image sizes in numpy, with no
 ``Coloring`` built.  ``enumerate_solutions`` stays the route for sorted
 colorings, and the reference the histogram is tested against.
+
+numpy is imported inside ``_solution_rows`` and ``image_size_counts``, the
+functions that build arrays, and not when the module loads: a count, the
+Smith form and the brute-force search never use it, so a query that only
+counts does not pay its import (most of a fresh process's start-up time).
 """
 
 from __future__ import annotations
@@ -41,12 +46,10 @@ import heapq
 from dataclasses import dataclass
 from math import gcd, prod
 
-import numpy as np
-
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
-from .smith import SmithForm, smith_normal_form, solution_count_mod
+from .smith import smith_normal_form, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
 
@@ -212,13 +215,25 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols, modulus=n), n)
 
 
-def _solution_value_lists(snf: SmithForm, n: int) -> list[tuple[int, range]]:
-    """(k, range) for each coordinate k of y that varies over the solutions of D*y = 0 (mod n).
+def _solution_space(
+    matrix, cols: int, n: int, cap: int, scale: int = 1
+) -> tuple[list[tuple[int, range]], list[list[int]]]:
+    """The solutions of matrix * x = 0 (mod n) as x = V*y: y's varying ranges, V's columns.
 
-    Torsion coordinates step by n/gcd(d_i, n), free ones by 1; a range of {0} adds nothing.
+    (k, range) for each coordinate k of y that varies over the solutions of
+    D*y = 0 (mod n): torsion ones step by n/gcd(d_i, n), free ones by 1.
+    Only their columns of V are built, reduced mod n; V is invertible mod n,
+    so no two y give the same x.  CapExceededError carries the exact count
+    (``scale`` times the number of solutions), so no caller needs a second
+    elimination to learn it.
     """
+    snf = smith_normal_form(matrix, cols=cols, modulus=n)
+    count = scale * solution_count_mod(snf, n)
+    if count > cap:
+        raise CapExceededError(cap, count)
     steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (snf.cols - snf.rank)
-    return [(k, range(0, n, step)) for k, step in enumerate(steps) if step < n]
+    varying = [(k, range(0, n, step)) for k, step in enumerate(steps) if step < n]
+    return varying, [[x % n for x in snf.column(k)] for k, _ in varying]
 
 
 def enumerate_solutions(
@@ -227,16 +242,9 @@ def enumerate_solutions(
     """All solutions of the system over Z_n, sorted; CapExceededError if too many.
 
     Each solution is x = V*y (mod n) for y over the ranges of the varying
-    coordinates, so only their columns of V are built.  V is invertible mod
-    n, so no two y give the same coloring.  The error carries the exact
-    count, so a caller never needs a second elimination to learn it.
+    coordinates (see :func:`_solution_space`).
     """
-    snf = smith_normal_form(system.matrix, cols=system.cols, modulus=n)
-    count = solution_count_mod(snf, n)
-    if count > cap:
-        raise CapExceededError(cap, count)
-    varying = _solution_value_lists(snf, n)
-    basis = [[x % n for x in snf.column(k)] for k, _ in varying]
+    varying, basis = _solution_space(system.matrix, system.cols, n, cap)
     rows = _solution_rows(basis, varying, n, system.cols)
     return [Coloring(colors) for colors in sorted(tuple(x) for xs in rows for x in xs.tolist())]
 
@@ -248,6 +256,8 @@ def _solution_rows(basis: list[list[int]], varying: list[tuple[int, range]], n: 
     ``width`` entries.  The y of a chunk are its indices written in mixed
     radix, one digit per coordinate.
     """
+    import numpy as np
+
     # each entry of x is a sum of len(varying) products below n**2; n itself must fit too
     dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
     basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
@@ -282,17 +292,15 @@ def image_size_counts(
     """
     fixed = min(system.cols, 1)
     matrix = tuple(row[fixed:] for row in system.matrix)
-    snf = smith_normal_form(matrix, cols=system.cols - fixed, modulus=n)
-    count = n**fixed * solution_count_mod(snf, n)
-    if count > cap:
-        raise CapExceededError(cap, count)
-    varying = _solution_value_lists(snf, n)
+    varying, columns = _solution_space(matrix, system.cols - fixed, n, cap, n**fixed)
     basis = []
-    for k, _ in varying:
-        row = [0] * fixed + [x % n for x in snf.column(k)]
+    for column in columns:
+        row = [0] * fixed + column
         for terms in back:
             row.append(sum(c * row[pos] for pos, c in terms) % n)
         basis.append(row)
+    import numpy as np  # past the cap check: a query over the cap never loads it
+
     width = system.cols + len(back)
     sizes = np.zeros(width + 1, dtype=np.int64)
     for xs in _solution_rows(basis, varying, n, width):

@@ -262,9 +262,15 @@ def small_catalog():
 
 
 def run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
-    """Run ``python -m quandlecolor.cli`` in a child process under a 1 GB address-space limit.
+    """Run ``python -m quandlecolor.cli`` in a child process under a 1 GB address-space limit."""
+    return run_python_limited("-m", "quandlecolor.cli", *argv)
 
-    The limit is set in the child alone, so an input that needs more memory
+
+def run_python_limited(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh child process under a 1 GB address-space limit.
+
+    The child imports quandlecolor from the same tree as the tests.  The
+    limit is set in the child alone, so an input that needs more memory
     ends that child (with a MemoryError and exit 1) instead of using up the
     memory of the test run.
     """
@@ -277,7 +283,7 @@ def run_cli_limited(*argv: str) -> subprocess.CompletedProcess:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
     return subprocess.run(
-        [sys.executable, "-m", "quandlecolor.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),

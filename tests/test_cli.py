@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from quandlecolor import alexander
-from quandlecolor.cli import main
+from quandlecolor.cli import build_parser, main
 
-from conftest import grown, run_cli_limited
+from conftest import grown, run_cli_limited, run_python_limited
 
 
 def run(capsys, *argv):
@@ -430,3 +430,116 @@ def test_quandle_file_on_1100_arcs(tmp_path, name, table, expected):
     quandle.write_text(table)
     done = run_cli_limited("colorings", str(link), "--quandle-file", str(quandle))
     assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+TAKASAKI_3 = "order: 3\n0 2 1\n2 1 0\n1 0 2\n"
+TREFOIL_3_LISTING = "count: 9\n0 0 0\n0 1 2\n0 2 1\n1 0 2\n1 1 1\n1 2 0\n2 0 1\n2 1 0\n2 2 2\n"
+
+# in a fresh interpreter: import the CLI, run each argv of argv[1] (JSON),
+# and after each record (exit code, stdout, whether numpy is loaded)
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import quandlecolor.cli
+results = [[None, None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = quandlecolor.cli.main(argv)
+    results.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_numpy_loads_only_when_needed(tmp_path, capsys):
+    # numpy is most of a fresh process's start-up: importing the CLI, and
+    # commands that build no array, never load it; phi, enumeration and
+    # table validation import it where they build arrays
+    table = tmp_path / "q.txt"
+    table.write_text(TAKASAKI_3)
+    lean = [
+        ["catalog"],
+        ["relations", "hopf_sum"],
+        ["colorings", "allen_swenberg", "--n", "101", "--t", "3"],
+        ["matrix", "trefoil", "--n", "5", "--t", "2"],
+    ]
+    needs_numpy = [
+        ["phi", "trefoil", "--n", "3", "--t", "2"],
+        ["colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate"],
+        ["colorings", "trefoil", "--quandle-file", str(table)],
+    ]
+    done = run_python_limited("-c", NUMPY_PROBE, json.dumps(lean + needs_numpy))
+    assert (done.returncode, done.stderr) == (0, "")
+    results = [tuple(r) for r in json.loads(done.stdout)]
+    assert results[0] == (None, None, False)
+    for argv, result in zip(lean, results[1:]):
+        assert result == (*run(capsys, *argv)[:2], False)
+    assert results[len(lean) + 1:] == [
+        (0, "3*q^1 + 6*q^3\n", True),
+        (0, TREFOIL_3_LISTING, True),
+        (0, "count: 9\n", True),
+    ]
+
+
+def run_to_exit(capsys, argv):
+    """(exit code, stdout, stderr) of a main call that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ((), 2),
+        (("bogus",), 2),
+        (("colorings", "trefoil", "--n", "3", "--t", "2", "--bogus"), 2),
+        (("colorings", "trefoil", "--n", "bad", "--t", "2"), 2),
+        (("catalog", "--format", "xml"), 2),
+        (("colorings", "--n", "3", "--t", "2"), 2),
+        (("--help",), 0),
+        (("colorings", "--help"), 0),
+    ],
+    ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-int", "bad-choice",
+         "missing-link", "help", "colorings-help"],
+)
+def test_shared_parser_keeps_no_state(argv, code, capsys, monkeypatch):
+    # main builds its parser once per process; argparse's own exits give
+    # the same bytes on every call, and the same as a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    first = run_to_exit(capsys, argv)
+    assert first[0] == code
+    assert run_to_exit(capsys, argv) == first
+    done = run_cli_limited(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == first
+
+
+def test_help_wraps_at_the_width_when_printed(capsys, monkeypatch):
+    # argparse reads the terminal width when it prints, not when the shared
+    # parser was built
+    helps = {}
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.setdefault(columns, run_to_exit(capsys, ("colorings", "--help")))
+        assert run_to_exit(capsys, ("colorings", "--help")) == helps[columns]
+        done = run_cli_limited("colorings", "--help")
+        assert (done.returncode, done.stdout, done.stderr) == helps[columns]
+    assert helps["40"] != helps["120"]
+
+
+def test_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    table = tmp_path / "q.txt"
+    table.write_text(TAKASAKI_3)
+    listing = ("colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate")
+    count = ("colorings", "trefoil", "--n", "3", "--t", "2")
+    from_file = ("colorings", "trefoil", "--quandle-file", str(table))
+    from_params = ("colorings", "trefoil", "--n", "5", "--t", "2")
+    expected = {
+        listing: (0, TREFOIL_3_LISTING, ""),
+        count: (0, "count: 9\n", ""),
+        from_file: (0, "count: 9\n", ""),
+        from_params: (0, "count: 5\n", ""),
+    }
+    for argv in (listing, count, listing, count, from_file, from_params, from_file, from_params):
+        assert run(capsys, *argv) == expected[argv], argv
