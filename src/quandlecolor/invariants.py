@@ -33,6 +33,7 @@ from .solver import (
     Coloring,
     LaurentSystem,
     brute_force_colorings,
+    brute_force_count,
     build_system,
     count_solutions,
     enumerate_solutions,
@@ -86,7 +87,7 @@ def counting_invariant(
     """
     if q.alexander is not None:
         return count_solutions(build_system(p, q.alexander), q.alexander.n)
-    return len(brute_force_colorings(p, q, cap))
+    return brute_force_count(p, q, cap)
 
 
 def phi_polynomial(

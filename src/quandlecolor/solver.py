@@ -12,16 +12,21 @@ Two independent routes:
   mod n, so U*A*V = D (mod n) and the count n**(cols - rank) *
   prod(gcd(d_i, n)) and the parameterization x = V*y still hold.  A count
   builds no column of V, and an enumeration only the columns it reads;
-* a brute-force backtracking search over arc assignments that works for
-  any finite quandle and serves as the oracle for the first.  It is
-  iterative, with an explicit stack of branches and a trail of colored
-  arcs, so it has no depth limit.  Each relation forces ``out`` once ``in``
-  and ``over`` are colored, ``in`` once ``out`` and ``over`` are, and
-  ``over`` once ``in`` and ``out`` are and one element fits; an element
-  fixed by all (a constant row of the table) forces ``out = in`` alone.
-  The search branches on the over-arc of the first relation with ``in`` or
-  ``out`` colored, and colors one arc per class of arcs that R1/R2 moves
-  make equal.
+* a brute-force search over arc assignments that works for any finite
+  quandle and serves as the oracle for the first.  A plan is compiled once
+  from the relations (:func:`_plan`): it colors one column per class of arcs
+  that R1/R2 moves make equal, branches on an arc by a fixed rule, and after
+  each branch lists the arcs the relations force (``out`` from ``in`` and
+  ``over``, ``in`` from ``out`` and ``over``, and ``over`` from ``in`` and
+  ``out`` when the table's rows are permutations) and the checks.  An
+  executor (:func:`_frontier`) runs the plan over numpy arrays of partial
+  colorings, one row each: a branch repeats the rows, a forced arc is one
+  fancy index, a check one boolean filter.  A branch that would pass a cell
+  budget splits its block first and leaves the rest on an explicit stack,
+  so memory stays bounded and there is no depth limit.  Elements fixed by
+  all are used only when every element is (a trivial table, where each
+  relation reads ``out = in``): otherwise they force a value for some rows
+  and not others, which no plan, the same for every row, can say.
 
 Image sizes, which is all the enhanced polynomial reads, take a shorter
 way through the linear route.  ``presolve`` writes the system over
@@ -34,16 +39,18 @@ solutions to every arc and counts image sizes in numpy, with no
 ``Coloring`` built.  ``enumerate_solutions`` stays the route for sorted
 colorings, and the reference the histogram is tested against.
 
-numpy is imported inside ``_solution_rows`` and ``image_size_counts``, the
-functions that build arrays, and not when the module loads: a count, the
-Smith form and the brute-force search never use it, so a query that only
-counts does not pay its import (most of a fresh process's start-up time).
+numpy is imported inside the functions that build arrays, and not when
+the module loads: a count by (n, t) and the Smith form never use it, so such
+a query does not pay its import (most of a fresh process's start-up time).
+The brute-force search builds arrays too; a quandle read from a table file
+has loaded numpy for its validation by then.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 from math import gcd, prod
 
 from .errors import CapExceededError
@@ -342,125 +349,189 @@ def _alike_arcs(p: QuandlePresentation) -> list[int]:
     return [find(a) for a in range(p.arc_count + 1)]
 
 
-def _over_table(table) -> list[list[int | None]]:
-    """Row x, column z: the one y with table[x][y] == z; -1 if there is none, None if several."""
-    rows = []
-    for row in table:
-        solved: list[int | None] = [-1] * len(row)
-        for y, z in enumerate(row):
-            solved[z] = y if solved[z] == -1 else None
-        rows.append(solved)
-    return rows
+_CELL_BUDGET = 1 << 21  # cells of partial colorings, made by a branch or waiting on the stack
+
+
+class _Plan(NamedTuple):
+    """A search compiled from a presentation and a quandle table (see :func:`_plan`)."""
+
+    columns: list[int]  # column of arc i+1: the class of arcs colored alike it lies in
+    width: int  # number of classes
+    order: int
+    # (kind, target, a, b, table): a branch on target, or target set to (or
+    # checked against) table[a, b], or a itself when there is no table
+    steps: list[tuple]
+
+
+def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
+    """Compile the search over p's classes of alike arcs into steps, from the relations alone.
+
+    It simulates the forcing rules on a set of known classes.  A relation
+    ``out = in > over`` (``fwd``/``back`` = op/dual, swapped when negative)
+    gives a ``set`` step ``out = fwd[in, over]`` once in and over are known,
+    ``in = back[out, over]`` once out and over are, and a ``check`` once all
+    three are known some other way.  When each row of fwd is a permutation,
+    ``over`` is the one y with ``fwd[in, y] == out``: a ``solve`` step sets it
+    from in and out (a row that is no permutation repeats a value, so some
+    (in, out) has several solutions and cannot force).  When every element is
+    fixed by all, each relation reads ``out = in``: the steps copy and
+    compare columns and never need the over-arc.  An element fixed by all
+    in a table where others are not forces a value only for some colorings,
+    so a plan, the same for every row, cannot use it.
+
+    With nothing left to force, the plan branches on the over-arc of the
+    first relation whose over is unknown and whose in or out is known
+    (never for trivial tables), failing that on the first unknown class in
+    order of first appearance in the relations, then the classes of no
+    relation.
+    """
+    import numpy as np
+
+    m = q.order
+    dtype = np.min_scalar_type(m - 1)
+    op, dual = np.array(q.op, dtype), np.array(q.dual, dtype)
+    trivial = bool((op == np.arange(m)[:, None]).all())
+    solve = [np.argsort(t, axis=1).astype(dtype) if (np.sort(t, axis=1) == np.arange(m)).all()
+             else None for t in (op, dual)]
+    rep = _alike_arcs(p)
+    column = {a: c for c, a in enumerate(sorted(set(rep[1:])))}
+    width = len(column)
+    relations = list(dict.fromkeys(
+        (column[rep[r.out]], column[rep[r.in_]], column[rep[r.over]], r.positive)
+        for r in p.relations
+    ))
+    touching: list[list[int]] = [[] for _ in range(width)]
+    for k, (out, in_, over, _) in enumerate(relations):
+        for c in {out, in_, over}:
+            touching[c].append(k)
+    unknown = iter(dict.fromkeys([c for out, in_, over, _ in relations for c in (in_, over, out)]
+                                 + list(range(width))))
+    known, done = [False] * width, [False] * len(relations)
+    steps: list[tuple] = []
+    learned: list[int] = []
+
+    def learn(step: tuple) -> None:
+        steps.append(step)
+        known[step[1]] = True
+        learned.append(step[1])
+
+    while True:
+        while learned:
+            for k in touching[learned.pop()]:
+                if done[k]:
+                    continue
+                out, in_, over, positive = relations[k]
+                fwd, back, solve_over = (op, dual, solve[0]) if positive else (dual, op, solve[1])
+                if trivial:
+                    if known[in_] and known[out]:
+                        steps.append(("check", out, in_, 0, None))
+                    elif known[in_]:
+                        learn(("set", out, in_, 0, None))
+                    elif known[out]:
+                        learn(("set", in_, out, 0, None))
+                    else:
+                        continue
+                elif known[in_] and known[over] and known[out]:
+                    steps.append(("check", out, in_, over, fwd))
+                elif known[in_] and known[over]:
+                    learn(("set", out, in_, over, fwd))
+                elif known[out] and known[over]:
+                    learn(("set", in_, out, over, back))
+                elif known[in_] and known[out] and solve_over is not None:
+                    learn(("solve", over, in_, out, solve_over))
+                else:
+                    continue
+                done[k] = True
+        arc = None if trivial else next(
+            (over for out, in_, over, _ in relations
+             if not known[over] and (known[in_] or known[out])), None)
+        if arc is None:
+            arc = next((c for c in unknown if not known[c]), None)
+        if arc is None:
+            return _Plan([column[rep[a]] for a in range(1, p.arc_count + 1)], width, m, steps)
+        learn(("branch", arc, 0, 0, None))
+
+
+def _frontier(plan: _Plan, cap: int):
+    """Run the plan over arrays of partial colorings; yield each finished block of rows.
+
+    A row is a partial coloring, a column a class.  A branch repeats each
+    row once per element and writes the element into its column; a ``set``
+    or ``solve`` step is one fancy index, ``x[:, target] = table[x[:, a],
+    x[:, b]]``; a ``check`` keeps the rows where that value equals the
+    target's.  A branch whose rows would pass its room first splits its
+    block: the rows or, for a single row, the elements left go on an
+    explicit stack, finished depth-first.  The room is _CELL_BUDGET cells
+    less those waiting on the stack, but never below the budget's share per
+    branch of the plan, or one row of one element.  A branch leaves at most
+    two blocks waiting, each within the room it was made in, so the stack
+    stays within about twice the budget however many branches the plan has,
+    and blocks stay large enough that the per-step cost of Python does not
+    dominate.  CapExceededError as soon as the finished rows pass the cap.
+    """
+    import numpy as np
+
+    x = np.zeros((1, plan.width), np.min_scalar_type(plan.order - 1))
+    floor = max(_CELL_BUDGET // max(1, sum(step[0] == "branch" for step in plan.steps)), plan.width)
+    stack, held, found = [(0, x, 0)], x.size, 0  # (step, rows, first element not yet branched)
+    while stack:
+        s, x, first = stack.pop()
+        held -= x.size
+        for kind, target, a, b, table in plan.steps[s:]:
+            if not len(x):
+                break
+            if kind == "branch":
+                room = max(_CELL_BUDGET - held, floor)
+                values = plan.order - first
+                rows = max(1, room // (values * plan.width))
+                if rows < len(x):  # the rows left wait on the stack
+                    stack.append((s, x[rows:], first))
+                    held += (len(x) - rows) * plan.width
+                    x = x[:rows]
+                if len(x) * values * plan.width > room:  # one row: the elements left wait
+                    values = max(1, room // plan.width)
+                    stack.append((s, x, first + values))
+                    held += x.size
+                x = np.repeat(x, values, axis=0)
+                x.reshape(-1, values, plan.width)[:, :, target] = np.arange(first, first + values)
+                first = 0
+            else:
+                value = x[:, a] if table is None else table[x[:, a], x[:, b]]
+                if kind == "check":
+                    passed = value == x[:, target]
+                    if not passed.all():
+                        x = x[passed]
+                else:
+                    x[:, target] = value
+            s += 1
+        if len(x):
+            found += len(x)
+            if found > cap:
+                raise CapExceededError(cap)
+            yield x
+
+
+def brute_force_count(p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP) -> int:
+    """``len(brute_force_colorings(p, q, cap))``, summed over the search's blocks with no Coloring built."""
+    return sum(len(block) for block in _frontier(_plan(p, q), cap))
 
 
 def brute_force_colorings(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
 ) -> list[Coloring]:
-    """Backtracking enumeration of colorings for an arbitrary finite quandle.
+    """Every coloring of p by an arbitrary finite quandle, sorted.
 
-    The search colors one representative per class of arcs that every
-    coloring colors alike (:func:`_alike_arcs`).  It is iterative, so no
-    diagram is too long for it: an explicit stack holds one (arc, next
-    value, trail mark) per open branch, and the trail lists the arcs
-    colored since, to be uncolored on backtracking.  Coloring an arc visits
-    every relation ``out = in > over`` on it (``fwd``/``back`` = op/dual,
-    swapped for a negative crossing):
-
-    - all three colored: the relation is checked;
-    - ``in`` and ``over`` colored: ``out = fwd[in][over]`` is forced;
-    - ``out`` and ``over`` colored: ``in = back[out][over]`` is forced
-      (dual inverts op, so this is the only choice);
-    - ``in`` and ``out`` colored: ``over`` is forced when exactly one y has
-      ``fwd[in][y] == out``, and the relation fails when none has;
-    - ``in`` or ``out`` colored by an element fixed by all, whose rows of
-      op and dual are constant: the other is forced equal to it, so a
-      trivial quandle costs about m ** components.
-
-    A forced arc visits its relations in turn.  The search branches on the
-    over-arc of the first relation whose ``over`` is uncolored and whose
-    ``in`` or ``out`` is colored; failing that, on the first uncolored arc
-    in order of first appearance in the relations.  The result is sorted;
-    the (cap+1)-th coloring found raises CapExceededError.
+    The plan (:func:`_plan`) is compiled once from the relations and run
+    over blocks of partial colorings (:func:`_frontier`), within a budget
+    of cells and with no depth limit; CapExceededError as soon as the
+    finished colorings pass the cap.  Their rows are then spread from
+    classes of alike arcs to arcs and sorted.
     """
-    op, dual, m = q.op, q.dual, q.order
-    fixed = [row.count(x) == m for x, row in enumerate(op)]
-    over_op, over_dual = _over_table(op), _over_table(dual)
-    rep = _alike_arcs(p)
-    relations = [
-        (out, in_, over, op, dual, over_op) if positive else (out, in_, over, dual, op, over_dual)
-        for out, in_, over, positive in dict.fromkeys(
-            (rep[r.out], rep[r.in_], rep[r.over], r.positive) for r in p.relations
-        )
-    ]
-    touching: list[list] = [[] for _ in range(p.arc_count + 1)]
-    for rel in relations:
-        for arc in set(rel[:3]):
-            touching[arc].append(rel)
-    order = list(dict.fromkeys(a for r in relations for a in (r[1], r[2], r[0])))
-    order += [a for a in range(1, p.arc_count + 1) if rep[a] == a and not touching[a]]
+    import numpy as np
 
-    colors = [-1] * (p.arc_count + 1)  # -1: uncolored
-    trail: list[int] = []
-
-    def color(arc: int, value: int) -> bool:
-        """Color arc and every arc it forces; False if some relation fails."""
-        colors[arc] = value
-        trail.append(arc)
-        pending = [arc]
-        while pending:
-            for out, in_, over, fwd, back, solve in touching[pending.pop()]:
-                o, i, v = colors[out], colors[in_], colors[over]
-                if v >= 0 and i >= 0:
-                    forced, c = out, fwd[i][v]
-                elif v >= 0 and o >= 0:
-                    forced, c = in_, back[o][v]
-                elif i >= 0 and o >= 0:
-                    forced, c = over, solve[i][o]
-                    if c is None:
-                        continue
-                    if c < 0:
-                        return False
-                elif i >= 0 and fixed[i]:
-                    forced, c = out, i
-                elif o >= 0 and fixed[o]:
-                    forced, c = in_, o
-                else:
-                    continue
-                if colors[forced] >= 0:
-                    if colors[forced] != c:
-                        return False
-                    continue
-                colors[forced] = c
-                trail.append(forced)
-                pending.append(forced)
-        return True
-
-    def branch_arc() -> int | None:
-        for out, in_, over, _, _, _ in relations:
-            if colors[over] < 0 and (colors[in_] >= 0 or colors[out] >= 0):
-                return over
-        return next((a for a in order if colors[a] < 0), None)
-
-    found: list[tuple[int, ...]] = []
-    stack: list[list[int]] = []
-    while True:
-        arc = branch_arc()
-        if arc is None:
-            if len(found) >= cap:
-                raise CapExceededError(cap)
-            found.append(tuple(colors[a] for a in rep[1:]))
-        else:
-            stack.append([arc, 0, len(trail)])
-        while stack:  # the deepest branch's next value that colors without a failure
-            frame = stack[-1]
-            arc, value, mark = frame
-            while len(trail) > mark:
-                colors[trail.pop()] = -1
-            if value == m:
-                stack.pop()
-            else:
-                frame[1] = value + 1
-                if color(arc, value):
-                    break
-        else:
-            return [Coloring(colors) for colors in sorted(found)]
+    plan = _plan(p, q)
+    blocks = list(_frontier(plan, cap))
+    colorings = np.concatenate(blocks)[:, plan.columns]
+    if p.arc_count:
+        colorings = colorings[np.lexsort(colorings.T[::-1])]
+    return [Coloring(tuple(colors)) for colors in colorings.tolist()]

@@ -17,13 +17,16 @@ import pytest
 import quandlecolor
 from quandlecolor import (
     ColoringSystem,
+    FiniteQuandle,
     catalog,
     catalog_names,
     enumerate_solutions,
+    parse_quandle_file,
     reidemeister_r1,
     reidemeister_r2,
     smith_normal_form,
     solution_count_mod,
+    validate,
 )
 
 
@@ -199,6 +202,28 @@ def grown(name: str, arcs: int, seed: int):
         else:
             d = reidemeister_r2(d, arc, other)
     return d
+
+
+def transpositions(k: int) -> FiniteQuandle:
+    """Conjugation quandle on the transpositions of S_k: x > y = y x y^-1."""
+    pairs = list(itertools.combinations(range(k), 2))
+
+    def conjugate(x, y):
+        swap = {y[0]: y[1], y[1]: y[0]}
+        return pairs.index(tuple(sorted(swap.get(a, a) for a in x)))
+
+    return validate([[conjugate(x, y) for y in pairs] for x in pairs])
+
+
+def table_text(q: FiniteQuandle) -> str:
+    """q's operation table in the quandle file format."""
+    rows = "\n".join(" ".join(map(str, row)) for row in q.op)
+    return f"order: {q.order}\n{rows}\n"
+
+
+def as_table_file(q: FiniteQuandle) -> FiniteQuandle:
+    """q read back from its table file: no (n, t), so only brute force can color by it."""
+    return parse_quandle_file(table_text(q))
 
 
 def minors_gcd(matrix, k: int) -> int:

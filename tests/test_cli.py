@@ -8,7 +8,7 @@ import pytest
 from quandlecolor import alexander
 from quandlecolor.cli import build_parser, main
 
-from conftest import grown, run_cli_limited, run_python_limited
+from conftest import grown, run_cli_limited, run_python_limited, table_text, transpositions
 
 
 def run(capsys, *argv):
@@ -430,6 +430,18 @@ def test_quandle_file_on_1100_arcs(tmp_path, name, table, expected):
     quandle.write_text(table)
     done = run_cli_limited("colorings", str(link), "--quandle-file", str(quandle))
     assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+def test_quandle_file_on_4096_circles(tmp_path):
+    # 4096 branches, none filtered: the rows waiting on the stack stay within
+    # the search's cell budget, where a split of each block alone would hold
+    # gigabytes before the first finished block reached the cap
+    link = tmp_path / "circles.rel"
+    link.write_text("circles: 4096\n")
+    quandle = tmp_path / "s5.txt"
+    quandle.write_text(table_text(transpositions(5)))
+    done = run_cli_limited("colorings", str(link), "--quandle-file", str(quandle), "--cap", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: more than 3 colorings\n")
 
 
 TAKASAKI_3 = "order: 3\n0 2 1\n2 1 0\n1 0 2\n"

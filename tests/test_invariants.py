@@ -31,7 +31,7 @@ from quandlecolor import (
 )
 from quandlecolor.solver import image_size_counts, presolve
 
-from conftest import grown
+from conftest import as_table_file, grown, transpositions
 
 
 def test_counting_invariant_examples():
@@ -58,6 +58,19 @@ def test_counting_invariant_brute_path_for_plain_tables():
     q = trivial(3)
     assert q.alexander is None
     assert counting_invariant(extract(catalog("trefoil")), q) == 3
+
+
+def test_brute_path_count_reads_the_search_blocks():
+    # no Coloring is built: the count must still be the sorted list's
+    # length, and the cap must hold at the same count
+    for q in (transpositions(4), trivial(3), as_table_file(alexander(5, 2))):
+        for name in ("hopf", "trefoil", "hopf_sum", "allen_swenberg"):
+            p = extract(catalog(name))
+            colorings = brute_force_colorings(p, q)
+            assert counting_invariant(p, q) == len(colorings), name
+            counting_invariant(p, q, cap=len(colorings))
+            with pytest.raises(CapExceededError, match=f"more than {len(colorings) - 1} "):
+                counting_invariant(p, q, cap=len(colorings) - 1)
 
 
 def test_counting_invariant_cap_only_on_brute_path():

@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from quandlecolor import solver
 from quandlecolor import (
     AlexanderParams,
     CapExceededError,
@@ -18,11 +19,11 @@ from quandlecolor import (
     brute_force_colorings,
     build_system,
     catalog,
+    catalog_names,
     count_solutions,
     enumerate_solutions,
     extract,
     connected_sum,
-    parse_quandle_file,
     parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
@@ -33,6 +34,7 @@ from quandlecolor import (
 )
 
 from conftest import (
+    as_table_file,
     check_against_oracle,
     dense_smith,
     exact_det,
@@ -40,6 +42,7 @@ from conftest import (
     matmul,
     modular_solutions,
     smith_columns,
+    transpositions,
 )
 
 
@@ -253,23 +256,6 @@ def test_brute_force_cap():
         brute_force_colorings(p, trivial(5), cap=10)
 
 
-def transpositions(k: int) -> FiniteQuandle:
-    """Conjugation quandle on the transpositions of S_k: x > y = y x y^-1."""
-    pairs = list(itertools.combinations(range(k), 2))
-
-    def conjugate(x, y):
-        swap = {y[0]: y[1], y[1]: y[0]}
-        return pairs.index(tuple(sorted(swap.get(a, a) for a in x)))
-
-    return validate([[conjugate(x, y) for y in pairs] for x in pairs])
-
-
-def as_table_file(q: FiniteQuandle) -> FiniteQuandle:
-    """q read back from its table file: no (n, t), so only brute force can color by it."""
-    rows = "\n".join(" ".join(map(str, row)) for row in q.op)
-    return parse_quandle_file(f"order: {q.order}\n{rows}\n")
-
-
 @pytest.mark.parametrize(
     "name, q, k",
     [("unlink2", trivial(5), 25), ("allen_swenberg", transpositions(4), 24)],
@@ -300,6 +286,67 @@ def test_brute_force_quandle_with_a_fixed_element(small_catalog):
         ]
         assert [c.colors for c in brute_force_colorings(p, q)] == naive
     assert len(brute_force_colorings(extract(catalog("allen_swenberg")), q)) == 11
+
+
+@pytest.mark.parametrize(
+    "q, solves",
+    [(as_table_file(alexander(5, 2)), True), (transpositions(4), False), (trivial(2), False),
+     (trivial(3), False)],
+    ids=["alexander5-table", "S4", "trivial2", "trivial3"],
+)
+def test_brute_force_plan_steps_match_a_naive_product(small_catalog, q, solves):
+    # an Alexander table's rows are permutations, so in and out solve for the
+    # over-arc; S4's are not, and a trivial table only copies and compares
+    diagrams = [*small_catalog.values(), reidemeister_r1(catalog("trefoil"), 2, 1),
+                reidemeister_r2(catalog("trefoil"), 1, 3)]
+    kinds = set()
+    for d in diagrams:
+        p = extract(d)
+        steps = solver._plan(p, q).steps
+        kinds |= {kind for kind, *_ in steps}
+        if q.op == trivial(q.order).op:
+            assert all(table is None for *_, table in steps), d
+        naive = [
+            x for x in itertools.product(range(q.order), repeat=p.arc_count)
+            if all(x[r.out - 1] == q.apply(x[r.in_ - 1], x[r.over - 1], r.positive)
+                   for r in p.relations)
+        ]
+        assert [c.colors for c in brute_force_colorings(p, q)] == naive, d
+    assert ("solve" in kinds) == solves
+
+
+def test_brute_force_rows_stay_within_the_cell_budget():
+    # unsplit, the S5 search holds 418000 partial colorings of 45 classes at
+    # once (21 MB); split, it peaks at a few MB, mostly the answer itself
+    cases = [(grown("allen_swenberg", 1100, 1), transpositions(4), 24, 16),
+             (catalog("allen_swenberg"), transpositions(5), 3040, 10)]
+    for d, q, count, megabytes in cases:
+        p = extract(d)
+        tracemalloc.start()
+        try:
+            found = len(brute_force_colorings(p, q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found, peak < megabytes * 2**20) == (count, True), d.arc_count
+
+
+def test_brute_force_with_every_branch_split(monkeypatch):
+    # a budget of one cell splits every branch down to one row and one
+    # element: the blocks waiting on the stack must give back every coloring
+    monkeypatch.setattr(solver, "_CELL_BUDGET", 1)
+    chain = catalog("trefoil")
+    for _ in range(3):
+        chain = connected_sum(chain, catalog("trefoil"), 1, 1)
+    for n, t in ((5, 2), (7, 3), (9, 2)):
+        q = as_table_file(alexander(n, t))
+        for d in [*map(catalog, catalog_names()), chain]:
+            p = extract(d)
+            brute = [c.colors for c in brute_force_colorings(p, q)]
+            system = build_system(p, AlexanderParams(n, t))
+            assert brute == [c.colors for c in enumerate_solutions(system, n)], (n, t, d.arc_count)
+    test_brute_force_cap_boundary("unlink2", trivial(5), 25)
+    test_brute_force_cap_boundary("allen_swenberg", transpositions(4), 24)
 
 
 @pytest.mark.parametrize("n, t", [(5, 2), (7, 3), (9, 2)])
