@@ -23,6 +23,7 @@ Two parsers are provided: the line-oriented relations grammar
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -89,37 +90,40 @@ class LinkDiagram:
     free_circles: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        crossings = tuple(self.crossings)
+        object.__setattr__(self, "crossings", crossings)
         if self.arc_count < 1:
             raise DiagramError("a diagram needs at least one arc")
         if self.free_circles < 0:
             raise DiagramError("free_circles must be >= 0")
-        referenced = set()
-        for c in self.crossings:
-            for arc in (c.under_in, c.under_out, c.over):
-                if not 1 <= arc <= self.arc_count:
-                    raise DiagramError(
-                        f"arc x{arc} out of range 1..{self.arc_count}"
-                    )
-                referenced.add(arc)
+        # one pass of builtins per field; the endpoint counts are taken
+        # first, as their keys are most of the referenced arcs, and read last
+        ins = [c.under_in for c in crossings]
+        outs = [c.under_out for c in crossings]
+        ends = Counter(ins)
+        ends.update(outs)
+        referenced = set(ends)
+        referenced.update([c.over for c in crossings])
+        if referenced and (min(referenced) < 1 or max(referenced) > self.arc_count):
+            arc = next(
+                arc
+                for c in crossings
+                for arc in (c.under_in, c.under_out, c.over)
+                if not 1 <= arc <= self.arc_count
+            )
+            raise DiagramError(f"arc x{arc} out of range 1..{self.arc_count}")
         bound = self.arc_count - self.free_circles
         if len(referenced) != bound or (referenced and max(referenced) != bound):
             raise DiagramError(
                 f"referenced arcs must be exactly x1..x{bound} "
                 f"with {self.free_circles} free circles above"
             )
-        ends: dict[int, int] = {}
-        outs: dict[int, int] = {}
-        for c in self.crossings:
-            ends[c.under_in] = ends.get(c.under_in, 0) + 1
-            ends[c.under_out] = ends.get(c.under_out, 0) + 1
-            outs[c.under_out] = outs.get(c.under_out, 0) + 1
-        for arc, k in sorted(ends.items()):
-            if k == 2:
-                continue
-            if outs.get(arc, 0) >= 2:
+        if ends and set(ends.values()) != {2}:
+            arc = min(arc for arc, k in ends.items() if k != 2)
+            k, under_outs = ends[arc], outs.count(arc)
+            if under_outs >= 2:
                 raise DiagramError(
-                    f"arc x{arc} is the under-out of {outs[arc]} crossings "
+                    f"arc x{arc} is the under-out of {under_outs} crossings "
                     f"({k} under-strand endpoints in total, expected 2)"
                 )
             raise DiagramError(
@@ -130,12 +134,6 @@ class LinkDiagram:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def referenced_arcs(self) -> frozenset[int]:
-        """Arcs that appear in some crossing (in any role)."""
-        return frozenset(
-            arc for c in self.crossings for arc in (c.under_in, c.under_out, c.over)
-        )
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Partition of arcs into link components.
@@ -429,6 +427,13 @@ def parse_pd_code(text: str) -> LinkDiagram:
 
 # ---------------------------------------------------------------------------
 # Diagram surgery: connected sum and Reidemeister moves
+#
+# A Reidemeister move renumbers nothing: x1..xr (r = arc_count - free_circles)
+# keep their labels, a free circle the move cuts takes the next label above r
+# (two cut circles in index order), then come the new arcs.  So a move copies
+# the crossing tuple once, renames one under-slot and appends its crossings;
+# this is the order-preserving relabelling that connected_sum's _normalized
+# would give.
 
 
 def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
@@ -498,8 +503,8 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
     b = a2 + off
     occ1 = _under_slots(cross1, a1)
     occ2 = _under_slots(cross2, b)
-    a1_referenced = a1 in d1.referenced_arcs()
-    b_referenced = a2 in d2.referenced_arcs()
+    a1_referenced = a1 <= d1.arc_count - d1.free_circles
+    b_referenced = a2 <= d2.arc_count - d2.free_circles
 
     if occ1 and occ2:
         # Band between two under-strand arcs: the new arc takes the
@@ -521,6 +526,17 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
     return _normalized(cross1 + cross2, free)
 
 
+def _last_under_slot(crossings, arc: int) -> tuple[int, str] | None:
+    """The last of ``_under_slots(crossings, arc)``, found from the end, or None."""
+    for i in range(len(crossings) - 1, -1, -1):
+        c = crossings[i]
+        if c.under_out == arc:
+            return i, "out"
+        if c.under_in == arc:
+            return i, "in"
+    return None
+
+
 def reidemeister_r1(d: LinkDiagram, arc: int, sign: int = 1) -> LinkDiagram:
     """Insert a kink on ``arc``: new crossing with relation a' = a > a (or >^-1).
 
@@ -532,16 +548,18 @@ def reidemeister_r1(d: LinkDiagram, arc: int, sign: int = 1) -> LinkDiagram:
         raise DiagramError(f"arc x{arc} out of range 1..{d.arc_count}")
     if sign not in (1, -1):
         raise DiagramError(f"sign must be +1 or -1, got {sign}")
+    r = d.arc_count - d.free_circles
     cross = list(d.crossings)
-    occ = _under_slots(cross, arc)
-    free = d.free_circles - (0 if arc in d.referenced_arcs() else 1)
-    if occ:
-        split = d.arc_count + 1
-        _replace_slot(cross, occ[-1], split)
-        cross.append(Crossing(sign, under_in=arc, under_out=split, over=arc))
-    else:
-        cross.append(Crossing(sign, under_in=arc, under_out=arc, over=arc))
-    return _normalized(cross, free)
+    slot = _last_under_slot(cross, arc)
+    if slot is not None:
+        _replace_slot(cross, slot, r + 1)
+        cross.append(Crossing(sign, under_in=arc, under_out=r + 1, over=arc))
+        return LinkDiagram(d.arc_count + 1, cross, d.free_circles)
+    cut = arc > r
+    if cut:
+        arc = r + 1
+    cross.append(Crossing(sign, under_in=arc, under_out=arc, over=arc))
+    return LinkDiagram(d.arc_count, cross, d.free_circles - cut)
 
 
 def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
@@ -554,20 +572,18 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
         raise DiagramError(f"arc x{arc} out of range 1..{d.arc_count}")
     if not 1 <= over_arc <= d.arc_count:
         raise DiagramError(f"arc x{over_arc} out of range 1..{d.arc_count}")
-    referenced = d.referenced_arcs()
+    r = d.arc_count - d.free_circles
+    cut = sorted({a for a in (arc, over_arc) if a > r})
+    label = {a: k for k, a in enumerate(cut, start=r + 1)}
+    a, b = label.get(arc, arc), label.get(over_arc, over_arc)
+    middle = r + len(cut) + 1
     cross = list(d.crossings)
-    occ = _under_slots(cross, arc)
-    free = d.free_circles
-    if arc not in referenced:
-        free -= 1
-    if over_arc != arc and over_arc not in referenced:
-        free -= 1
-    middle = d.arc_count + 1
-    if occ:
-        tail = d.arc_count + 2
-        _replace_slot(cross, occ[-1], tail)
+    slot = _last_under_slot(cross, arc)
+    if slot is None:
+        tail, new_arcs = a, 1
     else:
-        tail = arc
-    cross.append(Crossing(1, under_in=arc, under_out=middle, over=over_arc))
-    cross.append(Crossing(-1, under_in=middle, under_out=tail, over=over_arc))
-    return _normalized(cross, free)
+        tail, new_arcs = middle + 1, 2
+        _replace_slot(cross, slot, tail)
+    cross.append(Crossing(1, under_in=a, under_out=middle, over=b))
+    cross.append(Crossing(-1, under_in=middle, under_out=tail, over=b))
+    return LinkDiagram(d.arc_count + new_arcs, cross, d.free_circles - len(cut))

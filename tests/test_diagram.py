@@ -1,7 +1,9 @@
 """Diagram model, parsers, catalog, and diagram surgery."""
 
 import dataclasses
+import hashlib
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -30,7 +32,7 @@ from quandlecolor import (
     trivial,
 )
 
-from conftest import all_quandle_tables
+from conftest import all_quandle_tables, grown
 from quandlecolor import validate
 
 
@@ -142,11 +144,33 @@ def test_parse_rejects_overused_under_out():
     text = "x2 = x1 * x1\nx2 = x3 * x3\nx2 = x4 * x4\nx1 = x2 * x2\nx3 = x2 * x2\nx4 = x2 * x2\n"
     with pytest.raises(DiagramError, match="under-out"):
         parse_relations_file(text)
+    # with several arcs at fault the lowest-numbered is named: x3 (first in
+    # crossing order) has one endpoint, x2 three and is the out of two
+    with pytest.raises(DiagramError) as exc:
+        parse_relations_file("x1 = x3 * x1\nx2 = x1 * x1\nx2 = x2 * x3\n")
+    assert str(exc.value) == (
+        "arc x2 is the under-out of 2 crossings (3 under-strand endpoints in total, expected 2)"
+    )
+    # x1 keeps its two endpoints; x2 is the out of all three crossings
+    with pytest.raises(DiagramError) as exc:
+        parse_relations_file("x2 = x1 * x1\nx2 = x1 * x1\nx2 = x2 * x1\n")
+    assert str(exc.value) == (
+        "arc x2 is the under-out of 3 crossings (4 under-strand endpoints in total, expected 2)"
+    )
 
 
 def test_parse_rejects_dangling_under_strand():
     with pytest.raises(DiagramError, match="dangling"):
         parse_relations_file("x2 = x1 * x1\n")
+    for text, message in (
+        ("x2 = x1 * x1\n", "arc x1 has 1 under-strand endpoints"),
+        # three endpoints with one of them an out is dangling, not overused,
+        # and x2 is named before x3
+        ("x3 = x2 * x1\nx2 = x1 * x1\nx1 = x2 * x3\n", "arc x2 has 3 under-strand endpoints"),
+    ):
+        with pytest.raises(DiagramError) as exc:
+            parse_relations_file(text)
+        assert str(exc.value) == message + ", expected 2 (dangling under-strand)"
 
 
 def test_written_form_may_reverse_orientation():
@@ -168,14 +192,32 @@ def test_render_round_trip_catalog():
 # LinkDiagram validation
 
 
+def _rejection(arc_count, crossings, free_circles=0):
+    with pytest.raises(DiagramError) as exc:
+        LinkDiagram(arc_count, tuple(Crossing(*c) for c in crossings), free_circles)
+    return str(exc.value)
+
+
 def test_diagram_rejects_out_of_range_arc():
     with pytest.raises(DiagramError, match="out of range"):
         LinkDiagram(arc_count=1, crossings=(Crossing(1, 1, 1, 2),))
+    # with several faults the first out-of-range arc in crossing order is
+    # named (under-in, under-out, over within a crossing), not the extreme one,
+    # and before any contiguity or endpoint fault
+    assert _rejection(2, [(1, 1, 1, 1), (1, 2, 5, 0), (1, 7, 2, 2)]) == "arc x5 out of range 1..2"
+    assert _rejection(3, [(1, 1, 1, 9), (1, 0, 2, 1)]) == "arc x9 out of range 1..3"
+    assert _rejection(4, [(1, 1, 2, 1), (1, 3, 3, 6)], 1) == "arc x6 out of range 1..4"
 
 
 def test_diagram_rejects_non_contiguous_referenced_arcs():
     with pytest.raises(DiagramError):
         LinkDiagram(arc_count=3, crossings=(Crossing(1, 1, 1, 1),), free_circles=1)
+    message = "referenced arcs must be exactly x1..x{} with {} free circles above"
+    assert _rejection(3, [(1, 1, 1, 1)], 1) == message.format(2, 1)
+    # a gap wins over the dangling endpoints of x1, x2 and x4
+    assert _rejection(4, [(1, 1, 2, 4)]) == message.format(4, 0)
+    # so does a crossing-free diagram that declares too few free circles
+    assert _rejection(2, [], 1) == message.format(1, 1)
 
 
 def test_diagram_rejects_bad_sign():
@@ -506,6 +548,57 @@ def test_r2_round_trip():
         for arc in range(1, d.arc_count + 1):
             for over in range(1, d.arc_count + 1):
                 _check_poke(d, arc, over, reidemeister_r2(d, arc, over))
+
+
+def test_seeded_move_sequences_keep_labels():
+    # about 300 moves from each catalog diagram and from the trefoil with
+    # three free circles above its arcs, each move read off directly.  A
+    # free circle is picked now and then while any is left, so most are cut
+    # late, with x1..xr grown to tens of arcs below them; a tenth of the
+    # pokes go under their own arc
+    bases = [catalog(name) for name in catalog_names()]
+    bases.append(parse_relations_file("circles: 3\n" + catalog("trefoil").render_relations()))
+    on_circles = self_pokes = 0
+    for seed, d in enumerate(bases):
+        rng = random.Random(seed)
+        for _ in range(300):
+            r = d.arc_count - d.free_circles
+
+            def pick():
+                if d.free_circles and rng.random() < 0.02:
+                    return rng.randint(r + 1, d.arc_count)
+                return rng.randint(1, max(r, 1))
+
+            arc = pick()
+            if rng.random() < 0.5:
+                sign = rng.choice((1, -1))
+                moved = reidemeister_r1(d, arc, sign)
+                _check_kink(d, arc, sign, moved)
+            else:
+                over = arc if rng.random() < 0.1 else pick()
+                self_pokes += over == arc
+                moved = reidemeister_r2(d, arc, over)
+                _check_poke(d, arc, over, moved)
+            on_circles += moved.free_circles < d.free_circles
+            d = moved
+        assert d.free_circles == 0, seed
+    assert on_circles == 6 and self_pokes >= 50
+
+
+# sha256 of render_relations() of conftest.grown(name, 1100, 1), recorded
+# while every move renormalized the whole diagram: labelling only the arcs a
+# move touches must give the same diagrams (unlink2 cuts its second circle
+# while it sits above x1)
+GROWN_1100_SHA256 = {
+    "unlink2": "12d932bbffae1490b7fba367270a421283a4b0d1c2d3aef9617b611a411a0b10",
+    "trefoil": "ba960cb4575d3795bd1999d6233ec1cea7e513329d07de90f7e86bec0683ddd2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_1100_SHA256))
+def test_grown_diagram_is_unchanged(name):
+    text = grown(name, 1100, 1).render_relations()
+    assert hashlib.sha256(text.encode()).hexdigest() == GROWN_1100_SHA256[name]
 
 
 def test_counting_invariant_under_moves_all_small_quandles(small_catalog):

@@ -5,6 +5,8 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlecolor import (
     AlexanderParams,
@@ -17,6 +19,8 @@ from quandlecolor import (
     brute_force_colorings,
     build_system,
     catalog,
+    catalog_entry,
+    catalog_names,
     compare,
     connected_sum,
     counting_invariant,
@@ -51,6 +55,23 @@ def test_counting_invariant_unchanged_by_r1_r2_on_large_diagrams():
         for n, t in ((9, 2), (12, 5), (16, 3), (7, 3), (31, 3)):
             q = alexander(n, t)
             assert counting_invariant(big, q) == counting_invariant(base, q), (name, n, t)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    st.sampled_from(catalog_names()),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=100, max_value=1500),
+)
+def test_growth_to_1500_arcs_keeps_counts(name, seed, arcs):
+    # the linear count at a prime and a composite modulus, and the trivial
+    # quandle's 2**components by brute force, survive growth by R1/R2 moves
+    big = extract(grown(name, arcs, seed))
+    base = extract(catalog(name))
+    for n, t in ((3, 2), (9, 2)):
+        q = alexander(n, t)
+        assert counting_invariant(big, q) == counting_invariant(base, q), (n, t)
+    assert counting_invariant(big, trivial(2)) == 2 ** catalog_entry(name).expected_components
 
 
 def test_counting_invariant_brute_path_for_plain_tables():
