@@ -10,12 +10,13 @@ links are distinguished anywhere on the grid.
 For an Alexander quandle neither polynomial route builds a ``Coloring``:
 ``image_size_counts`` solves the system over Z_n, searches one coloring
 per class of x -> x + c*1 and counts image sizes in numpy.  ``phi_polynomial``
-hands it build_system's matrix; ``compare`` presolves each link once per
-call over Z[t, t^-1] and, at each grid point, hands it the small residual
-and its back-substitutions evaluated at (n, t).  The count is the sum of
-the polynomial or, past the cap, the exact count the CapExceededError
-carries.  ``counting_invariant`` and ``all_colorings`` eliminate
-build_system's matrix once per call, as before.
+hands it build_system's sparse rows; ``compare`` presolves each link once
+per call over Z[t, t^-1] and, at each grid point, hands it the small
+residual and its back-substitutions evaluated at (n, t).  The count is the
+sum of the polynomial or, past the cap, the exact count the
+CapExceededError carries.  ``counting_invariant`` and ``all_colorings``
+eliminate build_system's sparse rows once per call, with no dense matrix
+built.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def phi_polynomial(
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
     An Alexander quandle's image sizes are counted in numpy from
-    build_system's matrix (see image_size_counts); other quandles go
+    build_system's rows (see image_size_counts); other quandles go
     through the brute-force search.
     """
     if q.alexander is not None:

@@ -11,23 +11,34 @@ D = U * A * V.  The ``modulus`` argument picks the ring:
 * ``modulus=n`` works over Z_n and also keeps V.  Every entry of A and of
   V is kept as its symmetric residue in (-n/2, n/2], so no coefficient
   grows past n/2.  This is sound: integer row and column operations that
-  are unimodular stay invertible mod n, and reducing an entry mod n changes
-  nothing in Z_n, so U*A*V = D (mod n) with V invertible mod n.  No chain
-  step runs; the count and the parameterization below hold for any
-  diagonal.
+  are unimodular stay invertible mod n, so does scaling a row by a unit of
+  Z_n, and reducing an entry mod n changes nothing in Z_n, so
+  U*A*V = D (mod n) with U and V invertible mod n.  A pivot that is a unit
+  (gcd(p, n) = 1, such as 2 mod 7) has its row scaled by p^-1 mod n, so it
+  reads 1 on the diagonal and clears its column and row with no remainder.
+  No chain step runs; the count and the parameterization below hold for
+  any diagonal.
 
 Storage is sparse, because a coloring system has at most 3 nonzeros per
 row: each live row is a {col: value} dict, and each column keeps the set of
-live rows that hold it.  V is not stored: each column operation is logged,
-and :meth:`SmithForm.column` replays the log for the one column asked for
-(the product form of Dantzig and Orchard-Hays, MTAC 1954).  The pivot is
-taken from the live rows with the fewest nonzeros (Markowitz): the entry of
-least absolute value, ties to the lowest row and then the lowest column.  A
-heap of (nonzeros, row) finds those rows without scanning the rest of the
-matrix.  The pivot's column is cleared by row operations and its row by
-column operations, Euclidean as ever: floor division leaves remainders in
-[0, pivot), and a nonzero remainder becomes the next pivot.  Once its row
-and column are clear, the pivot leaves the live matrix.
+live rows that hold it.  :func:`_eliminate` works on rows given as
+(column, value) pairs, which is how the solver holds them;
+:func:`smith_normal_form` reads a dense matrix into such pairs.  V is not
+stored: each column operation is logged, and :meth:`SmithForm.column`
+replays the log for the one column asked for (the product form of Dantzig
+and Orchard-Hays, MTAC 1954).
+
+The pivot row is the live row with the fewest nonzeros (Markowitz,
+Management Science 1957) whose best entry ranks least, ties to the lowest
+row; a heap of (nonzeros, row) finds those rows without scanning the rest
+of the matrix.  An entry ranks by its absolute value, and over Z_n every
+unit ranks as 1, so the first such row with a unit is taken.  Within the
+row the pivot is the entry of least rank, ties to the column held by the
+fewest live rows (the fill a pivot can make grows with that count), then
+the lowest column.  The pivot's column is cleared by row operations and its
+row by column operations, Euclidean as ever: floor division leaves
+remainders in [0, pivot), and a nonzero remainder becomes the next pivot.
+Once its row and column are clear, the pivot leaves the live matrix.
 
 The diagonal gives exact solution counts of homogeneous systems over Z_n:
 A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and
@@ -42,7 +53,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -53,10 +64,11 @@ class SmithForm:
 
     With ``modulus`` 0, ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0
     for some unimodular U and V, and neither is kept.  With ``modulus`` n,
-    the equation holds mod n, ``diagonal`` holds positive residues in
-    [1, n/2] (not a chain), and V, invertible mod n with symmetric residues
-    as entries, is the product of the elementary matrices of ``column_ops``
-    in order, its columns taken in ``column_order``: the pivot columns, then
+    the equation holds mod n for some U and V invertible mod n, and
+    ``diagonal`` holds positive residues in [1, n/2] (not a chain): 1 for
+    each pivot that was a unit mod n.  V, with symmetric residues as
+    entries, is the product of the elementary matrices of ``column_ops`` in
+    order, its columns taken in ``column_order``: the pivot columns, then
     the rest.  U is never kept.
     """
 
@@ -99,7 +111,8 @@ def smith_normal_form(
 ) -> SmithForm:
     """Diagonalize an integer matrix over Z (``modulus=0``) or over Z_modulus.
 
-    ``cols`` is only needed when ``matrix`` has no rows.
+    ``cols`` is only needed when ``matrix`` has no rows.  The dense rows are
+    read into (column, value) pairs for :func:`_eliminate`.
     """
     m = len(matrix)
     if m:
@@ -113,6 +126,19 @@ def smith_normal_form(
         if cols is None:
             raise ValueError("cols is required for a matrix with no rows")
         n = cols
+    return _eliminate([[(j, int(row[j])) for j in compress(range(n), row)] for row in matrix],
+                      n, modulus)
+
+
+def _eliminate(
+    entries: Sequence[Iterable[tuple[int, int]]], cols: int, modulus: int
+) -> SmithForm:
+    """The Smith form of the len(entries) x cols matrix whose row i holds entries[i].
+
+    A row is given as (column, value) pairs, columns distinct and in
+    range(cols), so a caller that holds its rows sparse hands them over as
+    they are.
+    """
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
     half = modulus // 2
@@ -124,17 +150,20 @@ def smith_normal_form(
                 x -= modulus
         return x
 
+    def rank(x: int) -> int:
+        """How good a pivot x is, least best: over Z_n every unit ranks as 1."""
+        return 1 if modulus and gcd(x, modulus) == 1 else abs(x)
+
     rows: dict[int, dict[int, int]] = {}  # live rows, maybe empty; no stored zeros
-    holders: list[set[int]] = [set() for _ in range(n)]  # column -> live rows
-    for i, row in enumerate(matrix):
-        entries = {}
-        for j in compress(range(n), row):
-            x = residue(int(row[j]))
-            if x:
-                entries[j] = x
+    holders: list[set[int]] = [set() for _ in range(cols)]  # column -> live rows
+    for i, pairs in enumerate(entries):
+        row = {}
+        for j, x in pairs:
+            if x := residue(x):
+                row[j] = x
                 holders[j].add(i)
-        if entries:
-            rows[i] = entries
+        if row:
+            rows[i] = row
     queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
     heapq.heapify(queue)
 
@@ -158,7 +187,7 @@ def smith_normal_form(
     def pick() -> tuple[int, int] | None:
         """The next pivot (row, col), or None once every live row is zero."""
         popped: list[tuple[int, int]] = []
-        best = None  # (nonzeros, |value|, row, col)
+        best = None  # (nonzeros, rank, row, col)
         while queue:
             k, i = queue[0]
             row = rows.get(i)
@@ -168,7 +197,7 @@ def smith_normal_form(
             if best is not None and k > best[0]:
                 break
             popped.append(heapq.heappop(queue))
-            a, j = min((abs(x), j) for j, x in row.items())
+            a, _, j = min((rank(x), len(holders[j]), j) for j, x in row.items())
             if best is None or a < best[1]:
                 best = (k, a, i, j)
                 if a == 1:  # rows come in index order, so nothing later beats it
@@ -184,10 +213,16 @@ def smith_normal_form(
         pi, pj = pivot
         while True:
             prow = rows[pi]
-            if prow[pj] < 0:
-                for j in prow:
-                    prow[j] = residue(-prow[j])
             p = prow[pj]
+            if modulus and p != 1 and gcd(p, modulus) == 1:
+                u = pow(p, -1, modulus)  # a unit: the row times its inverse, and p is 1
+                for j, x in prow.items():
+                    prow[j] = residue(u * x)
+                p = 1
+            elif p < 0:
+                for j, x in prow.items():
+                    prow[j] = residue(-x)
+                p = -p
             # clear column pj by row operations; the least remainder left
             # becomes the pivot
             left = None
@@ -220,6 +255,7 @@ def smith_normal_form(
         d.append(p)
         pivot_cols.append(pj)
 
+    m = len(entries)
     if not modulus:
         # divisibility chain: diag(p, q) becomes diag(g, p*q/g), g = gcd(p, q)
         for i in range(len(d)):
@@ -228,9 +264,9 @@ def smith_normal_form(
                 if q % p:
                     g = gcd(p, q)
                     d[i], d[j] = g, p * q // g
-        return SmithForm(rows=m, cols=n, diagonal=tuple(d))
-    order = pivot_cols + sorted(set(range(n)).difference(pivot_cols))
-    return SmithForm(m, n, tuple(d), modulus, column_ops=tuple(ops), column_order=tuple(order))
+        return SmithForm(rows=m, cols=cols, diagonal=tuple(d))
+    order = pivot_cols + sorted(set(range(cols)).difference(pivot_cols))
+    return SmithForm(m, cols, tuple(d), modulus, column_ops=tuple(ops), column_order=tuple(order))
 
 
 def solution_count_mod(snf: SmithForm, n: int) -> int:

@@ -3,15 +3,17 @@
 Two independent routes:
 
 * an exact linear-algebra path for Alexander quandles, which turns the
-  presentation into an integer coefficient matrix and counts/enumerates
-  solutions of the homogeneous system over Z_n, one elimination per call.
-  The matrix is diagonalized over Z_n itself (``smith_normal_form`` with
-  ``modulus=n``), so no coefficient exceeds n/2.  This is sound for
-  composite n, where naive row reduction is not: the row and column
-  operations are integer unimodular ones reduced mod n, hence invertible
-  mod n, so U*A*V = D (mod n) and the count n**(cols - rank) *
-  prod(gcd(d_i, n)) and the parameterization x = V*y still hold.  A count
-  builds no column of V, and an enumeration only the columns it reads;
+  presentation into integer coefficients, at most 3 per relation and held
+  as sparse rows, and counts/enumerates solutions of the homogeneous system
+  over Z_n, one elimination per call.  The rows go as they are into the
+  Smith-form kernel over Z_n itself (``smith._eliminate`` with modulus n;
+  no dense matrix is built), so no coefficient exceeds n/2.  This is sound
+  for composite n, where naive row reduction is not: the row and column
+  operations are integer unimodular ones reduced mod n, or a row scaled by
+  a unit of Z_n, hence invertible mod n, so U*A*V = D (mod n) and the count
+  n**(cols - rank) * prod(gcd(d_i, n)) and the parameterization x = V*y
+  still hold.  A count builds no column of V, and an enumeration only the
+  columns it reads;
 * a brute-force search over arc assignments that works for any finite
   quandle and serves as the oracle for the first.  A plan is compiled once
   from the relations (:func:`_plan`): it colors one column per class of arcs
@@ -50,13 +52,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 from math import gcd, prod
 
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
-from .smith import smith_normal_form, solution_count_mod
+from .smith import _eliminate, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
 
@@ -66,19 +69,33 @@ Lift = tuple[tuple[tuple[int, int], ...], ...]  # per lifted arc: (position, coe
 
 @dataclass(frozen=True)
 class ColoringSystem:
-    """Integer coefficient matrix of the homogeneous system over Z_n.
+    """Integer coefficient matrix of the homogeneous system over Z_n, held sparse.
 
+    ``entries[i]`` lists row i's nonzero coefficients as (column, value)
+    pairs, columns ascending: at most 3 per relation from build_system.
     From build_system, column j holds the coefficient of arc j+1 (from
     :meth:`LaurentSystem.at`, of the residual's j-th kept arc).  A positive
     relation ``out = in > over`` contributes +t at in, +(1-t) at over, -1 at
     out (entries combined when arcs coincide); negative relations use 1/t
     mod n in place of t.  Every row sums to zero, so the all-equal coloring
-    is always a solution.
+    is always a solution.  The elimination reads ``entries`` as they are;
+    the dense ``matrix`` is built only when read.
     """
 
     rows: int
     cols: int
-    matrix: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The rows x cols coefficient matrix, zeros written out."""
+        dense = []
+        for pairs in self.entries:
+            row = [0] * self.cols
+            for j, x in pairs:
+                row[j] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -94,18 +111,16 @@ class Coloring:
 
 
 def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSystem:
-    """Coefficient matrix of the coloring equations, one row per relation."""
-    t, n = params.t, params.n
-    t_inv = params.t_inverse
+    """Coefficients of the coloring equations, one sparse row per relation."""
+    t, t_inv = params.t, params.t_inverse
     rows = []
     for r in p.relations:
-        row = [0] * p.arc_count
         coeff = t if r.positive else t_inv
-        row[r.in_ - 1] += coeff
-        row[r.over - 1] += 1 - coeff
-        row[r.out - 1] -= 1
-        rows.append(tuple(row))
-    return ColoringSystem(rows=len(rows), cols=p.arc_count, matrix=tuple(rows))
+        row = {r.in_ - 1: coeff}
+        row[r.over - 1] = row.get(r.over - 1, 0) + 1 - coeff
+        row[r.out - 1] = row.get(r.out - 1, 0) - 1
+        rows.append(tuple(sorted((j, x) for j, x in row.items() if x)))
+    return ColoringSystem(rows=len(rows), cols=p.arc_count, entries=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -136,9 +151,10 @@ class LaurentSystem:
                 total += c * powers[e]
             return total % n
 
-        matrix = tuple(tuple(map(value, row)) for row in self.residual)
+        entries = tuple(tuple((j, x) for j, poly in enumerate(row) if (x := value(poly)))
+                        for row in self.residual)
         back = tuple(tuple((pos, value(poly)) for pos, poly in terms) for terms in self.back)
-        return ColoringSystem(len(matrix), self.cols, matrix), back
+        return ColoringSystem(len(entries), self.cols, entries), back
 
 
 def presolve(p: QuandlePresentation) -> LaurentSystem:
@@ -219,13 +235,15 @@ def presolve(p: QuandlePresentation) -> LaurentSystem:
 
 def count_solutions(system: ColoringSystem, n: int) -> int:
     """Exact number of solutions of A*x = 0 (mod n); exact for any n >= 1."""
-    return solution_count_mod(smith_normal_form(system.matrix, cols=system.cols, modulus=n), n)
+    return solution_count_mod(_eliminate(system.entries, system.cols, n), n)
 
 
 def _solution_space(
-    matrix, cols: int, n: int, cap: int, scale: int = 1
+    entries, cols: int, n: int, cap: int, scale: int = 1
 ) -> tuple[list[tuple[int, range]], list[list[int]]]:
-    """The solutions of matrix * x = 0 (mod n) as x = V*y: y's varying ranges, V's columns.
+    """The solutions of A*x = 0 (mod n) as x = V*y: y's varying ranges, V's columns.
+
+    A's rows are given sparse, as for :func:`_eliminate`.
 
     (k, range) for each coordinate k of y that varies over the solutions of
     D*y = 0 (mod n): torsion ones step by n/gcd(d_i, n), free ones by 1.
@@ -234,7 +252,7 @@ def _solution_space(
     (``scale`` times the number of solutions), so no caller needs a second
     elimination to learn it.
     """
-    snf = smith_normal_form(matrix, cols=cols, modulus=n)
+    snf = _eliminate(entries, cols, n)
     count = scale * solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
@@ -251,7 +269,7 @@ def enumerate_solutions(
     Each solution is x = V*y (mod n) for y over the ranges of the varying
     coordinates (see :func:`_solution_space`).
     """
-    varying, basis = _solution_space(system.matrix, system.cols, n, cap)
+    varying, basis = _solution_space(system.entries, system.cols, n, cap)
     rows = _solution_rows(basis, varying, n, system.cols)
     return [Coloring(colors) for colors in sorted(tuple(x) for xs in rows for x in xs.tolist())]
 
@@ -298,8 +316,8 @@ def image_size_counts(
     and counting its steps gives its image size.
     """
     fixed = min(system.cols, 1)
-    matrix = tuple(row[fixed:] for row in system.matrix)
-    varying, columns = _solution_space(matrix, system.cols - fixed, n, cap, n**fixed)
+    entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
+    varying, columns = _solution_space(entries, system.cols - fixed, n, cap, n**fixed)
     basis = []
     for column in columns:
         row = [0] * fixed + column

@@ -167,7 +167,7 @@ def check_against_oracle(matrix, cols: int, moduli, max_enumerated: int = 5000) 
     """
     diagonal, v = dense_smith(matrix, cols)
     assert smith_normal_form(matrix, cols=cols).diagonal == diagonal
-    system = ColoringSystem(len(matrix), cols, tuple(tuple(row) for row in matrix))
+    system = system_of(matrix, cols)
     for n in moduli:
         snf = smith_normal_form(matrix, cols=cols, modulus=n)
         count = solution_count_mod(snf, n)
@@ -189,6 +189,39 @@ def check_against_oracle(matrix, cols: int, moduli, max_enumerated: int = 5000) 
                 for ys in itertools.product(*(values for _, values in active))
             )
             assert [c.colors for c in enumerate_solutions(system, n)] == oracle, n
+
+
+def system_of(matrix, cols: int) -> ColoringSystem:
+    """The ColoringSystem of a dense integer matrix: each row's nonzeros as (column, value)."""
+    return ColoringSystem(len(matrix), cols, tuple(
+        tuple((j, int(x)) for j, x in enumerate(row) if x) for row in matrix
+    ))
+
+
+def braid_pd(strands: int, word) -> str:
+    """PD code of the closure of a braid word: +i crosses strand i over i+1, -i under.
+
+    Strands run upward, and each crossing takes the edges at its bottom-left,
+    bottom-right, top-right and top-left.  +i is X(BR, TR, TL, BL): the
+    under-strand runs BR -> TL and the over-strand d -> b, a positive
+    crossing.  -i is X(BL, BR, TR, TL), under BL -> TR, over b -> d.  The
+    closure joins each top edge to the bottom edge of its position, and
+    labels are renumbered 1, 2, ... in order of first use.
+    """
+    edge = list(range(strands))  # the edge now at each position
+    quads, top = [], strands
+    for g in word:
+        i = abs(g) - 1
+        bl, br, tl, tr = edge[i], edge[i + 1], top, top + 1
+        top += 2
+        quads.append((br, tr, tl, bl) if g > 0 else (bl, br, tr, tl))
+        edge[i], edge[i + 1] = tl, tr
+    closing = dict(zip(edge, range(strands)))
+    label: dict[int, int] = {}
+    for quad in quads:
+        for e in quad:
+            label.setdefault(closing.get(e, e), len(label) + 1)
+    return " ".join("X({},{},{},{})".format(*(label[closing.get(e, e)] for e in q)) for q in quads)
 
 
 def grown(name: str, arcs: int, seed: int):

@@ -5,7 +5,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quandlecolor import (
@@ -35,7 +35,7 @@ from quandlecolor import (
 )
 from quandlecolor.solver import image_size_counts, presolve
 
-from conftest import as_table_file, grown, transpositions
+from conftest import as_table_file, braid_pd, check_against_oracle, dense_smith, grown, transpositions
 
 
 def test_counting_invariant_examples():
@@ -72,6 +72,78 @@ def test_growth_to_1500_arcs_keeps_counts(name, seed, arcs):
         q = alexander(n, t)
         assert counting_invariant(big, q) == counting_invariant(base, q), (n, t)
     assert counting_invariant(big, trivial(2)) == 2 ** catalog_entry(name).expected_components
+
+
+@st.composite
+def braid_words(draw):
+    """(strands, word): a 3- or 4-strand braid word of length <= 40 using every generator."""
+    strands = draw(st.sampled_from((3, 4)))
+    word = draw(st.lists(
+        st.integers(min_value=1, max_value=strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        max_size=40 - (strands - 1),
+    ))
+    word += [g for g in range(1, strands) if g not in {abs(x) for x in word}]
+    return strands, word
+
+
+def braid_action_count(strands: int, word, n: int, t: int) -> int:
+    """Colorings of the closure by (Z_n, t) as fixed points of the braid's action, no parser read.
+
+    +i maps the colors (x_i, x_i+1) below the crossing to (x_i+1 > x_i, x_i)
+    above it, -i to (x_i+1, x_i >^-1 x_i+1).  The action is a matrix M over
+    Z_n, and the colorings are the solutions of (M - I) x = 0.
+    """
+    t_inv = pow(t, -1, n)
+    m = [[int(i == j) for j in range(strands)] for i in range(strands)]
+    for g in word:
+        i = abs(g) - 1
+        lo, hi = m[i], m[i + 1]
+        if g > 0:
+            m[i], m[i + 1] = [(t * b + (1 - t) * a) % n for a, b in zip(lo, hi)], lo
+        else:
+            m[i], m[i + 1] = hi, [(t_inv * a + (1 - t_inv) * b) % n for a, b in zip(lo, hi)]
+    diagonal, _ = dense_smith([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)])
+    count = n ** (strands - len(diagonal))
+    for d in diagonal:
+        count *= gcd(d, n)
+    return count
+
+
+def every_strand_passes_under(strands: int, word) -> bool:
+    """True when each component of the closure is the under-strand of some crossing.
+
+    A component that only passes over has no direction in a PD code, so
+    parse_pd_code may orient it against the braid.
+    """
+    perm, under = list(range(strands)), set()  # perm[pos] = strand now at pos
+    for g in word:
+        i = abs(g) - 1
+        under.add(perm[i + 1] if g > 0 else perm[i])
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    component = list(range(strands))  # strand -> a representative of its component
+    for pos, strand in enumerate(perm):  # the closure joins strand `strand` to strand `pos`
+        a, b = component[strand], component[pos]
+        component = [b if c == a else c for c in component]
+    return all(any(component[s] == c and s in under for s in range(strands)) for c in set(component))
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_words())
+@example((4, [1, -2, 3] * 13 + [-1]))
+def test_braid_closures_count_alike_by_every_route(strands_word):
+    # PD codes of braid closures, at moduli whose units are not only +-1:
+    # the count by the braid's action, by the sparse kernel, by brute force
+    # over the quandle's table, and the kernel against the dense oracle
+    strands, word = strands_word
+    assume(every_strand_passes_under(strands, word))
+    p = extract(parse_pd_code(braid_pd(strands, word)))
+    for n, t in ((8, 3), (9, 2), (15, 2)):
+        q = alexander(n, t)
+        count = counting_invariant(p, q)
+        assert count == braid_action_count(strands, word, n, t), (n, t)
+        assert count == counting_invariant(p, as_table_file(q)), (n, t)
+        system = build_system(p, q.alexander)
+        check_against_oracle(system.matrix, system.cols, (n,))
 
 
 def test_counting_invariant_brute_path_for_plain_tables():
@@ -285,13 +357,13 @@ def test_compare_eliminates_each_system_once(monkeypatch):
     import quandlecolor.solver as solver
 
     calls = []
-    original = solver.smith_normal_form
+    original = solver._eliminate
 
-    def counting(matrix, cols=None, modulus=0):
+    def counting(entries, cols, modulus):
         calls.append(cols)
-        return original(matrix, cols=cols, modulus=modulus)
+        return original(entries, cols, modulus)
 
-    monkeypatch.setattr(solver, "smith_normal_form", counting)
+    monkeypatch.setattr(solver, "_eliminate", counting)
     a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
     report = compare(a, b, (2, 3, 5), t_policy="all-units")
     assert len(report.grid) == 7
@@ -423,13 +495,13 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
     import quandlecolor.solver as solver
 
     widths = []
-    original = solver.smith_normal_form
+    original = solver._eliminate
 
-    def recording(matrix, cols=None, modulus=0):
+    def recording(entries, cols, modulus):
         widths.append(cols)
-        return original(matrix, cols=cols, modulus=modulus)
+        return original(entries, cols, modulus)
 
-    monkeypatch.setattr(solver, "smith_normal_form", recording)
+    monkeypatch.setattr(solver, "_eliminate", recording)
     # the 1000003 colorings are the constant ones, a single class under
     # x -> x + c: the first arc is fixed at 0, and one coloring is searched
     p = extract(catalog("allen_swenberg"))

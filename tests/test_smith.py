@@ -142,7 +142,17 @@ def test_gcd_based_count_formula_directly():
 @example([[4, 6, 0], [6, 9, 0], [0, 0, 12]])
 @example([[0, 0, 0]])
 def test_sparse_kernel_matches_dense_oracle(matrix):
-    check_against_oracle(matrix, len(matrix[0]), (2, 4, 8, 9, 12, 16))
+    check_against_oracle(matrix, len(matrix[0]), (2, 4, 8, 9, 12, 15, 16))
+
+
+def test_unit_pivots_read_one_on_the_modular_diagonal():
+    # a unit mod n is scaled to 1; a non-unit keeps its least absolute residue
+    assert smith_normal_form([[2, 3], [4, 1]], modulus=7).diagonal == (1, 1)
+    assert smith_normal_form([[2]], modulus=9).diagonal == (1,)
+    assert smith_normal_form([[6]], modulus=9).diagonal == (3,)
+    assert smith_normal_form([[4, 10], [0, 5]], modulus=15).diagonal == (5, 1)
+    # over Z the diagonal stays the Smith chain
+    assert smith_normal_form([[2, 3], [4, 1]]).diagonal == (1, 10)
 
 
 def test_modular_form_answers_only_its_modulus():

@@ -42,6 +42,7 @@ from conftest import (
     matmul,
     modular_solutions,
     smith_columns,
+    system_of,
     transpositions,
 )
 
@@ -110,7 +111,7 @@ def test_count_hopf_sum_and_allen_swenberg_prime_grid(n):
 
 
 def test_count_diagonal_system_mod_4():
-    sys = ColoringSystem(2, 2, ((2, 0), (0, 2)))
+    sys = ColoringSystem(2, 2, (((0, 2),), ((1, 2),)))
     # oracle: all 16 pairs by hand; solutions are x, y in {0, 2}
     brute = modular_solutions(sys.matrix, 2, 4)
     assert brute == {(0, 0), (0, 2), (2, 0), (2, 2)}
@@ -189,7 +190,7 @@ def test_enumeration_on_both_sides_of_the_int64_bound(n, diagonal):
         for ys in itertools.product(*(range(0, n, step) for step in steps))
     )
     assert len(expected) == prod(gcd(x, n) for x in diagonal)
-    system = ColoringSystem(k, k, tuple(map(tuple, matrix)))
+    system = system_of(matrix, k)
     assert [c.colors for c in enumerate_solutions(system, n)] == expected
 
 
@@ -197,7 +198,7 @@ def test_count_builds_no_column_transform():
     # 4096 free columns: a dense 4096 x 4096 V would peak past 250 MB
     tracemalloc.start()
     try:
-        assert count_solutions(ColoringSystem(0, 4096, ()), 13) == 13**4096
+        assert count_solutions(ColoringSystem(0, 4096, entries=()), 13) == 13**4096
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,13 +436,40 @@ def test_sparse_kernel_matches_dense_oracle_on_diagrams():
                 check_against_oracle(sys.matrix, sys.cols, (n,))
 
 
+def test_reading_the_dense_matrix_leaves_the_system_as_it_was():
+    # matrix is built on first read and is no field: ==, hash and repr do not see it
+    p = extract(catalog("allen_swenberg"))
+    a, b = build_system(p, AlexanderParams(9, 2)), build_system(p, AlexanderParams(9, 2))
+    before = (repr(a), hash(a))
+    assert len(a.matrix) == a.rows and all(len(row) == a.cols for row in a.matrix)
+    assert (repr(a), hash(a)) == before
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "matrix" not in repr(a)
+    # entries: at most 3 per relation, columns ascending, exactly the matrix's nonzeros
+    for pairs, row in zip(a.entries, a.matrix):
+        assert len(pairs) <= 3
+        assert pairs == tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def test_unit_pivots_keep_fill_down_on_a_grown_trefoil():
+    # over Z_9 at t = 2 the coefficients 2, -1 and -1 are units; each unit
+    # pivot is scaled to 1, and ties go to the column with the fewest rows,
+    # so the 1500-column system logs fewer than 2.5 column operations per
+    # column (6844 when pivots were ranked by |value| and ties by column
+    # index alone)
+    system = build_system(extract(grown("trefoil", 1500, 7)), AlexanderParams(9, 2))
+    assert count_solutions(system, 9) == 27
+    snf = smith_normal_form(system.matrix, modulus=9)
+    assert len(snf.column_ops) <= 2.5 * system.cols
+
+
 def test_count_is_invariant_under_row_shuffles_of_catalog_system():
     p = extract(catalog("hopf_sum"))
     sys = build_system(p, AlexanderParams(4, 3))
     base = count_solutions(sys, 4)
     assert base == 16
     for perm in itertools.permutations(range(4)):
-        shuffled = ColoringSystem(4, 4, tuple(sys.matrix[i] for i in perm))
+        shuffled = ColoringSystem(4, 4, tuple(sys.entries[i] for i in perm))
         assert count_solutions(shuffled, 4) == base
 
 
