@@ -122,6 +122,135 @@ def test_parse_circles_header_rules():
         assert (exc.value.line, exc.value.column) == (1, column)
 
 
+# ---------------------------------------------------------------------------
+# relation-line outcomes, pinned: a line gives its crossing, or the line,
+# column and message of its first bad token
+
+
+def _outcome(text):
+    """("ok", free circles, *(sign, in, out, over)), (line, column, message), or a DiagramError."""
+    try:
+        d = parse_relations_file(text)
+    except RelationSyntaxError as exc:
+        return exc.line, exc.column, str(exc).split(": ", 1)[1]
+    except DiagramError as exc:
+        return "DiagramError", str(exc)
+    crossings = ((c.sign, c.under_in, c.under_out, c.over) for c in d.crossings)
+    return ("ok", d.free_circles, *crossings)
+
+
+_ARC = "expected arc reference 'x<index>'"
+_DIGITS = "expected digits after 'x'"
+_ZERO = "arc index must be >= 1"
+_EQUALS = "expected '='"
+_OPERATOR = "expected '*' or '/'"
+_TRAILING = "unexpected trailing text"
+
+RELATION_LINE_OUTCOMES = [
+    # a crossing: spaces and tabs anywhere between tokens, none needed
+    ("x1 = x1 * x1", ("ok", 0, (1, 1, 1, 1))),
+    ("\tx1\t=\tx1\t/\tx1\t", ("ok", 0, (-1, 1, 1, 1))),
+    ("x1=x1*x1   ", ("ok", 0, (1, 1, 1, 1))),
+    ("  x001 = x01 / x1  # note", ("ok", 0, (-1, 1, 1, 1))),
+    ("x1 = x1 * x1  ", ("ok", 0, (1, 1, 1, 1))),
+    # an arc reference missing, at each of the three places
+    ("= x1 * x1", (1, 1, _ARC)),
+    (" \t y1 = x1 * x1", (1, 4, _ARC)),
+    (" x1 = x1 * x1", (1, 1, _ARC)),
+    ("X1 = x1 * x1", (1, 1, _ARC)),
+    ("x1 =", (1, 5, _ARC)),
+    ("x1 = \t1 * x1", (1, 7, _ARC)),
+    ("x1 = x1 *", (1, 10, _ARC)),
+    ("x1 = x1 * *", (1, 11, _ARC)),
+    # digits missing right after an 'x', never past spaces
+    ("x = x1 * x1", (1, 2, _DIGITS)),
+    ("x 1 = x1 * x1", (1, 2, _DIGITS)),
+    ("x\u00b2 = x1 * x1", (1, 2, _DIGITS)),
+    ("x1 = x * x1", (1, 7, _DIGITS)),
+    ("x1 = x\t1 * x1", (1, 7, _DIGITS)),
+    ("x1 = x1 * x", (1, 12, _DIGITS)),
+    ("x1 = x1 * x\u0663", (1, 12, _DIGITS)),
+    ("x1 = x1 /  \tx\u00b2 # x1", (1, 14, _DIGITS)),
+    # an index of 0, at its 'x', before any later syntax error
+    ("x0 = x1 * x1", (1, 1, _ZERO)),
+    ("  x00", (1, 3, _ZERO)),
+    ("x0 = x1 + x1", (1, 1, _ZERO)),
+    ("x0 x1", (1, 1, _ZERO)),
+    ("x1 = x0 * x1", (1, 6, _ZERO)),
+    ("x1 = \tx000", (1, 7, _ZERO)),
+    ("x1 = x0 x1 x1", (1, 6, _ZERO)),
+    ("x1 = x1 * x0", (1, 11, _ZERO)),
+    ("x1 = x1 * x0 x4", (1, 11, _ZERO)),
+    ("x1=x1/x0x", (1, 7, _ZERO)),
+    # '=' missing
+    ("x1", (1, 3, _EQUALS)),
+    ("x1\t\t", (1, 3, _EQUALS)),
+    ("x1 x1 * x1", (1, 4, _EQUALS)),
+    ("x1 : x1 * x1", (1, 4, _EQUALS)),
+    ("x1== x1 * x1", (1, 4, _ARC)),
+    # '*' or '/' missing
+    ("x1 = x1", (1, 8, _OPERATOR)),
+    ("x1 = x1 + x1", (1, 9, _OPERATOR)),
+    ("x1 = x1x1", (1, 8, _OPERATOR)),
+    ("x1 = x1 \t> x1", (1, 10, _OPERATOR)),
+    # text after a complete relation
+    ("x1 = x2 * x3 x4", (1, 14, _TRAILING)),
+    ("x1 = x1 * x1x", (1, 13, _TRAILING)),
+    ("x1 = x1 * x1   y", (1, 14, _TRAILING)),
+    ("x1 = x1 * x1 = x1", (1, 14, _TRAILING)),
+    ("x1 = x1 * x1\u00b2", (1, 13, _TRAILING)),
+    # the line number counts blank and comment lines
+    ("x1 = x1 * x1\n\n# x0\n  x1 = x1 *\n", (4, 12, _ARC)),
+    ("x1 = x1 * x1\nx1 = x1 + x1\n", (2, 9, _OPERATOR)),
+]
+
+
+@pytest.mark.parametrize("text, expected", RELATION_LINE_OUTCOMES)
+def test_relation_line_outcomes(text, expected):
+    assert _outcome(text) == expected
+
+
+# sha256 of the outcomes of 5000 seeded edits of valid files, recorded with
+# the token-by-token scanner that the single-pattern parser replaced
+RELATION_MUTATIONS_SHA256 = "b64cce328f5c2047640a848d1335f017d24f304385bd01e771792386c3130186"
+
+
+def test_relation_line_mutations_are_pinned():
+    # one to three characters inserted, deleted or replaced in one line of a
+    # valid file; the alphabet weights the grammar's own characters
+    files = [
+        HOPF_SUM_TEXT,
+        catalog_entry("allen_swenberg").diagram.render_relations(),
+        "circles: 1\nx1 = x1 * x1\n",
+        "x1 = x1 / x2\nx2 = x2 / x1\n",
+    ]
+    alphabet = "  \t\txxx000123456789==**//+#yX\u00b2\u0663\u00a0"
+    rng = random.Random(16)
+    outcomes = []
+    for _ in range(5000):
+        lines = rng.choice(files).splitlines()
+        k = rng.randrange(len(lines))
+        line = lines[k]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(line) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                line = line[:i] + rng.choice(alphabet) + line[i:]
+            elif edit == 1:
+                line = line[:i] + line[i + 1 :]
+            else:
+                line = line[:i] + rng.choice(alphabet) + line[i + 1 :]
+        lines[k] = line
+        outcomes.append(_outcome("\n".join(lines) + "\n"))
+    kinds = {o[0] if isinstance(o[0], str) else o[2] for o in outcomes}
+    assert kinds == {
+        "ok", _ARC, _DIGITS, _ZERO, _EQUALS, _OPERATOR, _TRAILING,
+        "malformed circles header", "DiagramError",
+    }
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == RELATION_MUTATIONS_SHA256
+
+
 def test_parse_arc_index_gap():
     with pytest.raises(DiagramError, match="gap"):
         parse_relations_file("x1 = x1 * x3\nx3 = x3 * x1\n")
