@@ -17,7 +17,9 @@ graph 2-regular and decomposes it into the link's components.
 
 Two parsers are provided: the line-oriented relations grammar
 (``x2 = x3 * x1`` / ``x1 = x2 / x3``, optional ``circles: k`` header,
-``#`` comments) and planar-diagram codes (``X(a,b,c,d)`` quadruples).
+``#`` comments) and planar-diagram codes (``X(a,b,c,d)`` quadruples, also
+with ``#`` comments).  A relation line is read by one pattern, one match a
+line; an error names the first bad token and its line and column.
 """
 
 from __future__ import annotations
@@ -179,59 +181,18 @@ class CatalogEntry:
 # Relations-file parser
 
 
-class _LineScanner:
-    """Tiny cursor scanner so syntax errors carry 1-based line/column."""
-
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise RelationSyntaxError(self.lineno, self.pos + 1, message)
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def literal(self, ch: str) -> None:
-        self.skip_spaces()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected '{ch}'")
-        self.pos += 1
-
-    def arc_index(self) -> int:
-        self.skip_spaces()
-        if self.pos >= len(self.text) or self.text[self.pos] != "x":
-            self.fail("expected arc reference 'x<index>'")
-        start = self.pos
-        self.pos += 1
-        digits = ""
-        # ASCII digits only: str.isdigit() also takes '²', which int() rejects
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            digits += self.text[self.pos]
-            self.pos += 1
-        if not digits:
-            self.fail("expected digits after 'x'")
-        value = int(digits)
-        if value < 1:
-            self.pos = start
-            self.fail("arc index must be >= 1")
-        return value
-
-    def operator(self) -> bool:
-        self.skip_spaces()
-        if self.pos < len(self.text) and self.text[self.pos] in "*/":
-            positive = self.text[self.pos] == "*"
-            self.pos += 1
-            return positive
-        self.fail("expected '*' or '/'")
-
-    def end(self) -> None:
-        self.skip_spaces()
-        if self.pos != len(self.text):
-            self.fail("unexpected trailing text")
-
+# A relation line, each token an optional group nested inside the one before,
+# so the match stops at the first bad token: m.lastindex is the last good one,
+# and m.end() is where the next was expected, past the spaces and tabs that
+# follow (none are skipped right after an 'x').  ASCII digits only:
+# str.isdigit() also takes '²', which int() rejects.
+_RELATION_RE = re.compile(
+    r"[ \t]*(?:(x)(?:([0-9]+)[ \t]*(?:(=)[ \t]*(?:(x)(?:([0-9]+)[ \t]*"
+    r"(?:([*/])[ \t]*(?:(x)(?:([0-9]+)[ \t]*)?)?)?)?)?)?)?)?"
+)
+_ARC, _DIGITS = "arc reference 'x<index>'", "digits after 'x'"
+# the token expected after group m.lastindex (0 when nothing matched)
+_EXPECTED = (_ARC, _DIGITS, "'='", _ARC, _DIGITS, "'*' or '/'", _ARC, _DIGITS)
 
 # ASCII digits only, as in arc indices: \d also takes other scripts' digits
 _CIRCLES_RE = re.compile(r"^circles\s*:\s*0*([0-9]+)\s*$")
@@ -257,8 +218,8 @@ def parse_relations_file(text: str) -> LinkDiagram:
         if not line.strip():
             continue
         stripped = line.strip()
-        m = _CIRCLES_RE.match(stripped)
-        if m or stripped.startswith("circles"):
+        if stripped.startswith("circles"):
+            m = _CIRCLES_RE.match(stripped)
             if m is None:
                 raise RelationSyntaxError(lineno, 1, "malformed circles header")
             if saw_circles:
@@ -275,16 +236,18 @@ def parse_relations_file(text: str) -> LinkDiagram:
                 )
             free_circles = int(count)
             continue
-        sc = _LineScanner(line, lineno)
-        out = sc.arc_index()
-        sc.literal("=")
-        in_ = sc.arc_index()
-        positive = sc.operator()
-        over = sc.arc_index()
-        sc.end()
-        crossings.append(
-            Crossing(1 if positive else -1, under_in=in_, under_out=out, over=over)
-        )
+        m = _RELATION_RE.match(line)
+        for g in (2, 5, 8):  # an index of 0, at its 'x', comes before any later error
+            if m[g] is not None and int(m[g]) < 1:
+                raise RelationSyntaxError(lineno, m.start(g - 1) + 1, "arc index must be >= 1")
+        if m.lastindex != 8:
+            expected = _EXPECTED[m.lastindex or 0]
+            raise RelationSyntaxError(lineno, m.end() + 1, f"expected {expected}")
+        if m.end() != len(line):
+            raise RelationSyntaxError(lineno, m.end() + 1, "unexpected trailing text")
+        out, in_, over = map(int, m.group(2, 5, 8))
+        sign = 1 if m[6] == "*" else -1
+        crossings.append(Crossing(sign, under_in=in_, under_out=out, over=over))
 
     referenced = {a for c in crossings for a in (c.under_in, c.under_out, c.over)}
     max_ref = max(referenced, default=0)
@@ -307,13 +270,20 @@ def parse_relations_file(text: str) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # PD-code parser
 
+# whitespace and '#' comments; a comment ends where str.splitlines ends a line
+_PD_GAP = r"(?:\s|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*"
+_PD_SKIP = re.compile(_PD_GAP)
+# a quadruple and the gap after it, so one match steps to the next
 _PD_TERM = re.compile(
-    r"X\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", re.IGNORECASE
+    r"X\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)" + _PD_GAP,
+    re.IGNORECASE,
 )
 
 
 def parse_pd_code(text: str) -> LinkDiagram:
     """Parse whitespace-separated ``X(a,b,c,d)`` quadruples into a diagram.
+
+    A ``#`` starts a comment that runs to the end of its line.
 
     Edges are listed counterclockwise starting at the incoming under-edge
     ``a``; the under-strand exits at ``c``.  A crossing is positive when its
@@ -328,11 +298,8 @@ def parse_pd_code(text: str) -> LinkDiagram:
     them reproduces the same diagram.
     """
     quads: list[tuple[int, int, int, int]] = []
-    pos = 0
+    pos = _PD_SKIP.match(text).end()
     while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
         m = _PD_TERM.match(text, pos)
         if m is None:
             raise PDCodeError(f"malformed quadruple at offset {pos + 1}")

@@ -179,10 +179,19 @@ def test_link_from_relations_file(tmp_path, capsys):
 
 def test_link_from_pd_file(tmp_path, capsys):
     path = tmp_path / "trefoil.pd"
-    path.write_text("X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)\n")
-    code, out, _ = run(capsys, "phi", str(path), "--n", "3", "--t", "2")
-    assert code == 0
-    assert out.strip() == "3*q^1 + 6*q^3"
+    # '#' comments, leading or trailing, are read past as in relations files
+    for text in (
+        "X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)\n",
+        "# trefoil\nX(1,5,2,4) X(3,1,4,6) X(5,3,6,2)\n",
+        "X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)  # note\n",
+    ):
+        path.write_text(text)
+        code, out, _ = run(capsys, "phi", str(path), "--n", "3", "--t", "2")
+        assert code == 0
+        assert out.strip() == "3*q^1 + 6*q^3"
+    path.write_text("# trefoil\nX(1,5,2,4) X(3,1,4,6) X(5,3,6)\n")
+    code, out, err = run(capsys, "phi", str(path), "--n", "3", "--t", "2")
+    assert (code, out, err) == (2, "", "error: malformed quadruple at offset 33\n")
 
 
 def test_phi_output(capsys):

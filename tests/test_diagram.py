@@ -490,6 +490,21 @@ def test_pd_errors():
         parse_pd_code("X(\u0661,\u0665,2,4) X(3,1,4,6) X(5,3,6,2)")
 
 
+def test_pd_comments_run_to_the_end_of_a_line():
+    trefoil = parse_pd_code("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+    assert parse_pd_code("# trefoil\nX(1,4,2,5) X(3,6,4,1) X(5,2,6,3)") == trefoil
+    assert parse_pd_code("X(1,4,2,5) X(3,6,4,1)#X(\nX(5,2,6,3) # note") == trefoil
+    # every line break of str.splitlines ends a comment
+    for brk in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_pd_code(f"# a{brk}X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)") == trefoil
+    # a comment hides the quadruples after it on its line
+    with pytest.raises(PDCodeError, match="appears 1 time"):
+        parse_pd_code("X(1,4,2,5) # X(3,6,4,1) X(5,2,6,3)")
+    # offsets count the comment's characters
+    with pytest.raises(PDCodeError, match="malformed quadruple at offset 8"):
+        parse_pd_code("# X(1)\n(1,4,2,5)")
+
+
 # ---------------------------------------------------------------------------
 # connected sum
 
@@ -726,8 +741,10 @@ GROWN_1100_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(GROWN_1100_SHA256))
 def test_grown_diagram_is_unchanged(name):
-    text = grown(name, 1100, 1).render_relations()
+    d = grown(name, 1100, 1)
+    text = d.render_relations()
     assert hashlib.sha256(text.encode()).hexdigest() == GROWN_1100_SHA256[name]
+    assert parse_relations_file(text) == d
 
 
 def test_counting_invariant_under_moves_all_small_quandles(small_catalog):
