@@ -1,5 +1,6 @@
 """Coloring systems, exact counting/enumeration, and the brute-force oracle."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -348,6 +349,33 @@ def test_brute_force_with_every_branch_split(monkeypatch):
             assert brute == [c.colors for c in enumerate_solutions(system, n)], (n, t, d.arc_count)
     test_brute_force_cap_boundary("unlink2", trivial(5), 25)
     test_brute_force_cap_boundary("allen_swenberg", transpositions(4), 24)
+
+
+def test_alike_arcs_classes_are_colored_alike():
+    # every coloring of the linear route, independent of brute force, gives
+    # the arcs of one class one color
+    for name, arcs in (("trefoil", 120), ("hopf_sum", 135), ("allen_swenberg", 150)):
+        p = extract(grown(name, arcs, 3))
+        rep = solver._alike_arcs(p)
+        assert len(set(rep[1:])) < p.arc_count, name
+        for n, t in ((5, 2), (8, 3), (9, 2)):
+            for c in enumerate_solutions(build_system(p, AlexanderParams(n, t)), n):
+                assert all(c.colors[a - 1] == c.colors[rep[a] - 1] for a in range(1, p.arc_count + 1))
+
+
+# sha256 of repr(_alike_arcs(p)): the representatives fix the brute-force
+# plan's columns and their order
+ALIKE_ARCS_DIGESTS = {
+    ("trefoil", 400): "8edbec18b4fa81c7b97744a4381b5a88fb498fbfaa41f55aa6dd68ebe28755ca",
+    ("hopf_sum", 300): "bee23d084c3889ab3691510810d37e5151e6e40e8f5cd8f9991fff54085a05fa",
+    ("allen_swenberg", 500): "66f645e52a54f39855e466a1a1c88efb6bb8c872349fc307f54eb5c07094e222",
+}
+
+
+def test_alike_arcs_representatives_are_pinned():
+    for (name, arcs), digest in ALIKE_ARCS_DIGESTS.items():
+        rep = solver._alike_arcs(extract(grown(name, arcs, 7)))
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("n, t", [(5, 2), (7, 3), (9, 2)])
