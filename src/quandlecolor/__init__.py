@@ -44,14 +44,12 @@ from .invariants import (
     phi_polynomial,
     units,
 )
-from .presentation import CrossingRelation, QuandlePresentation, extract, trivial_t_classes
+from .presentation import CrossingRelation, QuandlePresentation, extract
 from .quandle import (
     AlexanderParams,
     FiniteQuandle,
     alexander,
     parse_quandle_file,
-    takasaki,
-    trivial,
     validate,
 )
 from .smith import SmithForm, smith_normal_form, solution_count_mod
@@ -118,9 +116,6 @@ __all__ = [
     "reidemeister_r2",
     "smith_normal_form",
     "solution_count_mod",
-    "takasaki",
-    "trivial",
-    "trivial_t_classes",
     "units",
     "validate",
 ]

@@ -368,10 +368,8 @@ def _main(argv) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, DiagramError, UnknownLinkError, AxiomError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (InputError, DiagramError, UnknownLinkError, AxiomError, UsageError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,7 @@ line; an error names the first bad token and its line and column.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,23 +33,24 @@ from typing import Iterable
 from .errors import DiagramError, PDCodeError, RelationSyntaxError
 
 
+def _find(parent, x: int) -> int:
+    """The root of x in a union-find forest (a list or dict of parents), halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _merged_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Classes of ``items`` under the equivalence generated by ``pairs``, by smallest member."""
     parent = {x: x for x in items}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
     classes: dict[int, list[int]] = {}
     for x in parent:
-        classes.setdefault(find(x), []).append(x)
+        classes.setdefault(_find(parent, x), []).append(x)
     return sorted(classes.values(), key=min)
 
 
@@ -237,15 +239,23 @@ def parse_relations_file(text: str) -> LinkDiagram:
             free_circles = int(count)
             continue
         m = _RELATION_RE.match(line)
-        for g in (2, 5, 8):  # an index of 0, at its 'x', comes before any later error
-            if m[g] is not None and int(m[g]) < 1:
+        arcs = [m[g] and m[g].lstrip("0") for g in (2, 5, 8)]  # int()'s digit limit counts leading zeros
+        for g, digits in zip((2, 5, 8), arcs):  # an index of 0, at its 'x', comes before any later error
+            if digits == "":
                 raise RelationSyntaxError(lineno, m.start(g - 1) + 1, "arc index must be >= 1")
         if m.lastindex != 8:
             expected = _EXPECTED[m.lastindex or 0]
             raise RelationSyntaxError(lineno, m.end() + 1, f"expected {expected}")
         if m.end() != len(line):
             raise RelationSyntaxError(lineno, m.end() + 1, "unexpected trailing text")
-        out, in_, over = map(int, m.group(2, 5, 8))
+        try:
+            out, in_, over = map(int, arcs)
+        except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
+            limit = sys.get_int_max_str_digits()
+            g = next(g for g, digits in zip((2, 5, 8), arcs) if len(digits) > limit)
+            raise RelationSyntaxError(
+                lineno, m.start(g - 1) + 1, f"arc index of more than {limit} digits"
+            ) from None
         sign = 1 if m[6] == "*" else -1
         crossings.append(Crossing(sign, under_in=in_, under_out=out, over=over))
 
@@ -303,7 +313,11 @@ def parse_pd_code(text: str) -> LinkDiagram:
         m = _PD_TERM.match(text, pos)
         if m is None:
             raise PDCodeError(f"malformed quadruple at offset {pos + 1}")
-        quad = tuple(int(g) for g in m.groups())
+        try:  # leading zeros stripped, as in arc indices
+            quad = tuple(int(g.lstrip("0") or "0") for g in m.groups())
+        except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
+            limit = sys.get_int_max_str_digits()
+            raise PDCodeError(f"edge label of more than {limit} digits at offset {pos + 1}") from None
         if min(quad) < 1:
             raise PDCodeError(f"edge labels must be >= 1: {quad}")
         quads.append(quad)

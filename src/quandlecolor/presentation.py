@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, _merged_classes
+from .diagram import LinkDiagram
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,3 @@ def extract(d: LinkDiagram) -> QuandlePresentation:
             for c in d.crossings
         ),
     )
-
-
-def trivial_t_classes(p: QuandlePresentation) -> tuple[frozenset[int], ...]:
-    """Arc classes forced equal when the quandle is trivial (x > y = x).
-
-    Every relation then collapses to ``out = in``, so this is the finest
-    partition putting each relation's in and out arcs together.  For
-    presentations extracted from a diagram the classes coincide with the
-    diagram's components, and the coloring count with a trivial quandle of
-    order m is m ** len(classes).
-    """
-    classes = _merged_classes(
-        range(1, p.arc_count + 1), ((r.in_, r.out) for r in p.relations)
-    )
-    return tuple(frozenset(g) for g in classes)

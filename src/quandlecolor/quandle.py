@@ -62,11 +62,11 @@ class FiniteQuandle:
     ``op[x][y]`` is x > y and ``dual[x][y]`` is x >^-1 y, so
     ``dual[op[x][y]][y] == x`` and ``op[dual[x][y]][y] == x`` always hold.
     ``tables`` is the (op, dual) pair of a quandle built from tables.  An
-    Alexander/Takasaki quandle has None there: ``alexander`` holds its (n, t),
-    which lets solvers pick the exact linear-algebra route, and each table is
-    built from the closed form on first read, kept outside ``==`` and hash.
-    Build instances through :func:`validate` (tables from outside, checked
-    against the axioms) or the closed-form constructors below.
+    Alexander quandle has None there: ``alexander`` holds its (n, t), which
+    lets solvers pick the exact linear-algebra route, and each table is built
+    from the closed form on first read, kept outside ``==`` and hash.  Build
+    instances through :func:`validate` (tables from outside, checked against
+    the axioms) or :func:`alexander` (the closed form).
     """
 
     order: int
@@ -82,10 +82,6 @@ class FiniteQuandle:
     def dual(self) -> Table:
         a = self.alexander
         return self.tables[1] if self.tables else _affine_table(a.n, a.t_inverse)
-
-    def apply(self, x: int, y: int, positive: bool = True) -> int:
-        """x > y when positive, x >^-1 y otherwise."""
-        return self.op[x][y] if positive else self.dual[x][y]
 
     def is_involutory(self) -> bool:
         """True iff the operation is its own inverse: (x > y) > y == x for all x, y.
@@ -162,19 +158,6 @@ def alexander(n: int, t: int) -> FiniteQuandle:
       to t^2*x + t*(1-t)*y + (1-t)*z.
     """
     return FiniteQuandle(n, None, AlexanderParams(n, t))
-
-
-def takasaki(n: int) -> FiniteQuandle:
-    """Takasaki quandle on Z_n: x > y = 2y - x mod n; same table as alexander(n, n-1)."""
-    return alexander(n, n - 1)
-
-
-def trivial(m: int) -> FiniteQuandle:
-    """Trivial quandle of order m: x > y = x, its own dual; held as tables (no alexander)."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    table = _affine_table(m, 1)
-    return FiniteQuandle(m, (table, table))
 
 
 def _integer(token: str) -> int:

@@ -56,6 +56,7 @@ from functools import cached_property
 from typing import NamedTuple
 from math import gcd, prod
 
+from .diagram import _find
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
@@ -346,25 +347,18 @@ def _alike_arcs(p: QuandlePresentation) -> list[int]:
     ``c = a``), whatever the quandle.
     """
     parent = list(range(p.arc_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     merged = True
     while merged:
         merged, targets = False, {}
         for r in p.relations:
-            out, in_, over = find(r.out), find(r.in_), find(r.over)
+            out, in_, over = _find(parent, r.out), _find(parent, r.in_), _find(parent, r.over)
             for source, target, sign in ((in_, out, r.positive), (out, in_, not r.positive)):
                 other = source if source == over else targets.setdefault((source, over, sign), target)
-                a, b = find(target), find(other)
+                a, b = _find(parent, target), _find(parent, other)
                 if a != b:
                     parent[a] = b
                     merged = True
-    return [find(a) for a in range(p.arc_count + 1)]
+    return [_find(parent, a) for a in range(p.arc_count + 1)]
 
 
 _CELL_BUDGET = 1 << 21  # cells of partial colorings, made by a branch or waiting on the stack

@@ -18,6 +18,7 @@ import quandlecolor
 from quandlecolor import (
     ColoringSystem,
     FiniteQuandle,
+    alexander,
     catalog,
     catalog_names,
     enumerate_solutions,
@@ -246,6 +247,38 @@ def transpositions(k: int) -> FiniteQuandle:
         return pairs.index(tuple(sorted(swap.get(a, a) for a in x)))
 
     return validate([[conjugate(x, y) for y in pairs] for x in pairs])
+
+
+def takasaki(n: int) -> FiniteQuandle:
+    """Takasaki quandle on Z_n, x > y = 2y - x mod n: the Alexander quandle at t = -1."""
+    return alexander(n, n - 1)
+
+
+def trivial(m: int) -> FiniteQuandle:
+    """Trivial quandle of order m, x > y = x, its own dual: tables and no (n, t)."""
+    table = tuple((x,) * m for x in range(m))
+    return FiniteQuandle(m, (table, table))
+
+
+def apply(q: FiniteQuandle, x: int, y: int, positive: bool = True) -> int:
+    """x > y in q when positive, x >^-1 y otherwise."""
+    return q.op[x][y] if positive else q.dual[x][y]
+
+
+def trivial_t_classes(p) -> tuple[frozenset[int], ...]:
+    """Arc classes forced equal by a trivial quandle, where each relation reads out = in.
+
+    The finest partition putting each relation's in and out arcs together,
+    ordered by smallest member, merged one set at a time.
+    """
+    classes = [{a} for a in range(1, p.arc_count + 1)]
+    for r in p.relations:
+        a = next(c for c in classes if r.in_ in c)
+        b = next(c for c in classes if r.out in c)
+        if a is not b:
+            a |= b
+            classes.remove(b)
+    return tuple(sorted(map(frozenset, classes), key=min))
 
 
 def table_text(q: FiniteQuandle) -> str:

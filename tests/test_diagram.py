@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -29,10 +30,9 @@ from quandlecolor import (
     parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
-    trivial,
 )
 
-from conftest import all_quandle_tables, grown
+from conftest import all_quandle_tables, apply, grown, trivial
 from quandlecolor import validate
 
 
@@ -431,7 +431,7 @@ def test_pd_hopf_link():
         for xb in range(3):
             colors = {1: xa, 2: xb}
             if all(
-                colors[c.under_out] == q.apply(colors[c.under_in], colors[c.over], c.positive)
+                colors[c.under_out] == apply(q, colors[c.under_in], colors[c.over], c.positive)
                 for c in d.crossings
             ):
                 by_hand += 1
@@ -503,6 +503,53 @@ def test_pd_comments_run_to_the_end_of_a_line():
     # offsets count the comment's characters
     with pytest.raises(PDCodeError, match="malformed quadruple at offset 8"):
         parse_pd_code("# X(1)\n(1,4,2,5)")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit of 4300 digits on int <-> str, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_long_indices_and_labels_under_the_int_digit_limit(int_digit_limit):
+    # the limit counts leading zeros, so the parsers strip them before int();
+    # a value still too long is the parser's own error, at its 'x' or quadruple
+    with pytest.raises(RelationSyntaxError, match=r"^line 2, column 6: arc index of more than 4300 digits$"):
+        parse_relations_file("x1 = x1 * x1\nx1 = x" + "9" * 5000 + " * x1")
+    with pytest.raises(RelationSyntaxError, match=r"^line 1, column 6: arc index must be >= 1$"):
+        parse_relations_file("x1 = x" + "0" * 5000 + " * x1")
+    assert parse_relations_file("x1 = x1 * x" + "0" * 5000 + "1") == parse_relations_file("x1 = x1 * x1")
+    trefoil = parse_pd_code("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+    assert parse_pd_code("X(" + "0" * 5000 + "1,4,2,5) X(3,6,4,1) X(5,2,6,3)") == trefoil
+    with pytest.raises(PDCodeError, match=r"^edge labels must be >= 1: \(0, 1, 2, 2\)$"):
+        parse_pd_code("X(1,2,2,1) X(" + "0" * 5000 + ",1,2,2)")
+    with pytest.raises(PDCodeError, match=r"^edge label of more than 4300 digits at offset 23$"):
+        parse_pd_code("X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 4400 + ")")
+
+
+def test_cli_reads_long_indices_and_labels_in_full(int_digit_limit, tmp_path, capsys):
+    from quandlecolor.cli import main
+
+    cases = [
+        ("x" + "9" * 5000 + " = x1 * x1", 2, "", "error: arc index gap: x2 is never referenced "
+         f"(indices must be contiguous from 1 to {'9' * 5000})\n"),
+        ("x1 = x" + "0" * 5000 + " * x1", 2, "", "error: line 1, column 6: arc index must be >= 1\n"),
+        ("x1 = x1 * x" + "0" * 5000 + "1", 0, "count: 3\n", ""),
+        ("X(1,2,2,1) X(" + "0" * 5000 + ",1,2,2)", 2, "", "error: edge labels must be >= 1: (0, 1, 2, 2)\n"),
+        ("X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 4400 + ")", 2, "",
+         "error: edge 3 appears 1 time(s); every edge label must appear exactly twice\n"),
+        ("X(" + "0" * 5000 + "1,4,2,5) X(3,6,4,1) X(5,2,6,3)", 0, "count: 9\n", ""),
+    ]
+    for text, code, out, err in cases:
+        path = tmp_path / "link.txt"
+        path.write_text(text + "\n")
+        assert main(["colorings", str(path), "--n", "3", "--t", "2"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+        assert sys.get_int_max_str_digits() == 4300
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Counting invariant, enhanced polynomial, involutory sweep, and comparison grids."""
 
 import json
+import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,13 +30,20 @@ from quandlecolor import (
     involutory_units,
     parse_pd_code,
     phi_polynomial,
-    takasaki,
-    trivial,
     units,
 )
 from quandlecolor.solver import image_size_counts, presolve
 
-from conftest import as_table_file, braid_pd, check_against_oracle, dense_smith, grown, transpositions
+from conftest import (
+    as_table_file,
+    braid_pd,
+    check_against_oracle,
+    dense_smith,
+    grown,
+    takasaki,
+    transpositions,
+    trivial,
+)
 
 
 def test_counting_invariant_examples():
@@ -55,6 +63,29 @@ def test_counting_invariant_unchanged_by_r1_r2_on_large_diagrams():
         for n, t in ((9, 2), (12, 5), (16, 3), (7, 3), (31, 3)):
             q = alexander(n, t)
             assert counting_invariant(big, q) == counting_invariant(base, q), (name, n, t)
+
+
+def test_a_1000_arc_chain_counts_by_the_product_rule_and_by_brute_force():
+    # x -> x + c carries a coloring by an Alexander quandle to another, so
+    # 1/n of a summand's colorings give the joined arc any one color, and the
+    # count of K1 # K2 is count(K1) * count(K2) / n
+    rng = random.Random(5)
+    parts = [("trefoil", 300), ("allen_swenberg", 400), ("hopf_sum", 300)]
+    chain = None
+    for seed, (name, arcs) in enumerate(parts, start=20):
+        d = grown(name, arcs, seed)
+        chain = d if chain is None else connected_sum(
+            chain, d, rng.randint(1, chain.arc_count), rng.randint(1, d.arc_count)
+        )
+    p = extract(chain)
+    assert p.arc_count >= 1000
+    for n, t in ((8, 3), (9, 2), (15, 2)):
+        q = alexander(n, t)
+        product = prod(counting_invariant(extract(catalog(name)), q) for name, _ in parts)
+        linear = counting_invariant(p, q)
+        assert linear == product // n ** (len(parts) - 1), (n, t)
+        if n != 15:
+            assert counting_invariant(p, as_table_file(q)) == linear, (n, t)
 
 
 @settings(max_examples=5, deadline=None)

@@ -13,8 +13,9 @@ from quandlecolor import (
     count_solutions,
     extract,
     parse_relations_file,
-    trivial_t_classes,
 )
+
+from conftest import trivial_t_classes
 
 
 def test_extract_trefoil():

@@ -1,4 +1,4 @@
-"""Tables, axiom validation, and the Alexander/Takasaki constructors."""
+"""Tables, axiom validation, and the Alexander constructor."""
 
 import tracemalloc
 from math import gcd
@@ -17,12 +17,10 @@ from quandlecolor import (
     SelfDistributivityError,
     alexander,
     parse_quandle_file,
-    takasaki,
-    trivial,
     validate,
 )
 
-from conftest import all_quandle_tables
+from conftest import all_quandle_tables, apply, takasaki, trivial
 
 # takasaki(4): x > y = 2y - x mod 4
 TAKASAKI_4 = "order: 4\n0 2 0 2\n3 1 3 1\n2 0 2 0\n1 3 1 3\n"
@@ -166,7 +164,6 @@ def test_only_tables_from_outside_are_validated(monkeypatch):
     monkeypatch.setattr(quandlecolor.quandle, "validate", counting)
     alexander(7, 3)
     takasaki(5)
-    trivial(4)
     assert calls == []
     parse_quandle_file(TAKASAKI_4)
     assert calls == [4]
@@ -184,8 +181,8 @@ def test_alexander_tables_are_built_once_when_read(monkeypatch):
     q, tak = alexander(7, 3), takasaki(5)
     assert built == []
     for _ in range(2):
-        assert q.apply(1, 3) == q.op[1][3] == (3 * 1 - 2 * 3) % 7
-        assert q.apply(1, 3, positive=False) == q.dual[1][3] == (5 * 1 - 4 * 3) % 7
+        assert apply(q, 1, 3) == q.op[1][3] == (3 * 1 - 2 * 3) % 7
+        assert apply(q, 1, 3, positive=False) == q.dual[1][3] == (5 * 1 - 4 * 3) % 7
         assert q.is_involutory() is False
     assert built == [(7, 3), (7, 5)]
     assert tak.is_involutory() and built[2:] == [(5, 4)]
@@ -206,12 +203,6 @@ def test_alexander_dual_closed_form():
     for x in range(7):
         for y in range(7):
             assert q.dual[x][y] == (tinv * x + (1 - tinv) * y) % 7
-
-
-def test_apply_positive_negative():
-    q = alexander(5, 2)
-    assert q.apply(1, 3) == q.op[1][3]
-    assert q.apply(1, 3, positive=False) == q.dual[1][3]
 
 
 def test_involutory_examples():
