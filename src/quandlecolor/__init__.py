@@ -44,7 +44,7 @@ from .invariants import (
     phi_polynomial,
     units,
 )
-from .presentation import CrossingRelation, QuandlePresentation, extract
+from .presentation import QuandlePresentation, extract
 from .quandle import (
     AlexanderParams,
     FiniteQuandle,
@@ -75,7 +75,6 @@ __all__ = [
     "ColoringSystem",
     "ComparisonCell",
     "Crossing",
-    "CrossingRelation",
     "DEFAULT_CAP",
     "DiagramError",
     "DistinguishabilityReport",

@@ -183,13 +183,13 @@ class CatalogEntry:
 # Relations-file parser
 
 
-# A relation line, each token an optional group nested inside the one before,
-# so the match stops at the first bad token: m.lastindex is the last good one,
-# and m.end() is where the next was expected, past the spaces and tabs that
-# follow (none are skipped right after an 'x').  ASCII digits only:
-# str.isdigit() also takes '²', which int() rejects.
+# A relation line past its leading whitespace, each token an optional group
+# nested inside the one before, so the match stops at the first bad token:
+# m.lastindex is the last good one, and m.end() is where the next was
+# expected, past the spaces and tabs that follow (none are skipped right after
+# an 'x').  ASCII digits only: str.isdigit() also takes '²', which int() rejects.
 _RELATION_RE = re.compile(
-    r"[ \t]*(?:(x)(?:([0-9]+)[ \t]*(?:(=)[ \t]*(?:(x)(?:([0-9]+)[ \t]*"
+    r"(?:(x)(?:([0-9]+)[ \t]*(?:(=)[ \t]*(?:(x)(?:([0-9]+)[ \t]*"
     r"(?:([*/])[ \t]*(?:(x)(?:([0-9]+)[ \t]*)?)?)?)?)?)?)?)?"
 )
 _ARC, _DIGITS = "arc reference 'x<index>'", "digits after 'x'"
@@ -208,18 +208,19 @@ def parse_relations_file(text: str) -> LinkDiagram:
     Each relation line ``x<out> = x<in> * x<over>`` is a positive crossing
     and ``/`` a negative one; line order becomes crossing order.  An
     optional header ``circles: <k>`` (before any relation) declares closed
-    components without crossings.  Blank lines and ``#`` comments are
-    ignored.  Arc indices referenced must be contiguous from 1; free-circle
-    arcs are appended above them.
+    components without crossings.  Blank lines, ``#`` comments and any
+    Unicode whitespace that opens or ends a line are ignored.  Arc indices
+    referenced must be contiguous from 1; free-circle arcs are appended
+    above them.
     """
     crossings: list[Crossing] = []
     free_circles = 0
     saw_circles = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
         if stripped.startswith("circles"):
             m = _CIRCLES_RE.match(stripped)
             if m is None:
@@ -238,7 +239,7 @@ def parse_relations_file(text: str) -> LinkDiagram:
                 )
             free_circles = int(count)
             continue
-        m = _RELATION_RE.match(line)
+        m = _RELATION_RE.match(line, len(line) - len(stripped))  # columns stay raw-line positions
         arcs = [m[g] and m[g].lstrip("0") for g in (2, 5, 8)]  # int()'s digit limit counts leading zeros
         for g, digits in zip((2, 5, 8), arcs):  # an index of 0, at its 'x', comes before any later error
             if digits == "":

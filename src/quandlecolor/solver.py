@@ -76,11 +76,11 @@ class ColoringSystem:
     pairs, columns ascending: at most 3 per relation from build_system.
     From build_system, column j holds the coefficient of arc j+1 (from
     :meth:`LaurentSystem.at`, of the residual's j-th kept arc).  A positive
-    relation ``out = in > over`` contributes +t at in, +(1-t) at over, -1 at
-    out (entries combined when arcs coincide); negative relations use 1/t
-    mod n in place of t.  Every row sums to zero, so the all-equal coloring
-    is always a solution.  The elimination reads ``entries`` as they are;
-    the dense ``matrix`` is built only when read.
+    crossing ``under_out = under_in > over`` contributes +t at under_in,
+    +(1-t) at over, -1 at under_out (entries combined when arcs coincide);
+    negative crossings use 1/t mod n in place of t.  Every row sums to zero,
+    so the all-equal coloring is always a solution.  The elimination reads
+    ``entries`` as they are; the dense ``matrix`` is built only when read.
     """
 
     rows: int
@@ -117,9 +117,9 @@ def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSys
     rows = []
     for r in p.relations:
         coeff = t if r.positive else t_inv
-        row = {r.in_ - 1: coeff}
+        row = {r.under_in - 1: coeff}
         row[r.over - 1] = row.get(r.over - 1, 0) + 1 - coeff
-        row[r.out - 1] = row.get(r.out - 1, 0) - 1
+        row[r.under_out - 1] = row.get(r.under_out - 1, 0) - 1
         rows.append(tuple(sorted((j, x) for j, x in row.items() if x)))
     return ColoringSystem(rows=len(rows), cols=p.arc_count, entries=tuple(rows))
 
@@ -161,8 +161,8 @@ class LaurentSystem:
 def presolve(p: QuandlePresentation) -> LaurentSystem:
     """Eliminate every pivot of p's coloring system that is a unit ±t^k of Z[t, t^-1].
 
-    Row i is build_system's row with t left symbolic: t^(±1) at in,
-    1 - t^(±1) at over, -1 at out.  A unit pivot u at (i, j) gives
+    Row i is build_system's row with t left symbolic: t^(±1) at under_in,
+    1 - t^(±1) at over, -1 at under_out.  A unit pivot u at (i, j) gives
     x_j = -u^-1 * sum of row i's other terms, and removes column j from the
     other rows by row operations; both are unimodular over Z[t, t^-1], and
     evaluating t at a unit mod n is a ring map, so the residual presents the
@@ -173,9 +173,10 @@ def presolve(p: QuandlePresentation) -> LaurentSystem:
     rows: dict[int, dict[int, dict[int, int]]] = {}  # row -> column -> exponent -> coefficient
     holders: list[set[int]] = [set() for _ in range(p.arc_count)]  # column -> live rows
     for i, r in enumerate(p.relations):
-        e = 1 if r.positive else -1
+        e = r.sign
         row: dict[int, dict[int, int]] = {}
-        for arc, poly in ((r.in_, ((e, 1),)), (r.over, ((0, 1), (e, -1))), (r.out, ((0, -1),))):
+        for arc, poly in ((r.under_in, ((e, 1),)), (r.over, ((0, 1), (e, -1))),
+                          (r.under_out, ((0, -1),))):
             entry = row.setdefault(arc - 1, {})
             for k, c in poly:
                 entry[k] = entry.get(k, 0) + c
@@ -339,10 +340,11 @@ def image_size_counts(
 def _alike_arcs(p: QuandlePresentation) -> list[int]:
     """A representative per arc (index 0 unused) of the arcs every coloring colors alike.
 
-    A relation ``out = in >^e over`` also reads ``in = out >^-e over``, so it
-    gives two facts ``target = source >^sign over``.  Facts with one source,
-    over and sign have one target, and a source equal to its over is its own
-    target (idempotence).  Classes merge until no fact merges two: this
+    A crossing ``under_out = under_in >^e over``, ``out = in >^e over`` for
+    short, also reads ``in = out >^-e over``, so it gives two facts
+    ``target = source >^sign over``.  Facts with one source, over and sign
+    have one target, and a source equal to its over is its own target
+    (idempotence).  Classes merge until no fact merges two: this
     undoes R1 kinks and R2 bigons (``b = a > o`` and ``c = b >^-1 o`` give
     ``c = a``), whatever the quandle.
     """
@@ -351,7 +353,8 @@ def _alike_arcs(p: QuandlePresentation) -> list[int]:
     while merged:
         merged, targets = False, {}
         for r in p.relations:
-            out, in_, over = _find(parent, r.out), _find(parent, r.in_), _find(parent, r.over)
+            out, in_, over = (_find(parent, r.under_out), _find(parent, r.under_in),
+                              _find(parent, r.over))
             for source, target, sign in ((in_, out, r.positive), (out, in_, not r.positive)):
                 other = source if source == over else targets.setdefault((source, over, sign), target)
                 a, b = _find(parent, target), _find(parent, other)
@@ -378,9 +381,10 @@ class _Plan(NamedTuple):
 def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     """Compile the search over p's classes of alike arcs into steps, from the relations alone.
 
-    It simulates the forcing rules on a set of known classes.  A relation
-    ``out = in > over`` (``fwd``/``back`` = op/dual, swapped when negative)
-    gives a ``set`` step ``out = fwd[in, over]`` once in and over are known,
+    It simulates the forcing rules on a set of known classes.  A crossing
+    ``under_out = under_in > over``, ``out = in > over`` for short
+    (``fwd``/``back`` = op/dual, swapped when negative), gives a ``set``
+    step ``out = fwd[in, over]`` once in and over are known,
     ``in = back[out, over]`` once out and over are, and a ``check`` once all
     three are known some other way.  When each row of fwd is a permutation,
     ``over`` is the one y with ``fwd[in, y] == out``: a ``solve`` step sets it
@@ -409,7 +413,7 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     column = {a: c for c, a in enumerate(sorted(set(rep[1:])))}
     width = len(column)
     relations = list(dict.fromkeys(
-        (column[rep[r.out]], column[rep[r.in_]], column[rep[r.over]], r.positive)
+        (column[rep[r.under_out]], column[rep[r.under_in]], column[rep[r.over]], r.positive)
         for r in p.relations
     ))
     touching: list[list[int]] = [[] for _ in range(width)]

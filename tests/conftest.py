@@ -273,8 +273,8 @@ def trivial_t_classes(p) -> tuple[frozenset[int], ...]:
     """
     classes = [{a} for a in range(1, p.arc_count + 1)]
     for r in p.relations:
-        a = next(c for c in classes if r.in_ in c)
-        b = next(c for c in classes if r.out in c)
+        a = next(c for c in classes if r.under_in in c)
+        b = next(c for c in classes if r.under_out in c)
         if a is not b:
             a |= b
             classes.remove(b)

@@ -192,8 +192,8 @@ def test_criterion_9_composite_modulus_soundness():
         # independent re-check: every returned assignment satisfies the table
         for c in brute:
             for r in p.relations:
-                assert c.colors[r.out - 1] == apply(
-                    q, c.colors[r.in_ - 1], c.colors[r.over - 1], r.positive
+                assert c.colors[r.under_out - 1] == apply(
+                    q, c.colors[r.under_in - 1], c.colors[r.over - 1], r.positive
                 )
         assert linear == len(brute) == 16
         assert linear > 4  # why criteria 2 and 3 restrict to prime n

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quandlecolor import (
     AlexanderParams,
     CapExceededError,
-    CrossingRelation,
+    Crossing,
     PhiPolynomial,
     QuandlePresentation,
     alexander,
@@ -442,11 +442,11 @@ def _histogram_cases():
     # rows whose out equals in (t - 1, 1 - t) or over (t, -t): the first
     # kind keeps no unit pivot; arc 5 is in no relation
     degenerate = QuandlePresentation(5, (
-        CrossingRelation(1, 1, 2),
-        CrossingRelation(2, 3, 2, positive=False),
-        CrossingRelation(3, 1, 3),
-        CrossingRelation(4, 4, 1, positive=False),
-        CrossingRelation(2, 2, 2),
+        Crossing(sign=1, under_in=1, under_out=1, over=2),
+        Crossing(sign=-1, under_in=3, under_out=2, over=2),
+        Crossing(sign=1, under_in=1, under_out=3, over=3),
+        Crossing(sign=-1, under_in=4, under_out=4, over=1),
+        Crossing(sign=1, under_in=2, under_out=2, over=2),
     ))
     return {
         "grown-trefoil-40": extract(grown("trefoil", 40, 21)),

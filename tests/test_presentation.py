@@ -3,7 +3,8 @@
 import pytest
 
 from quandlecolor import (
-    CrossingRelation,
+    Crossing,
+    DiagramError,
     QuandlePresentation,
     alexander,
     brute_force_colorings,
@@ -12,25 +13,26 @@ from quandlecolor import (
     catalog_names,
     count_solutions,
     extract,
+    parse_pd_code,
     parse_relations_file,
 )
 
-from conftest import trivial_t_classes
+from conftest import grown, trivial_t_classes
 
 
 def test_extract_trefoil():
     p = extract(catalog("trefoil"))
     assert p.arc_count == 3
     assert p.relations == (
-        CrossingRelation(3, 1, 2, True),
-        CrossingRelation(2, 3, 1, True),
-        CrossingRelation(1, 2, 3, True),
+        Crossing(sign=1, under_in=1, under_out=3, over=2),
+        Crossing(sign=1, under_in=3, under_out=2, over=1),
+        Crossing(sign=1, under_in=2, under_out=1, over=3),
     )
 
 
 def test_extract_hopf_sum_in_crossing_order():
     p = extract(catalog("hopf_sum"))
-    assert [(r.out, r.in_, r.over, r.positive) for r in p.relations] == [
+    assert [(r.under_out, r.under_in, r.over, r.positive) for r in p.relations] == [
         (2, 3, 1, True),
         (3, 2, 4, True),
         (1, 1, 3, True),
@@ -51,19 +53,31 @@ def test_extract_preserves_negative_crossings():
 
 
 def test_presentation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        QuandlePresentation(2, (CrossingRelation(1, 2, 3, True),))
+    with pytest.raises(ValueError, match=r"^arc x3 out of range 1\.\.2$"):
+        QuandlePresentation(2, (Crossing(sign=1, under_in=2, under_out=1, over=3),))
+    # the first arc out of range is named: out, then in, then over
+    with pytest.raises(ValueError, match=r"^arc x5 out of range 1\.\.2$"):
+        QuandlePresentation(2, (Crossing(sign=1, under_in=4, under_out=5, over=3),))
+    with pytest.raises(ValueError, match=r"^arc x4 out of range 1\.\.2$"):
+        QuandlePresentation(2, (Crossing(sign=1, under_in=4, under_out=1, over=3),))
+
+
+def test_presentation_relation_sign_is_checked_at_construction():
+    # a relation is a Crossing, so a sign other than +1/-1 never reaches a presentation
+    with pytest.raises(DiagramError, match=r"crossing sign must be \+1 or -1, got 2"):
+        QuandlePresentation(2, (Crossing(sign=2, under_in=1, under_out=1, over=2),))
 
 
 def test_render_bit_exact_round_trip():
-    # one relation per crossing, in crossing order, field by field
-    for name in catalog_names():
-        d = catalog(name)
+    # one relation per crossing, in crossing order: the diagram's own
+    # Crossing tuple, so extract copies nothing
+    diagrams = [catalog(name) for name in catalog_names()]
+    diagrams += [grown("allen_swenberg", 200, 5),
+                 parse_pd_code("X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)  # trefoil")]
+    for d in diagrams:
         p = extract(d)
         assert p.arc_count == d.arc_count
-        assert [(r.out, r.in_, r.over, r.positive) for r in p.relations] == [
-            (c.under_out, c.under_in, c.over, c.sign == 1) for c in d.crossings
-        ]
+        assert p.relations is d.crossings
 
 
 def test_trivial_t_classes_hopf_sum():

@@ -282,7 +282,7 @@ def test_brute_force_quandle_with_a_fixed_element(small_catalog):
         p = extract(d)
         naive = [
             x for x in itertools.product(range(3), repeat=p.arc_count)
-            if all(x[r.out - 1] == apply(q, x[r.in_ - 1], x[r.over - 1], r.positive)
+            if all(x[r.under_out - 1] == apply(q, x[r.under_in - 1], x[r.over - 1], r.positive)
                    for r in p.relations)
         ]
         assert [c.colors for c in brute_force_colorings(p, q)] == naive
@@ -309,7 +309,7 @@ def test_brute_force_plan_steps_match_a_naive_product(small_catalog, q, solves):
             assert all(table is None for *_, table in steps), d
         naive = [
             x for x in itertools.product(range(q.order), repeat=p.arc_count)
-            if all(x[r.out - 1] == apply(q, x[r.in_ - 1], x[r.over - 1], r.positive)
+            if all(x[r.under_out - 1] == apply(q, x[r.under_in - 1], x[r.over - 1], r.positive)
                    for r in p.relations)
         ]
         assert [c.colors for c in brute_force_colorings(p, q)] == naive, d
