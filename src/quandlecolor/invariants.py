@@ -14,8 +14,10 @@ hands it build_system's sparse rows; ``compare`` presolves each link once
 per call over Z[t, t^-1] and, at each grid point, hands it the small
 residual and its back-substitutions evaluated at (n, t).  The count is the
 sum of the polynomial or, past the cap, the exact count the
-CapExceededError carries.  ``counting_invariant`` and ``all_colorings``
-eliminate build_system's sparse rows once per call, with no dense matrix
+CapExceededError carries.  ``counting_invariant`` runs the brute-force
+search's plan over linear forms (see solver._forced_system) and eliminates
+only the check rows it leaves over the branches; ``all_colorings``
+eliminates build_system's sparse rows once per call, with no dense matrix
 built.
 """
 
@@ -33,6 +35,7 @@ from .solver import (
     DEFAULT_CAP,
     Coloring,
     LaurentSystem,
+    _forced_system,
     brute_force_colorings,
     brute_force_count,
     build_system,
@@ -82,12 +85,15 @@ def counting_invariant(
 ) -> int:
     """Number of homomorphisms from the fundamental quandle into q.
 
-    Alexander quandles are counted exactly through the Smith normal form
-    (no cap); other quandles fall back to the brute-force search, where
-    ``cap`` bounds the enumeration.
+    Alexander quandles are counted exactly, with no cap, by forcing: the
+    search plan runs once over linear forms in the branch values, and the
+    checks it leaves over the branches are counted through the sparse Smith
+    form over Z_n (see solver._forced_system).  Other quandles fall back to
+    the brute-force search, where ``cap`` bounds the enumeration.
     """
     if q.alexander is not None:
-        return count_solutions(build_system(p, q.alexander), q.alexander.n)
+        system, _ = _forced_system(p, q.alexander)
+        return count_solutions(system, q.alexander.n)
     return brute_force_count(p, q, cap)
 
 

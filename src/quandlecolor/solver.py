@@ -2,23 +2,29 @@
 
 Two independent routes:
 
-* an exact linear-algebra path for Alexander quandles, which turns the
-  presentation into integer coefficients, at most 3 per relation and held
-  as sparse rows, and counts/enumerates solutions of the homogeneous system
-  over Z_n, one elimination per call.  The rows go as they are into the
-  Smith-form kernel over Z_n itself (``smith._eliminate`` with modulus n;
-  no dense matrix is built), so no coefficient exceeds n/2.  This is sound
-  for composite n, where naive row reduction is not: the row and column
-  operations are integer unimodular ones reduced mod n, or a row scaled by
-  a unit of Z_n, hence invertible mod n, so U*A*V = D (mod n) and the count
+* an exact linear-algebra path for Alexander quandles.  ``build_system``
+  turns the presentation into integer coefficients, at most 3 per relation
+  and held as sparse rows; it serves the ``matrix`` command, ``phi`` and
+  enumeration.  The rows go as they are into the Smith-form kernel over
+  Z_n itself (``smith._eliminate`` with modulus n; no dense matrix is
+  built), so no coefficient exceeds n/2.  This is sound for composite n,
+  where naive row reduction is not: the row and column operations are
+  integer unimodular ones reduced mod n, or a row scaled by a unit of Z_n,
+  hence invertible mod n, so U*A*V = D (mod n) and the count
   n**(cols - rank) * prod(gcd(d_i, n)) and the parameterization x = V*y
   still hold.  A count builds no column of V, and an enumeration only the
-  columns it reads;
+  columns it reads.  A count takes the forcing route: the search plan of
+  the second route, one column per arc, runs once over linear forms in
+  the branch values (:func:`_forced_system`), and only the relations it
+  does not meet by construction, a few check rows over the branches, go
+  to the kernel;
 * a brute-force search over arc assignments that works for any finite
   quandle and serves as the oracle for the first.  A plan is compiled once
-  from the relations (:func:`_plan`): it colors one column per class of arcs
-  that R1/R2 moves make equal, branches on an arc by a fixed rule, and after
-  each branch lists the arcs the relations force (``out`` from ``in`` and
+  from the relations (:func:`_compile`, which reads only whether the
+  quandle is trivial and which operations solve for the over-arc): it
+  colors one column per class of arcs that R1/R2 moves make equal
+  (:func:`_plan`), branches on an arc by a fixed rule, and after each
+  branch lists the arcs the relations force (``out`` from ``in`` and
   ``over``, ``in`` from ``out`` and ``over``, and ``over`` from ``in`` and
   ``out`` when the table's rows are permutations) and the checks.  An
   executor (:func:`_frontier`) runs the plan over numpy arrays of partial
@@ -53,7 +59,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 from math import gcd, prod
 
 from .diagram import _find
@@ -378,28 +384,106 @@ class _Plan(NamedTuple):
     steps: list[tuple]
 
 
-def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
-    """Compile the search over p's classes of alike arcs into steps, from the relations alone.
+_Step = tuple[str, int, int, int, int]  # (kind, target, a, b, e): see _compile
 
-    It simulates the forcing rules on a set of known classes.  A crossing
-    ``under_out = under_in > over``, ``out = in > over`` for short
-    (``fwd``/``back`` = op/dual, swapped when negative), gives a ``set``
-    step ``out = fwd[in, over]`` once in and over are known,
-    ``in = back[out, over]`` once out and over are, and a ``check`` once all
-    three are known some other way.  When each row of fwd is a permutation,
-    ``over`` is the one y with ``fwd[in, y] == out``: a ``solve`` step sets it
-    from in and out (a row that is no permutation repeats a value, so some
-    (in, out) has several solutions and cannot force).  When every element is
-    fixed by all, each relation reads ``out = in``: the steps copy and
-    compare columns and never need the over-arc.  An element fixed by all
-    in a table where others are not forces a value only for some colorings,
-    so a plan, the same for every row, cannot use it.
+
+def _compile(
+    p: QuandlePresentation, column: Sequence[int], width: int, trivial: bool,
+    solvable: tuple[bool, bool],
+) -> list[_Step]:
+    """The search over ``width`` columns as steps, from the relations alone.
+
+    ``column[a]`` is the column of arc a (index 0 unused): the class of
+    arcs colored alike that a lies in.  A step ``(kind, target, a, b, e)``
+    names the operation ``x >^e y`` by e: 1 for op, -1 for dual, 0 for
+    none.  It simulates the forcing rules on a set of known classes.  A
+    crossing ``under_out = under_in >^e over``, ``out = in >^e over`` for
+    short (e = ±1 its sign), gives a ``set`` step ``out = in >^e over``
+    once in and over are known, ``in = out >^-e over`` once out and over
+    are, and a ``check`` of ``out = in >^e over`` once all three are known
+    some other way.  When ``x >^e y`` can be solved for y (``solvable[0]``
+    for e = 1, ``solvable[1]`` for e = -1), ``over`` is the one y with
+    ``in >^e y == out``: a ``solve`` step sets it from in and out.  When
+    the quandle is ``trivial``, every element fixed by all, each relation
+    reads ``out = in``: the steps copy (``set`` with e = 0) and compare
+    classes and never need the over-arc.
 
     With nothing left to force, the plan branches on the over-arc of the
     first relation whose over is unknown and whose in or out is known
-    (never for trivial tables), failing that on the first unknown class in
+    (never for trivial quandles), failing that on the first unknown class in
     order of first appearance in the relations, then the classes of no
-    relation.
+    relation.  Such relations wait in a heap by index from the time their
+    in or out is learned, so no branch scans the relations.
+    """
+    relations = list(dict.fromkeys(
+        (column[r.under_out], column[r.under_in], column[r.over], r.sign) for r in p.relations
+    ))
+    touching: list[list[int]] = [[] for _ in range(width)]
+    for k, (out, in_, over, _) in enumerate(relations):
+        for c in {out, in_, over}:
+            touching[c].append(k)
+    unknown = iter(dict.fromkeys([c for out, in_, over, _ in relations for c in (in_, over, out)]
+                                 + list(range(width))))
+    known, done = [False] * width, [False] * len(relations)
+    steps: list[_Step] = []
+    learned: list[int] = []
+    waiting: list[int] = []  # relations whose in or out is known; stale once over is
+
+    def learn(step: _Step) -> None:
+        steps.append(step)
+        known[step[1]] = True
+        learned.append(step[1])
+
+    while True:
+        while learned:
+            for k in touching[learned.pop()]:
+                if done[k]:
+                    continue
+                out, in_, over, e = relations[k]
+                if trivial:
+                    if known[in_] and known[out]:
+                        steps.append(("check", out, in_, 0, 0))
+                    elif known[in_]:
+                        learn(("set", out, in_, 0, 0))
+                    elif known[out]:
+                        learn(("set", in_, out, 0, 0))
+                    else:
+                        continue
+                elif known[in_] and known[over] and known[out]:
+                    steps.append(("check", out, in_, over, e))
+                elif known[in_] and known[over]:
+                    learn(("set", out, in_, over, e))
+                elif known[out] and known[over]:
+                    learn(("set", in_, out, over, -e))
+                elif known[in_] and known[out] and solvable[e < 0]:
+                    learn(("solve", over, in_, out, e))
+                else:
+                    if not known[over]:
+                        heapq.heappush(waiting, k)
+                    continue
+                done[k] = True
+        arc = None
+        while waiting and arc is None:
+            over = relations[heapq.heappop(waiting)][2]
+            arc = None if known[over] else over
+        if arc is None:
+            arc = next((c for c in unknown if not known[c]), None)
+        if arc is None:
+            return steps
+        learn(("branch", arc, 0, 0, 0))
+
+
+def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
+    """Compile the search over p's classes of alike arcs for q's tables (see :func:`_compile`).
+
+    The classes are :func:`_alike_arcs`'s.  q is trivial when each row of
+    op is constant, and ``x >^e y`` can be solved for y when each row of
+    its table is a permutation (a row that is no permutation repeats a
+    value, so some (in, out) has several solutions and cannot force).  An
+    element fixed by all in a table where others are not forces a value
+    only for some colorings, so a plan, the same for every row, cannot use
+    it.  Each step's e becomes its table: op or dual for ``set`` and
+    ``check``, the inverse of op's or dual's rows for ``solve``, none for 0.
     """
     import numpy as np
 
@@ -410,62 +494,66 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     solve = [np.argsort(t, axis=1).astype(dtype) if (np.sort(t, axis=1) == np.arange(m)).all()
              else None for t in (op, dual)]
     rep = _alike_arcs(p)
-    column = {a: c for c, a in enumerate(sorted(set(rep[1:])))}
-    width = len(column)
-    relations = list(dict.fromkeys(
-        (column[rep[r.under_out]], column[rep[r.under_in]], column[rep[r.over]], r.positive)
-        for r in p.relations
-    ))
-    touching: list[list[int]] = [[] for _ in range(width)]
-    for k, (out, in_, over, _) in enumerate(relations):
-        for c in {out, in_, over}:
-            touching[c].append(k)
-    unknown = iter(dict.fromkeys([c for out, in_, over, _ in relations for c in (in_, over, out)]
-                                 + list(range(width))))
-    known, done = [False] * width, [False] * len(relations)
-    steps: list[tuple] = []
-    learned: list[int] = []
+    index = {a: c for c, a in enumerate(sorted(set(rep[1:])))}
+    column = [-1] + [index[rep[a]] for a in range(1, p.arc_count + 1)]
+    steps = _compile(p, column, len(index), trivial, (solve[0] is not None, solve[1] is not None))
+    tables, inverses = {1: op, -1: dual, 0: None}, {1: solve[0], -1: solve[1]}
+    return _Plan(column[1:], len(index), m, [
+        (kind, target, a, b, inverses[e] if kind == "solve" else tables[e])
+        for kind, target, a, b, e in steps
+    ])
 
-    def learn(step: tuple) -> None:
-        steps.append(step)
-        known[step[1]] = True
-        learned.append(step[1])
 
-    while True:
-        while learned:
-            for k in touching[learned.pop()]:
-                if done[k]:
-                    continue
-                out, in_, over, positive = relations[k]
-                fwd, back, solve_over = (op, dual, solve[0]) if positive else (dual, op, solve[1])
-                if trivial:
-                    if known[in_] and known[out]:
-                        steps.append(("check", out, in_, 0, None))
-                    elif known[in_]:
-                        learn(("set", out, in_, 0, None))
-                    elif known[out]:
-                        learn(("set", in_, out, 0, None))
-                    else:
-                        continue
-                elif known[in_] and known[over] and known[out]:
-                    steps.append(("check", out, in_, over, fwd))
-                elif known[in_] and known[over]:
-                    learn(("set", out, in_, over, fwd))
-                elif known[out] and known[over]:
-                    learn(("set", in_, out, over, back))
-                elif known[in_] and known[out] and solve_over is not None:
-                    learn(("solve", over, in_, out, solve_over))
-                else:
-                    continue
-                done[k] = True
-        arc = None if trivial else next(
-            (over for out, in_, over, _ in relations
-             if not known[over] and (known[in_] or known[out])), None)
-        if arc is None:
-            arc = next((c for c in unknown if not known[c]), None)
-        if arc is None:
-            return _Plan([column[rep[a]] for a in range(1, p.arc_count + 1)], width, m, steps)
-        learn(("branch", arc, 0, 0, None))
+def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
+    """p's colorings by (Z_n, t): checks over the search's branches, and each arc's form.
+
+    The search of :func:`_compile`, with one column per arc (merging alike
+    arcs costs a count more than it saves), runs once with each arc's color
+    held as a linear form over the branch values, a {branch: coefficient
+    mod n} dict.  A branch is a new unit vector; with s = t^e, a ``set``
+    is ``s*a + (1-s)*b``, a ``solve`` is ``(1-s)^-1 * (b - s*a)`` (there
+    when 1 - t is a unit), and a ``check`` is the row
+    ``s*a + (1-s)*b - target``.  Every arc is a fixed affine function of
+    the branch values, and every relation holds by construction or is a
+    check, so the colorings are exactly the solutions of the checks over
+    the branches, each lifted by the forms.  Returns the checks and, per
+    arc, its form as (branch, coefficient) pairs: the pair
+    :meth:`LaurentSystem.at` returns, each form's coefficients summing to
+    1 and each check's to 0.
+    """
+    n, t = params.n, params.t
+    steps = _compile(p, range(-1, p.arc_count), p.arc_count, t == 1, (gcd(1 - t, n) == 1,) * 2)
+    power = {1: t, -1: params.t_inverse, 0: 1}
+    forms: list[dict[int, int] | None] = [None] * p.arc_count  # each is set by a step
+    checks, branches = [], 0
+
+    def mix(u: dict[int, int], cu: int, v: dict[int, int], cv: int) -> dict[int, int]:
+        """cu*u + cv*v, for a unit cu: no coefficient of cu*u is 0 mod n."""
+        w = {k: cu * x % n for k, x in u.items()}
+        for k, x in v.items():
+            if y := (w.get(k, 0) + cv * x) % n:
+                w[k] = y
+            else:
+                w.pop(k, None)
+        return w
+
+    for kind, target, a, b, e in steps:
+        if kind == "branch":
+            forms[target] = {branches: 1}
+            branches += 1
+        elif kind == "solve":
+            s = power[e]
+            u = pow(1 - s, -1, n)
+            forms[target] = mix(forms[b], u, forms[a], -u * s)
+        else:
+            s = power[e]
+            form = forms[a] if e == 0 else mix(forms[a], s, forms[b], 1 - s)
+            if kind == "set":
+                forms[target] = form
+            elif row := mix(form, 1, forms[target], -1):
+                checks.append(tuple(row.items()))
+    lift = tuple(tuple(form.items()) for form in forms)
+    return ColoringSystem(len(checks), branches, tuple(checks)), lift
 
 
 def _frontier(plan: _Plan, cap: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -225,8 +226,12 @@ def braid_pd(strands: int, word) -> str:
     return " ".join("X({},{},{},{})".format(*(label[closing.get(e, e)] for e in q)) for q in quads)
 
 
+@functools.cache
 def grown(name: str, arcs: int, seed: int):
-    """Catalog diagram ``name`` grown by seeded R1/R2 moves to at least ``arcs`` arcs."""
+    """Catalog diagram ``name`` grown by seeded R1/R2 moves to at least ``arcs`` arcs.
+
+    Cached: a diagram is immutable, and several tests grow the same one.
+    """
     rng = random.Random(seed)
     d = catalog(name)
     while d.arc_count < arcs:

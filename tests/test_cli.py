@@ -473,14 +473,19 @@ print(json.dumps(results))
 
 def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # numpy is most of a fresh process's start-up: importing the CLI, and
-    # commands that build no array, never load it; phi, enumeration and
-    # table validation import it where they build arrays
+    # commands that build no array, never load it (a count by (n, t) of a
+    # grown file, or at t = 1, included); phi, enumeration and table
+    # validation import it where they build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
+    link = tmp_path / "grown.rel"
+    link.write_text(grown("trefoil", 300, 1).render_relations())
     lean = [
         ["catalog"],
         ["relations", "hopf_sum"],
         ["colorings", "allen_swenberg", "--n", "101", "--t", "3"],
+        ["colorings", str(link), "--n", "9", "--t", "2"],
+        ["colorings", "allen_swenberg", "--n", "9", "--t", "1"],
         ["matrix", "trefoil", "--n", "5", "--t", "2"],
     ]
     needs_numpy = [

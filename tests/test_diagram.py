@@ -146,72 +146,84 @@ _EQUALS = "expected '='"
 _OPERATOR = "expected '*' or '/'"
 _TRAILING = "unexpected trailing text"
 
+# (id number, text, outcome): a row's test id is its text and its own number,
+# never its position, so a row inserted anywhere renames no other test; a new
+# row takes the next unused number
 RELATION_LINE_OUTCOMES = [
     # a crossing: spaces and tabs anywhere between tokens, none needed
-    ("x1 = x1 * x1", ("ok", 0, (1, 1, 1, 1))),
-    ("\tx1\t=\tx1\t/\tx1\t", ("ok", 0, (-1, 1, 1, 1))),
-    ("x1=x1*x1   ", ("ok", 0, (1, 1, 1, 1))),
-    ("  x001 = x01 / x1  # note", ("ok", 0, (-1, 1, 1, 1))),
-    ("x1 = x1 * x1  ", ("ok", 0, (1, 1, 1, 1))),
+    (0, "x1 = x1 * x1", ("ok", 0, (1, 1, 1, 1))),
+    (1, "\tx1\t=\tx1\t/\tx1\t", ("ok", 0, (-1, 1, 1, 1))),
+    (2, "x1=x1*x1   ", ("ok", 0, (1, 1, 1, 1))),
+    (3, "  x001 = x01 / x1  # note", ("ok", 0, (-1, 1, 1, 1))),
+    (4, "x1 = x1 * x1  ", ("ok", 0, (1, 1, 1, 1))),
     # an arc reference missing, at each of the three places
-    ("= x1 * x1", (1, 1, _ARC)),
-    (" \t y1 = x1 * x1", (1, 4, _ARC)),
-    ("\u00a0x1 = x1 * x1", ("ok", 0, (1, 1, 1, 1))),  # a line may open with any whitespace
-    ("X1 = x1 * x1", (1, 1, _ARC)),
-    ("x1 =", (1, 5, _ARC)),
-    ("x1 = \t1 * x1", (1, 7, _ARC)),
-    ("x1 = x1 *", (1, 10, _ARC)),
-    ("x1 = x1 * *", (1, 11, _ARC)),
+    (5, "= x1 * x1", (1, 1, _ARC)),
+    (6, " \t y1 = x1 * x1", (1, 4, _ARC)),
+    (7, "\u00a0x1 = x1 * x1", ("ok", 0, (1, 1, 1, 1))),  # a line may open with any whitespace
+    (8, "X1 = x1 * x1", (1, 1, _ARC)),
+    (9, "x1 =", (1, 5, _ARC)),
+    (10, "x1 = \t1 * x1", (1, 7, _ARC)),
+    (11, "x1 = x1 *", (1, 10, _ARC)),
+    (12, "x1 = x1 * *", (1, 11, _ARC)),
     # digits missing right after an 'x', never past spaces
-    ("x = x1 * x1", (1, 2, _DIGITS)),
-    ("x 1 = x1 * x1", (1, 2, _DIGITS)),
-    ("x\u00b2 = x1 * x1", (1, 2, _DIGITS)),
-    ("x1 = x * x1", (1, 7, _DIGITS)),
-    ("x1 = x\t1 * x1", (1, 7, _DIGITS)),
-    ("x1 = x1 * x", (1, 12, _DIGITS)),
-    ("x1 = x1 * x\u0663", (1, 12, _DIGITS)),
-    ("x1 = x1 /  \tx\u00b2 # x1", (1, 14, _DIGITS)),
+    (13, "x = x1 * x1", (1, 2, _DIGITS)),
+    (14, "x 1 = x1 * x1", (1, 2, _DIGITS)),
+    (15, "x\u00b2 = x1 * x1", (1, 2, _DIGITS)),
+    (16, "x1 = x * x1", (1, 7, _DIGITS)),
+    (17, "x1 = x\t1 * x1", (1, 7, _DIGITS)),
+    (18, "x1 = x1 * x", (1, 12, _DIGITS)),
+    (19, "x1 = x1 * x\u0663", (1, 12, _DIGITS)),
+    (20, "x1 = x1 /  \tx\u00b2 # x1", (1, 14, _DIGITS)),
     # an index of 0, at its 'x', before any later syntax error
-    ("x0 = x1 * x1", (1, 1, _ZERO)),
-    ("  x00", (1, 3, _ZERO)),
-    ("x0 = x1 + x1", (1, 1, _ZERO)),
-    ("x0 x1", (1, 1, _ZERO)),
-    ("x1 = x0 * x1", (1, 6, _ZERO)),
-    ("x1 = \tx000", (1, 7, _ZERO)),
-    ("x1 = x0 x1 x1", (1, 6, _ZERO)),
-    ("x1 = x1 * x0", (1, 11, _ZERO)),
-    ("x1 = x1 * x0 x4", (1, 11, _ZERO)),
-    ("x1=x1/x0x", (1, 7, _ZERO)),
+    (21, "x0 = x1 * x1", (1, 1, _ZERO)),
+    (22, "  x00", (1, 3, _ZERO)),
+    (23, "x0 = x1 + x1", (1, 1, _ZERO)),
+    (24, "x0 x1", (1, 1, _ZERO)),
+    (25, "x1 = x0 * x1", (1, 6, _ZERO)),
+    (26, "x1 = \tx000", (1, 7, _ZERO)),
+    (27, "x1 = x0 x1 x1", (1, 6, _ZERO)),
+    (28, "x1 = x1 * x0", (1, 11, _ZERO)),
+    (29, "x1 = x1 * x0 x4", (1, 11, _ZERO)),
+    (30, "x1=x1/x0x", (1, 7, _ZERO)),
     # '=' missing
-    ("x1", (1, 3, _EQUALS)),
-    ("x1\t\t", (1, 3, _EQUALS)),
-    ("x1 x1 * x1", (1, 4, _EQUALS)),
-    ("x1 : x1 * x1", (1, 4, _EQUALS)),
-    ("x1== x1 * x1", (1, 4, _ARC)),
+    (31, "x1", (1, 3, _EQUALS)),
+    (32, "x1\t\t", (1, 3, _EQUALS)),
+    (33, "x1 x1 * x1", (1, 4, _EQUALS)),
+    (34, "x1 : x1 * x1", (1, 4, _EQUALS)),
+    (35, "x1== x1 * x1", (1, 4, _ARC)),
     # '*' or '/' missing
-    ("x1 = x1", (1, 8, _OPERATOR)),
-    ("x1 = x1 + x1", (1, 9, _OPERATOR)),
-    ("x1 = x1x1", (1, 8, _OPERATOR)),
-    ("x1 = x1 \t> x1", (1, 10, _OPERATOR)),
+    (36, "x1 = x1", (1, 8, _OPERATOR)),
+    (37, "x1 = x1 + x1", (1, 9, _OPERATOR)),
+    (38, "x1 = x1x1", (1, 8, _OPERATOR)),
+    (39, "x1 = x1 \t> x1", (1, 10, _OPERATOR)),
     # text after a complete relation
-    ("x1 = x2 * x3 x4", (1, 14, _TRAILING)),
-    ("x1 = x1 * x1x", (1, 13, _TRAILING)),
-    ("x1 = x1 * x1   y", (1, 14, _TRAILING)),
-    ("x1 = x1 * x1 = x1", (1, 14, _TRAILING)),
-    ("x1 = x1 * x1\u00b2", (1, 13, _TRAILING)),
+    (40, "x1 = x2 * x3 x4", (1, 14, _TRAILING)),
+    (41, "x1 = x1 * x1x", (1, 13, _TRAILING)),
+    (42, "x1 = x1 * x1   y", (1, 14, _TRAILING)),
+    (43, "x1 = x1 * x1 = x1", (1, 14, _TRAILING)),
+    (44, "x1 = x1 * x1\u00b2", (1, 13, _TRAILING)),
     # the line number counts blank and comment lines
-    ("x1 = x1 * x1\n\n# x0\n  x1 = x1 *\n", (4, 12, _ARC)),
-    ("x1 = x1 * x1\nx1 = x1 + x1\n", (2, 9, _OPERATOR)),
+    (45, "x1 = x1 * x1\n\n# x0\n  x1 = x1 *\n", (4, 12, _ARC)),
+    (46, "x1 = x1 * x1\nx1 = x1 + x1\n", (2, 9, _OPERATOR)),
     # a line opens or ends with any Unicode whitespace, but none other parts tokens
-    ("x1 = x1 * x1\u00a0", ("ok", 0, (1, 1, 1, 1))),
-    ("x1 =\u00a0x1 * x1", (1, 5, _ARC)),
-    ("\u00a0x1\u00a0= x1 * x1", (1, 4, _EQUALS)),
+    (47, "x1 = x1 * x1\u00a0", ("ok", 0, (1, 1, 1, 1))),
+    (48, "x1 =\u00a0x1 * x1", (1, 5, _ARC)),
+    (49, "\u00a0x1\u00a0= x1 * x1", (1, 4, _EQUALS)),
 ]
 
 
-@pytest.mark.parametrize("text, expected", RELATION_LINE_OUTCOMES)
+@pytest.mark.parametrize("text, expected", [
+    pytest.param(text, expected, id=f"{text}-expected{k}")
+    for k, text, expected in RELATION_LINE_OUTCOMES
+])
 def test_relation_line_outcomes(text, expected):
     assert _outcome(text) == expected
+
+
+def test_relation_line_outcome_numbers_are_distinct():
+    # pytest would tell two equal ids apart by position again
+    numbers = [k for k, *_ in RELATION_LINE_OUTCOMES]
+    assert len(set(numbers)) == len(numbers)
 
 
 # sha256 of the outcomes of 5000 seeded edits of valid files, first recorded

@@ -24,6 +24,8 @@ from quandlecolor import (
     enumerate_solutions,
     extract,
     connected_sum,
+    counting_invariant,
+    parse_pd_code,
     parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
@@ -34,6 +36,7 @@ from quandlecolor import (
 from conftest import (
     apply,
     as_table_file,
+    braid_pd,
     check_against_oracle,
     dense_smith,
     exact_det,
@@ -377,6 +380,31 @@ def test_alike_arcs_representatives_are_pinned():
         assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest, name
 
 
+# sha256 of repr((columns, width, steps)) of _plan, each step's table as its
+# uint8 bytes, recorded before the table-free compiler was split out of it
+PLAN_DIGESTS = {
+    ("allen_swenberg", 1100, 1, "alexander(9, 2)"):
+        "c69e121a44c9622f786b6844ab9ba816988bb68e416027db3f6fd30fc8444815",
+    ("allen_swenberg", 1100, 1, "S4"):
+        "2e41a8bb67c7543cf780088f6617aba82838ab54cb9429d84a1fd3958ca887ed",
+    ("trefoil", 1500, 7, "alexander(8, 3)"):
+        "d2482ce0f94684210cd4d52bb53d4f72869ef1e723af910ced86cbc9fd451804",
+    ("trefoil", 1500, 7, "trivial(3)"):
+        "0438800ed479b79845374353dd1e39bfbe17df7f74665970b42b55c6c0175342",
+}
+
+
+def test_brute_force_plans_are_pinned():
+    quandles = {"alexander(9, 2)": as_table_file(alexander(9, 2)), "S4": transpositions(4),
+                "alexander(8, 3)": as_table_file(alexander(8, 3)), "trivial(3)": trivial(3)}
+    for (name, arcs, seed, quandle), digest in PLAN_DIGESTS.items():
+        plan = solver._plan(extract(grown(name, arcs, seed)), quandles[quandle])
+        steps = [(kind, target, a, b, None if table is None else table.tobytes())
+                 for kind, target, a, b, table in plan.steps]
+        text = repr((plan.columns, plan.width, steps))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, quandle)
+
+
 @pytest.mark.parametrize("n, t", [(5, 2), (7, 3), (9, 2)])
 def test_brute_force_matches_linear_route_on_grown_diagrams(n, t):
     chain = connected_sum(
@@ -508,3 +536,77 @@ def test_counts_can_exceed_machine_words():
     p = extract(parse_relations_file("circles: 60\n"))
     sys = build_system(p, AlexanderParams(10, 3))
     assert count_solutions(sys, 10) == 10**60
+
+
+# (n, t) for the count by forcing: at (8, 3) 1 - t is no unit, so no step
+# solves for an over-arc; t = 1, and n = 2, are trivial quandles, whose
+# steps only copy and compare
+FORCING_QUANDLES = ((8, 3), (9, 2), (15, 2), (9, 1), (2, 1))
+
+
+def _forcing_diagrams():
+    """Catalog, chain, braid-closure and free-circle diagrams small enough for the dense oracle."""
+    chain = connected_sum(
+        connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1), catalog("allen_swenberg"), 1, 1
+    )
+    braids = [parse_pd_code(braid_pd(3, [1, -2] * 4)), parse_pd_code(braid_pd(4, [1, -2, 3] * 5))]
+    circles = parse_relations_file("circles: 1\n" + catalog("trefoil").render_relations())
+    return [*map(catalog, catalog_names()), chain, *braids, circles]
+
+
+def test_forcing_counts_match_the_kernel_and_the_dense_oracle():
+    # counting_invariant counts by forcing; build_system's rows through the
+    # sparse kernel, and the dense integer Smith form, count independently
+    for d in _forcing_diagrams():
+        p = extract(d)
+        for n, t in FORCING_QUANDLES:
+            system = build_system(p, AlexanderParams(n, t))
+            diagonal, _ = dense_smith(system.matrix, system.cols)
+            dense = n ** (system.cols - len(diagonal)) * prod(gcd(x, n) for x in diagonal)
+            assert counting_invariant(p, alexander(n, t)) == count_solutions(system, n) == dense, (
+                d.arc_count, n, t)
+    for d in (grown("trefoil", 1500, 7), grown("allen_swenberg", 1100, 1)):
+        p = extract(d)
+        for n, t in FORCING_QUANDLES:
+            expected = count_solutions(build_system(p, AlexanderParams(n, t)), n)
+            assert counting_invariant(p, alexander(n, t)) == expected, (d.arc_count, n, t)
+
+
+def test_forcing_counts_match_brute_force_by_the_table(small_catalog):
+    for name, d in small_catalog.items():
+        p = extract(d)
+        for n, t in FORCING_QUANDLES:
+            brute = solver.brute_force_count(p, as_table_file(alexander(n, t)))
+            assert counting_invariant(p, alexander(n, t)) == brute, (name, n, t)
+
+
+def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
+    # each arc's form over the branches sums to 1 and each check to 0; the
+    # solutions of the checks, lifted by the forms, are exactly the colorings
+    # (enumerated up to 2000 of them)
+    for d in _forcing_diagrams():
+        p = extract(d)
+        for n, t in FORCING_QUANDLES:
+            params = AlexanderParams(n, t)
+            system, lift = solver._forced_system(p, params)
+            assert len(lift) == p.arc_count
+            assert all(sum(c for _, c in form) % n == 1 for form in lift)
+            assert all(sum(x for _, x in row) % n == 0 for row in system.entries)
+            if count_solutions(system, n) > 2000:
+                continue
+            lifted = sorted(tuple(sum(c * y[k] for k, c in form) % n for form in lift)
+                            for y in (c.colors for c in enumerate_solutions(system, n)))
+            expected = [c.colors for c in enumerate_solutions(build_system(p, params), n)]
+            assert lifted == expected, (d.arc_count, n, t)
+
+
+def test_forcing_steps_follow_the_two_facts():
+    # solve steps exist only when 1 - t is a unit, and a trivial quandle's
+    # steps copy and compare (e = 0) and never read an over-arc
+    presentations = [extract(d) for d in _forcing_diagrams()]
+    for n, t in FORCING_QUANDLES:
+        steps = [step for p in presentations
+                 for step in solver._compile(p, range(-1, p.arc_count), p.arc_count, t == 1,
+                                             (gcd(1 - t, n) == 1,) * 2)]
+        assert ("solve" in {kind for kind, *_ in steps}) == (gcd(1 - t, n) == 1), (n, t)
+        assert all(e == 0 and b == 0 for *_, b, e in steps) == (t == 1), (n, t)
