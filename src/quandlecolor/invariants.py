@@ -7,18 +7,19 @@ refines it by recording how many distinct colors each coloring uses,
 invariants across a grid of Alexander quandles and reports whether two
 links are distinguished anywhere on the grid.
 
-For an Alexander quandle neither polynomial route builds a ``Coloring``:
-``image_size_counts`` solves the system over Z_n, searches one coloring
-per class of x -> x + c*1 and counts image sizes in numpy.  ``phi_polynomial``
-hands it build_system's sparse rows; ``compare`` presolves each link once
-per call over Z[t, t^-1] and, at each grid point, hands it the small
-residual and its back-substitutions evaluated at (n, t).  The count is the
-sum of the polynomial or, past the cap, the exact count the
-CapExceededError carries.  ``counting_invariant`` runs the brute-force
-search's plan over linear forms (see solver._forced_system) and eliminates
-only the check rows it leaves over the branches; ``all_colorings``
-eliminates build_system's sparse rows once per call, with no dense matrix
-built.
+For an Alexander quandle every invariant but ``all_colorings`` takes one
+reduction: the brute-force search's plan runs over linear forms in its
+branch values (see solver._forced_system), and leaves check rows over the
+branches and one form per arc.  ``counting_invariant`` eliminates the
+checks; ``phi_polynomial`` and ``compare`` hand checks and forms to
+``image_size_counts``, which solves the checks over Z_n, searches one
+coloring per class of x -> x + c*1, lifts it to every arc and counts
+image sizes in numpy, with no ``Coloring`` built.  ``compare`` compiles
+each link's plan once per call and class of t (t = 1, 1 - t a unit, or
+neither) and runs its forms at each grid point.  The count is the sum of
+the polynomial or, past the cap, the exact count the CapExceededError
+carries.  ``all_colorings`` eliminates build_system's sparse rows once
+per call, with no dense matrix built.
 """
 
 from __future__ import annotations
@@ -34,15 +35,18 @@ from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
     Coloring,
-    LaurentSystem,
+    ColoringSystem,
+    Lift,
     _forced_system,
+    _forcing_class,
+    _forcing_steps,
+    _run_forms,
     brute_force_colorings,
     brute_force_count,
     build_system,
     count_solutions,
     enumerate_solutions,
     image_size_counts,
-    presolve,
 )
 
 
@@ -102,12 +106,13 @@ def phi_polynomial(
 ) -> PhiPolynomial:
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
-    An Alexander quandle's image sizes are counted in numpy from
-    build_system's rows (see image_size_counts); other quandles go
-    through the brute-force search.
+    An Alexander quandle's image sizes are counted in numpy from the
+    checks and forms of the forcing search (see image_size_counts); other
+    quandles go through the brute-force search.
     """
     if q.alexander is not None:
-        counts = image_size_counts(build_system(p, q.alexander), q.alexander.n, cap)
+        checks, forms = _forced_system(p, q.alexander)
+        counts = image_size_counts(checks, q.alexander.n, cap, forms)
     else:
         counts = Counter(c.image_size for c in brute_force_colorings(p, q, cap))
     return PhiPolynomial.from_counts(counts)
@@ -140,16 +145,15 @@ def resolve_t_values(policy: TPolicy, n: int) -> tuple[int, ...]:
 
 
 def _count_and_phi(
-    system: LaurentSystem, params: AlexanderParams, cap: int
+    checks: ColoringSystem, forms: Lift, n: int, cap: int
 ) -> tuple[int, PhiPolynomial | None]:
-    """Exact count and polynomial from one elimination of the presolved residual.
+    """Exact count and polynomial from one elimination of the forcing search's checks.
 
     The count is the sum of the polynomial's coefficients or, past the cap,
     the exact count the CapExceededError carries; the polynomial is then None.
     """
-    residual, back = system.at(params)
     try:
-        counts = image_size_counts(residual, params.n, cap, back)
+        counts = image_size_counts(checks, n, cap, forms)
     except CapExceededError as exc:
         return exc.count, None
     return sum(counts.values()), PhiPolynomial.from_counts(counts)
@@ -225,20 +229,28 @@ def compare(
 ) -> DistinguishabilityReport:
     """Sweep both links over the (n, t) grid and compare counts and polynomials.
 
-    Each link is presolved over Z[t, t^-1] once per call (see presolve);
-    each cell evaluates the two residuals at (n, t) and eliminates each once
-    (see _count_and_phi).  Cells where either enumeration would exceed the
-    cap keep their exact counts and drop both polynomials (count-only cells)
-    rather than failing the grid.  Cells are assembled in (n, t) order.
+    Each link's forcing plan is compiled once per call and class of t (see
+    solver._forcing_class); each cell runs the two plans' forms at (n, t)
+    and eliminates each link's checks once (see _count_and_phi).  Cells
+    where either enumeration would exceed the cap keep their exact counts
+    and drop both polynomials (count-only cells) rather than failing the
+    grid.  Cells are assembled in (n, t) order.
     """
-    system_a, system_b = presolve(a), presolve(b)
+    plans: dict[tuple[int, tuple[bool, bool]], list] = {}  # (link, class of t) -> its steps
+
+    def forced(link: int, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
+        p, key = (a, b)[link], (link, _forcing_class(params))
+        if key not in plans:
+            plans[key] = _forcing_steps(p, key[1])
+        return _run_forms(plans[key], p.arc_count, params)
+
     cells = []
     for n in sorted(set(int(n) for n in n_values)):
         for t in resolve_t_values(t_policy, n):
             params = AlexanderParams(n, t)
-            count_a, phi_a = _count_and_phi(system_a, params, cap)
+            count_a, phi_a = _count_and_phi(*forced(0, params), n, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
-            count_b, phi_b = _count_and_phi(system_b, params, cap if phi_a is not None else 0)
+            count_b, phi_b = _count_and_phi(*forced(1, params), n, cap if phi_a is not None else 0)
             if phi_a is None or phi_b is None:
                 phi_a = phi_b = None
             cells.append(ComparisonCell(n, t, count_a, count_b, phi_a, phi_b))

@@ -4,7 +4,7 @@ Two independent routes:
 
 * an exact linear-algebra path for Alexander quandles.  ``build_system``
   turns the presentation into integer coefficients, at most 3 per relation
-  and held as sparse rows; it serves the ``matrix`` command, ``phi`` and
+  and held as sparse rows; it serves the ``matrix`` command and
   enumeration.  The rows go as they are into the Smith-form kernel over
   Z_n itself (``smith._eliminate`` with modulus n; no dense matrix is
   built), so no coefficient exceeds n/2.  This is sound for composite n,
@@ -13,11 +13,11 @@ Two independent routes:
   hence invertible mod n, so U*A*V = D (mod n) and the count
   n**(cols - rank) * prod(gcd(d_i, n)) and the parameterization x = V*y
   still hold.  A count builds no column of V, and an enumeration only the
-  columns it reads.  A count takes the forcing route: the search plan of
-  the second route, one column per arc, runs once over linear forms in
-  the branch values (:func:`_forced_system`), and only the relations it
-  does not meet by construction, a few check rows over the branches, go
-  to the kernel;
+  columns it reads.  Counts and image sizes take the forcing route: the
+  search plan of the second route, one column per arc, runs over linear
+  forms in the branch values (:func:`_forced_system`), and only the
+  relations it does not meet by construction, a few check rows over the
+  branches, go to the kernel;
 * a brute-force search over arc assignments that works for any finite
   quandle and serves as the oracle for the first.  A plan is compiled once
   from the relations (:func:`_compile`, which reads only whether the
@@ -36,16 +36,15 @@ Two independent routes:
   relation reads ``out = in``): otherwise they force a value for some rows
   and not others, which no plan, the same for every row, can say.
 
-Image sizes, which is all the enhanced polynomial reads, take a shorter
-way through the linear route.  ``presolve`` writes the system over
-Z[t, t^-1] (a Fox-calculus matrix) and eliminates every pivot that is a
-unit ±t^k there, once per presentation: the 45-arc Allen-Swenberg link
-keeps 3 of its 45 columns.  ``LaurentSystem.at`` evaluates the residual and
-the back-substitutions at one (n, t).  ``image_size_counts`` solves the
-residual over Z_n with one coloring per class of x -> x + c*1, lifts the
-solutions to every arc and counts image sizes in numpy, with no
-``Coloring`` built.  ``enumerate_solutions`` stays the route for sorted
-colorings, and the reference the histogram is tested against.
+Image sizes, which is all the enhanced polynomial reads, come from the
+forcing route too.  ``image_size_counts`` solves the checks over Z_n with
+one coloring per class of x -> x + c*1, lifts the solutions to every arc
+by the forms and counts image sizes in numpy, with no ``Coloring`` built.
+A plan reads of (n, t) only its class (:func:`_forcing_class`: t = 1,
+1 - t a unit, or neither), so a sweep over many (n, t) compiles it once
+per class and runs the forms at each point (:func:`_run_forms`).
+``enumerate_solutions`` stays the route for sorted colorings, and the
+reference the histogram is tested against.
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, so such
@@ -70,8 +69,7 @@ from .smith import _eliminate, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
 
-Laurent = tuple[tuple[int, int], ...]  # (exponent of t, coefficient), ascending, no zeros
-Lift = tuple[tuple[tuple[int, int], ...], ...]  # per lifted arc: (position, coefficient mod n)
+Lift = Sequence[dict[int, int]]  # per lifted arc: {position: coefficient mod n}
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class ColoringSystem:
     ``entries[i]`` lists row i's nonzero coefficients as (column, value)
     pairs, columns ascending: at most 3 per relation from build_system.
     From build_system, column j holds the coefficient of arc j+1 (from
-    :meth:`LaurentSystem.at`, of the residual's j-th kept arc).  A positive
+    :func:`_run_forms`, of the j-th branch).  A positive
     crossing ``under_out = under_in > over`` contributes +t at under_in,
     +(1-t) at over, -1 at under_out (entries combined when arcs coincide);
     negative crossings use 1/t mod n in place of t.  Every row sums to zero,
@@ -128,117 +126,6 @@ def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSys
         row[r.under_out - 1] = row.get(r.under_out - 1, 0) - 1
         rows.append(tuple(sorted((j, x) for j, x in row.items() if x)))
     return ColoringSystem(rows=len(rows), cols=p.arc_count, entries=tuple(rows))
-
-
-@dataclass(frozen=True)
-class LaurentSystem:
-    """A presentation's coloring system over Z[t, t^-1], its unit pivots eliminated.
-
-    ``residual`` holds the rows left, over the ``cols`` arcs no pivot
-    removed.  ``back`` lifts a solution of the residual to every arc: its
-    entry i gives one eliminated arc as the sum of coefficient * value over
-    (position, coefficient) terms, where positions 0..cols-1 are the kept
-    arcs and cols + i is the arc of ``back[i]``.  Each residual row sums to
-    zero and each lift's coefficients sum to 1, as in the full system.
-    """
-
-    cols: int
-    residual: tuple[tuple[Laurent, ...], ...]
-    back: tuple[tuple[tuple[int, Laurent], ...], ...]
-
-    def at(self, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
-        """The residual over Z_n and the lift's coefficients, t evaluated at params.t mod n."""
-        n, powers = params.n, {}
-
-        def value(poly: Laurent) -> int:
-            total = 0
-            for e, c in poly:
-                if e not in powers:
-                    powers[e] = pow(params.t if e >= 0 else params.t_inverse, abs(e), n)
-                total += c * powers[e]
-            return total % n
-
-        entries = tuple(tuple((j, x) for j, poly in enumerate(row) if (x := value(poly)))
-                        for row in self.residual)
-        back = tuple(tuple((pos, value(poly)) for pos, poly in terms) for terms in self.back)
-        return ColoringSystem(len(entries), self.cols, entries), back
-
-
-def presolve(p: QuandlePresentation) -> LaurentSystem:
-    """Eliminate every pivot of p's coloring system that is a unit ±t^k of Z[t, t^-1].
-
-    Row i is build_system's row with t left symbolic: t^(±1) at under_in,
-    1 - t^(±1) at over, -1 at under_out.  A unit pivot u at (i, j) gives
-    x_j = -u^-1 * sum of row i's other terms, and removes column j from the
-    other rows by row operations; both are unimodular over Z[t, t^-1], and
-    evaluating t at a unit mod n is a ring map, so the residual presents the
-    same module over Z_n as the full system.  Pivots come from the live
-    rows with the fewest terms, then the unit whose column has the fewest
-    rows (Markowitz), ties to the lowest index.
-    """
-    rows: dict[int, dict[int, dict[int, int]]] = {}  # row -> column -> exponent -> coefficient
-    holders: list[set[int]] = [set() for _ in range(p.arc_count)]  # column -> live rows
-    for i, r in enumerate(p.relations):
-        e = r.sign
-        row: dict[int, dict[int, int]] = {}
-        for arc, poly in ((r.under_in, ((e, 1),)), (r.over, ((0, 1), (e, -1))),
-                          (r.under_out, ((0, -1),))):
-            entry = row.setdefault(arc - 1, {})
-            for k, c in poly:
-                entry[k] = entry.get(k, 0) + c
-        row = {j: {k: c for k, c in entry.items() if c} for j, entry in row.items()}
-        rows[i] = {j: poly for j, poly in row.items() if poly}
-        for j in rows[i]:
-            holders[j].add(i)
-    queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
-    heapq.heapify(queue)
-    subs: list[tuple[int, dict[int, dict[int, int]]]] = []  # (arc, its terms), in pivot order
-    while queue:
-        k, i = heapq.heappop(queue)
-        row = rows.get(i)
-        if row is None or len(row) != k:
-            continue
-        candidates = [(len(holders[j]), j) for j, poly in row.items()
-                      if len(poly) == 1 and abs(next(iter(poly.values()))) == 1]
-        if not candidates:
-            continue  # pushed again if a later pivot changes the row
-        j = min(candidates)[1]
-        ((e, sign),) = row.pop(j).items()  # u = sign * t^e, u^-1 = sign * t^-e
-        del rows[i]
-        for c in row:
-            holders[c].discard(i)
-        subs.append((j, {c: {k - e: -sign * x for k, x in a.items()} for c, a in row.items()}))
-        for h in sorted(holders[j] - {i}):
-            target = rows[h]
-            factor = {k - e: sign * x for k, x in target.pop(j).items()}  # a_hj * u^-1
-            for c, poly in row.items():
-                entry = target.setdefault(c, {})
-                for k, x in factor.items():
-                    for k2, y in poly.items():
-                        if v := entry.get(k + k2, 0) - x * y:
-                            entry[k + k2] = v
-                        else:
-                            entry.pop(k + k2, None)
-                if entry:
-                    holders[c].add(h)
-                else:
-                    del target[c]
-                    holders[c].discard(h)
-            heapq.heappush(queue, (len(target), h))
-        holders[j].clear()
-
-    eliminated = {arc for arc, _ in subs}
-    kept = [j for j in range(p.arc_count) if j not in eliminated]
-    position = {j: pos for pos, j in enumerate(kept)}
-    back = []
-    for j, terms in reversed(subs):  # each term's arc is kept or was eliminated later
-        back.append(tuple((position[c], tuple(sorted(terms[c].items()))) for c in sorted(terms)))
-        position[j] = len(position)
-    residual = tuple(
-        tuple(tuple(sorted(row.get(j, {}).items())) for j in kept)
-        for _, row in sorted(rows.items()) if row
-    )
-    return LaurentSystem(len(kept), residual, tuple(back))
 
 
 def count_solutions(system: ColoringSystem, n: int) -> int:
@@ -315,7 +202,7 @@ def image_size_counts(
 
     A solution is the system's columns followed by one value per entry of
     ``back``, the sum of coefficient * value over its (position, coefficient)
-    terms (see :class:`LaurentSystem`).  Each row sums to zero and each lift's
+    terms (see :func:`_run_forms`).  Each row sums to zero and each lift's
     coefficients sum to 1, so x -> x + c*1 maps solutions to solutions
     with the same image size, and no x is fixed by it: the search takes only
     the solutions whose first column is 0, n times fewer, and multiplies by
@@ -330,7 +217,7 @@ def image_size_counts(
     for column in columns:
         row = [0] * fixed + column
         for terms in back:
-            row.append(sum(c * row[pos] for pos, c in terms) % n)
+            row.append(sum(c * row[pos] for pos, c in terms.items()) % n)
         basis.append(row)
     import numpy as np  # past the cap check: a query over the cap never loads it
 
@@ -504,27 +391,41 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     ])
 
 
-def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
-    """p's colorings by (Z_n, t): checks over the search's branches, and each arc's form.
+def _forcing_class(params: AlexanderParams) -> tuple[bool, bool]:
+    """All a forcing plan reads of (Z_n, t): t = 1 (trivial), 1 - t a unit (over-arcs solve)."""
+    return params.t == 1, gcd(1 - params.t, params.n) == 1
 
-    The search of :func:`_compile`, with one column per arc (merging alike
-    arcs costs a count more than it saves), runs once with each arc's color
-    held as a linear form over the branch values, a {branch: coefficient
-    mod n} dict.  A branch is a new unit vector; with s = t^e, a ``set``
-    is ``s*a + (1-s)*b``, a ``solve`` is ``(1-s)^-1 * (b - s*a)`` (there
-    when 1 - t is a unit), and a ``check`` is the row
-    ``s*a + (1-s)*b - target``.  Every arc is a fixed affine function of
-    the branch values, and every relation holds by construction or is a
-    check, so the colorings are exactly the solutions of the checks over
-    the branches, each lifted by the forms.  Returns the checks and, per
-    arc, its form as (branch, coefficient) pairs: the pair
-    :meth:`LaurentSystem.at` returns, each form's coefficients summing to
-    1 and each check's to 0.
+
+def _forcing_steps(p: QuandlePresentation, kind: tuple[bool, bool]) -> list[_Step]:
+    """The search of :func:`_compile` for a class of t, with one column per arc.
+
+    ``kind`` is a :func:`_forcing_class`.  No alike arcs are merged: that
+    costs a count more than it saves.
+    """
+    trivial, solvable = kind
+    return _compile(p, range(-1, p.arc_count), p.arc_count, trivial, (solvable, solvable))
+
+
+def _run_forms(
+    steps: list[_Step], arc_count: int, params: AlexanderParams
+) -> tuple[ColoringSystem, Lift]:
+    """The colorings by (Z_n, t): checks over the search's branches, and each arc's form.
+
+    The steps (from :func:`_forcing_steps`, for params' class) run once
+    with each arc's color held as a linear form over the branch values, a
+    {branch: coefficient mod n} dict.  A branch is a new unit vector; with
+    s = t^e, a ``set`` is ``s*a + (1-s)*b``, a ``solve`` is
+    ``(1-s)^-1 * (b - s*a)`` (there when 1 - t is a unit), and a ``check``
+    is the row ``s*a + (1-s)*b - target``.  Every arc is a fixed affine
+    function of the branch values, and every relation holds by
+    construction or is a check, so the colorings are exactly the solutions
+    of the checks over the branches, each lifted by the forms.  Returns the
+    checks and, per arc, its form as it is held (arcs a copy sets share
+    one dict), each form's coefficients summing to 1 and each check's to 0.
     """
     n, t = params.n, params.t
-    steps = _compile(p, range(-1, p.arc_count), p.arc_count, t == 1, (gcd(1 - t, n) == 1,) * 2)
     power = {1: t, -1: params.t_inverse, 0: 1}
-    forms: list[dict[int, int] | None] = [None] * p.arc_count  # each is set by a step
+    forms: list[dict[int, int] | None] = [None] * arc_count  # each is set by a step
     checks, branches = [], 0
 
     def mix(u: dict[int, int], cu: int, v: dict[int, int], cv: int) -> dict[int, int]:
@@ -552,8 +453,12 @@ def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[Col
                 forms[target] = form
             elif row := mix(form, 1, forms[target], -1):
                 checks.append(tuple(row.items()))
-    lift = tuple(tuple(form.items()) for form in forms)
-    return ColoringSystem(len(checks), branches, tuple(checks)), lift
+    return ColoringSystem(len(checks), branches, tuple(checks)), forms
+
+
+def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
+    """p's colorings by (Z_n, t) as checks over branches and forms (see :func:`_run_forms`)."""
+    return _run_forms(_forcing_steps(p, _forcing_class(params)), p.arc_count, params)
 
 
 def _frontier(plan: _Plan, cap: int):

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 
@@ -285,6 +286,22 @@ def test_compare_json_document(capsys):
     assert doc["results"]["verdict"] == "distinguished"
     assert doc["results"]["grid"][0]["count_b"] == 9
     assert doc["inputs"]["n"] == [3]
+
+
+HEADLINE_GRID_SHA256 = {
+    "all-units": "ac95986402b6327cb30f1092028bfd7f33183b86d8e4bf83aef29311055595ad",
+    "involutory": "0fb812858d58dbdc9872076d7ced738fde58041790bc94900ae32ba7b38a343a",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(HEADLINE_GRID_SHA256))
+def test_compare_headline_grid_bytes(capsys, policy):
+    # the paper's sweep over n = 2..23, byte for byte as first recorded
+    grid = ",".join(str(n) for n in range(2, 24))
+    code, out, _ = run(capsys, "compare", "hopf_sum", "allen_swenberg", "--n", grid,
+                       "--t", policy, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HEADLINE_GRID_SHA256[policy]
 
 
 def test_compare_bad_flags(capsys):

@@ -32,7 +32,7 @@ from quandlecolor import (
     phi_polynomial,
     units,
 )
-from quandlecolor.solver import image_size_counts, presolve
+from quandlecolor.solver import _forced_system, image_size_counts
 
 from conftest import (
     as_table_file,
@@ -473,10 +473,10 @@ def _counts_or_cap(route):
 
 @pytest.mark.parametrize("name", sorted(HISTOGRAM_CASES))
 def test_image_size_counts_match_enumeration(name):
-    # the numpy histogram, with and without the Laurent presolve, equals
-    # enumerate_solutions + Counter in counts, histograms and cap decisions
+    # the numpy histogram, from the forcing search's checks and forms and from
+    # the full rows, equals enumerate_solutions + Counter in counts,
+    # histograms and cap decisions
     p = HISTOGRAM_CASES[name]
-    system = presolve(p)
     cap = 3000
     for n in (4, 8, 9, 12, 16):
         report = compare(p, p, (n,), "all-units", cap=cap)
@@ -486,10 +486,10 @@ def test_image_size_counts_match_enumeration(name):
             expected = _counts_or_cap(
                 lambda: Counter(c.image_size for c in enumerate_solutions(full, n, cap))
             )
-            residual, back = system.at(params)
-            assert all(sum(row) % n == 0 for row in residual.matrix), (n, t)
-            assert all(sum(c for _, c in terms) % n == 1 for terms in back), (n, t)
-            assert _counts_or_cap(lambda: image_size_counts(residual, n, cap, back)) == expected
+            checks, forms = _forced_system(p, params)
+            assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
+            assert all(sum(form.values()) % n == 1 for form in forms), (n, t)
+            assert _counts_or_cap(lambda: image_size_counts(checks, n, cap, forms)) == expected
             assert _counts_or_cap(lambda: image_size_counts(full, n, cap)) == expected
             assert (cell.n, cell.t, cell.count_a) == (n, t, counting_invariant(p, alexander(n, t)))
             if isinstance(expected, dict):
@@ -498,28 +498,33 @@ def test_image_size_counts_match_enumeration(name):
                 # the cap compares the full count, not the n-times-smaller search
                 count = cell.count_a
                 with pytest.raises(CapExceededError) as exc:
-                    image_size_counts(residual, n, count - 1, back)
+                    image_size_counts(checks, n, count - 1, forms)
                 assert exc.value.count == count
-                assert sum(image_size_counts(residual, n, count, back).values()) == count
+                assert sum(image_size_counts(checks, n, count, forms).values()) == count
             else:
                 assert cell.phi_a is None and cell.count_a == expected, (n, t)
 
 
-def test_compare_presolves_each_link_once_per_call(monkeypatch):
-    import quandlecolor.invariants as invariants
+def test_compare_compiles_each_link_once_per_class_of_t(monkeypatch):
+    import quandlecolor.solver as solver
 
     calls = []
-    original = invariants.presolve
+    original = solver._compile
 
-    def counting(p):
+    def counting(p, *args):
         calls.append(p)
-        return original(p)
+        return original(p, *args)
 
-    monkeypatch.setattr(invariants, "presolve", counting)
+    monkeypatch.setattr(solver, "_compile", counting)
     a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
+    # every unit of a prime n but 1 leaves 1 - t a unit: t = 1 is the other class
     report = compare(a, b, (2, 3, 5, 7), t_policy="all-units")
     assert len(report.grid) == 1 + 2 + 4 + 6
-    assert calls == [a, b]
+    assert calls == [a, b, a, b]
+    # t = 4 and 7 mod 9 make the third class: 1 - t is neither 0 nor a unit
+    calls.clear()
+    compare(a, b, (9,), t_policy="all-units")
+    assert calls == [a, b, a, b, a, b]
 
 
 def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
@@ -536,5 +541,7 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
     # the 1000003 colorings are the constant ones, a single class under
     # x -> x + c: the first arc is fixed at 0, and one coloring is searched
     p = extract(catalog("allen_swenberg"))
+    branches = _forced_system(p, AlexanderParams(1000003, 2))[0].cols
+    widths.clear()
     assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
-    assert widths == [p.arc_count - 1]
+    assert widths == [branches - 1]

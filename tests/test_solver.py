@@ -590,11 +590,11 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
             params = AlexanderParams(n, t)
             system, lift = solver._forced_system(p, params)
             assert len(lift) == p.arc_count
-            assert all(sum(c for _, c in form) % n == 1 for form in lift)
+            assert all(sum(form.values()) % n == 1 for form in lift)
             assert all(sum(x for _, x in row) % n == 0 for row in system.entries)
             if count_solutions(system, n) > 2000:
                 continue
-            lifted = sorted(tuple(sum(c * y[k] for k, c in form) % n for form in lift)
+            lifted = sorted(tuple(sum(c * y[k] for k, c in form.items()) % n for form in lift)
                             for y in (c.colors for c in enumerate_solutions(system, n)))
             expected = [c.colors for c in enumerate_solutions(build_system(p, params), n)]
             assert lifted == expected, (d.arc_count, n, t)
