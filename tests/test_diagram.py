@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 import sys
 from math import gcd
 
@@ -521,6 +522,74 @@ def test_pd_comments_run_to_the_end_of_a_line():
     # offsets count the comment's characters
     with pytest.raises(PDCodeError, match="malformed quadruple at offset 8"):
         parse_pd_code("# X(1)\n(1,4,2,5)")
+
+
+def _pd_outcome(text):
+    """("ok", arcs, *(sign, in, out, over)), or the error's class name and message."""
+    try:
+        d = parse_pd_code(text)
+    except (PDCodeError, DiagramError) as exc:
+        return type(exc).__name__, str(exc)
+    crossings = ((c.sign, c.under_in, c.under_out, c.over) for c in d.crossings)
+    return ("ok", d.arc_count, *crossings)
+
+
+PD_MUTATIONS_SHA256 = "cdfc32e0e21b96cce08a0ba353571e86dd174f75e3abdbf8b939861d3a9da5b4"
+
+
+def test_pd_mutations_are_pinned():
+    # one to three edits anywhere in a valid code, each a character inserted,
+    # deleted or replaced or two characters swapped (which keeps every edge
+    # label's count, so orientations are tested too): the catalog trefoil, the closure of the 3-braid
+    # s1 s2^-1 s1 s2^-1, a commented file, and the trefoil with one edge
+    # labelled by 640 digits, read under the smallest int-string limit
+    # Python allows, so that one more digit is over it
+    big = "1" + "0" * 639
+    codes = [
+        "X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)",
+        "X(2,5,4,1) X(5,3,7,6) X(6,8,1,4) X(8,7,3,2)\n",
+        "# trefoil\nX(1,5,2,4)  # first\n\tX(3,1,4,6)\n# X(9,9,9,9)\nX(5,3,6,2) #\n",
+        f"X({big},5,2,4) X(3,{big},4,6) X(5,3,6,2)",
+    ]
+    alphabet = "X(),#0123456789 \nx ١"
+    rng = random.Random(21)
+    outcomes = []
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for _ in range(6000):
+            text = rng.choice(codes)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.randrange(4)
+                if edit == 0:
+                    text = text[:i] + rng.choice(alphabet) + text[i:]
+                elif edit == 1:
+                    text = text[:i] + text[i + 1 :]
+                elif edit == 2:
+                    text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+                else:
+                    i, j = sorted(rng.sample(range(len(text)), 2))
+                    text = text[:i] + text[j] + text[i + 1 : j] + text[i] + text[j + 1 :]
+            outcomes.append(_pd_outcome(text))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    # an error's kind is its message with every number written N
+    kinds = {o[0] if o[0] == "ok" else re.sub("[0-9]+", "N", o[1]) for o in outcomes}
+    assert kinds == {
+        "ok",
+        "empty PD code: a diagram without crossings cannot be written in PD form "
+        "(use the relations format with a circles header)",
+        "malformed quadruple at offset N",
+        "edge label of more than N digits at offset N",
+        "edge labels must be >= N: (N, N, N, N)",
+        "edge N appears N time(s); every edge label must appear exactly twice",
+        "inconsistent orientation: edge N is the incoming under-edge of two crossings",
+        "inconsistent orientation: edge N is the outgoing under-edge of two crossings",
+        "inconsistent orientation: no assignment of strand directions satisfies all quadruples",
+    }
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == PD_MUTATIONS_SHA256
 
 
 @pytest.fixture
