@@ -18,7 +18,7 @@ from functools import cache
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_entry, catalog_names
-from .diagram import LinkDiagram, parse_pd_code, parse_relations_file
+from .diagram import _PD_SKIP, LinkDiagram, parse_pd_code, parse_relations_file
 from .errors import (
     AxiomError,
     CapExceededError,
@@ -45,11 +45,9 @@ def _resolve_link(target: str) -> tuple[str, LinkDiagram]:
         return target, CATALOG[target].diagram
     path = Path(target)
     if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        body = "\n".join(
-            line.split("#", 1)[0] for line in text.splitlines()
-        ).lstrip()
-        if body.startswith(("X(", "x(")):
+        text = path.read_text(encoding="utf-8-sig")
+        # a PD code is a file whose first term, past whitespace and comments, opens X(
+        if text.startswith(("X(", "x("), _PD_SKIP.match(text).end()):
             return target, parse_pd_code(text)
         return target, parse_relations_file(text)
     raise UnknownLinkError(f"{target!r} is neither a catalog name nor a readable file")
@@ -70,7 +68,7 @@ def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
     if args.quandle_file is not None:
         if has_params:
             raise UsageError("give either --n/--t or --quandle-file, not both")
-        text = Path(args.quandle_file).read_text(encoding="utf-8")
+        text = Path(args.quandle_file).read_text(encoding="utf-8-sig")
         return parse_quandle_file(text), {"quandle_file": args.quandle_file}
     if args.n is None or args.t is None:
         raise UsageError("need both --n and --t (or a --quandle-file)")
@@ -121,7 +119,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_validate_quandle(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = Path(args.file).read_text(encoding="utf-8-sig")
     q = parse_quandle_file(text)
     involutory = q.is_involutory()
     doc = _document(

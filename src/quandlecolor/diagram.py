@@ -18,8 +18,14 @@ graph 2-regular and decomposes it into the link's components.
 Two parsers are provided: the line-oriented relations grammar
 (``x2 = x3 * x1`` / ``x1 = x2 / x3``, optional ``circles: k`` header,
 ``#`` comments) and planar-diagram codes (``X(a,b,c,d)`` quadruples, also
-with ``#`` comments).  A relation line is read by one pattern, one match a
-line; an error names the first bad token and its line and column.
+with ``#`` comments).  Each does its per-line or per-quadruple work inside
+``re``, leaving only the building of ``Crossing``s to Python.  A good
+relation line is one whole-line match, its three indices three ``int()``
+calls; a line that match rejects is read again, token by token, only to name
+its first bad token and that token's line and column.  A PD code is one match
+over the whole text, whose end is the offset of the first malformed
+quadruple, and one scan that collects its labels; its quadruples are read one
+at a time again only to name an error.
 """
 
 from __future__ import annotations
@@ -183,11 +189,19 @@ class CatalogEntry:
 # Relations-file parser
 
 
-# A relation line past its leading whitespace, each token an optional group
-# nested inside the one before, so the match stops at the first bad token:
+# A whole good relation line, from the Unicode whitespace that may open it to
+# the comment that may end it: out, in, the operator and over, each index past
+# its leading zeros (int()'s digit limit counts them).  ASCII digits only:
+# str.isdigit() also takes '²', which int() rejects.
+_RELATION_LINE_RE = re.compile(
+    r"\s*x0*([1-9][0-9]*)[ \t]*=[ \t]*x0*([1-9][0-9]*)[ \t]*([*/])[ \t]*x0*([1-9][0-9]*)\s*(?:#.*)?"
+)
+# A relation line past its leading whitespace, read only to name the error of
+# a line the pattern above rejects.  Each token is an optional group nested
+# inside the one before, so the match stops at the first bad token:
 # m.lastindex is the last good one, and m.end() is where the next was
 # expected, past the spaces and tabs that follow (none are skipped right after
-# an 'x').  ASCII digits only: str.isdigit() also takes '²', which int() rejects.
+# an 'x').
 _RELATION_RE = re.compile(
     r"(?:(x)(?:([0-9]+)[ \t]*(?:(=)[ \t]*(?:(x)(?:([0-9]+)[ \t]*"
     r"(?:([*/])[ \t]*(?:(x)(?:([0-9]+)[ \t]*)?)?)?)?)?)?)?)?"
@@ -200,6 +214,25 @@ _EXPECTED = (_ARC, _DIGITS, "'='", _ARC, _DIGITS, "'*' or '/'", _ARC, _DIGITS)
 _CIRCLES_RE = re.compile(r"^circles\s*:\s*0*([0-9]+)\s*$")
 # each free circle adds a column: per-column kernel state, and a factor n to the count n**k
 MAX_CIRCLES = 4096
+
+
+def _relation_error(lineno: int, raw: str) -> RelationSyntaxError:
+    """The error of a relation line that ``_RELATION_LINE_RE`` rejects, or
+    that it takes but with an index over the int-string limit."""
+    line = raw.split("#", 1)[0].rstrip()
+    m = _RELATION_RE.match(line, len(line) - len(line.lstrip()))  # columns stay raw-line positions
+    arcs = [m[g] and m[g].lstrip("0") for g in (2, 5, 8)]  # int()'s digit limit counts leading zeros
+    for g, digits in zip((2, 5, 8), arcs):  # an index of 0, at its 'x', comes before any later error
+        if digits == "":
+            return RelationSyntaxError(lineno, m.start(g - 1) + 1, "arc index must be >= 1")
+    if m.lastindex != 8:
+        expected = _EXPECTED[m.lastindex or 0]
+        return RelationSyntaxError(lineno, m.end() + 1, f"expected {expected}")
+    if m.end() != len(line):
+        return RelationSyntaxError(lineno, m.end() + 1, "unexpected trailing text")
+    limit = sys.get_int_max_str_digits()
+    g = next(g for g, digits in zip((2, 5, 8), arcs) if len(digits) > limit)
+    return RelationSyntaxError(lineno, m.start(g - 1) + 1, f"arc index of more than {limit} digits")
 
 
 def parse_relations_file(text: str) -> LinkDiagram:
@@ -217,8 +250,16 @@ def parse_relations_file(text: str) -> LinkDiagram:
     free_circles = 0
     saw_circles = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
+        m = _RELATION_LINE_RE.fullmatch(raw)
+        if m is not None:
+            out, in_, op, over = m.groups()
+            try:
+                in_, out, over = int(in_), int(out), int(over)
+            except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
+                raise _relation_error(lineno, raw) from None
+            crossings.append(Crossing(1 if op == "*" else -1, in_, out, over))
+            continue
+        stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("circles"):
@@ -239,34 +280,15 @@ def parse_relations_file(text: str) -> LinkDiagram:
                 )
             free_circles = int(count)
             continue
-        m = _RELATION_RE.match(line, len(line) - len(stripped))  # columns stay raw-line positions
-        arcs = [m[g] and m[g].lstrip("0") for g in (2, 5, 8)]  # int()'s digit limit counts leading zeros
-        for g, digits in zip((2, 5, 8), arcs):  # an index of 0, at its 'x', comes before any later error
-            if digits == "":
-                raise RelationSyntaxError(lineno, m.start(g - 1) + 1, "arc index must be >= 1")
-        if m.lastindex != 8:
-            expected = _EXPECTED[m.lastindex or 0]
-            raise RelationSyntaxError(lineno, m.end() + 1, f"expected {expected}")
-        if m.end() != len(line):
-            raise RelationSyntaxError(lineno, m.end() + 1, "unexpected trailing text")
-        try:
-            out, in_, over = map(int, arcs)
-        except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
-            limit = sys.get_int_max_str_digits()
-            g = next(g for g, digits in zip((2, 5, 8), arcs) if len(digits) > limit)
-            raise RelationSyntaxError(
-                lineno, m.start(g - 1) + 1, f"arc index of more than {limit} digits"
-            ) from None
-        sign = 1 if m[6] == "*" else -1
-        crossings.append(Crossing(sign, under_in=in_, under_out=out, over=over))
+        raise _relation_error(lineno, raw)
 
     referenced = {a for c in crossings for a in (c.under_in, c.under_out, c.over)}
     max_ref = max(referenced, default=0)
     if max_ref == 0 and free_circles == 0:
         raise DiagramError("empty input: declare relations or a circles header")
-    # the first index i whose i-th smallest reference is not i is the gap
-    gap = next((i for i, a in enumerate(sorted(referenced), start=1) if a != i), None)
-    if gap is not None:
+    if len(referenced) != max_ref:
+        # the first index i whose i-th smallest reference is not i is the gap
+        gap = next(i for i, a in enumerate(sorted(referenced), start=1) if a != i)
         raise DiagramError(
             f"arc index gap: x{gap} is never referenced "
             f"(indices must be contiguous from 1 to {max_ref})"
@@ -281,14 +303,42 @@ def parse_relations_file(text: str) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # PD-code parser
 
-# whitespace and '#' comments; a comment ends where str.splitlines ends a line
-_PD_GAP = r"(?:\s|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*"
+# a comment ends where str.splitlines ends a line
+_PD_COMMENT = r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+# whitespace and comments
+_PD_GAP = rf"(?:\s|{_PD_COMMENT})*"
 _PD_SKIP = re.compile(_PD_GAP)
-# a quadruple and the gap after it, so one match steps to the next
-_PD_TERM = re.compile(
-    r"X\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)" + _PD_GAP,
-    re.IGNORECASE,
+# a quadruple of labels {0}: captured in a term, not in the whole-code match,
+# where groups inside the repetition would cost it about two thirds more
+_PD_QUAD = r"X\(\s*{0}\s*,\s*{0}\s*,\s*{0}\s*,\s*{0}\s*\)"
+# the longest run of quadruples that opens the text: its end is the offset of
+# the first malformed one, or the end of a good code
+_PD_SYNTAX = re.compile(
+    _PD_GAP + "(?:" + _PD_QUAD.format("[0-9]+") + _PD_GAP + ")*", re.IGNORECASE
 )
+# over a run of quadruples: each label past its leading zeros, and '' for each
+# comment, whose digits are no labels
+_PD_LABEL = re.compile(_PD_COMMENT + "|0*([0-9]+)")
+# a quadruple and the gap after it, so one match steps to the next
+_PD_TERM = re.compile(_PD_QUAD.format("([0-9]+)") + _PD_GAP, re.IGNORECASE)
+
+
+def _pd_error(text: str) -> PDCodeError:
+    """The error of the first bad quadruple of a PD code that has one: a
+    label over the int-string limit or below 1, or a malformed quadruple."""
+    pos = _PD_SKIP.match(text).end()
+    while True:
+        m = _PD_TERM.match(text, pos)
+        if m is None:
+            return PDCodeError(f"malformed quadruple at offset {pos + 1}")
+        try:  # leading zeros stripped, as in arc indices
+            quad = tuple(int(g.lstrip("0") or "0") for g in m.groups())
+        except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
+            limit = sys.get_int_max_str_digits()
+            return PDCodeError(f"edge label of more than {limit} digits at offset {pos + 1}")
+        if min(quad) < 1:
+            return PDCodeError(f"edge labels must be >= 1: {quad}")
+        pos = m.end()
 
 
 def parse_pd_code(text: str) -> LinkDiagram:
@@ -308,57 +358,54 @@ def parse_pd_code(text: str) -> LinkDiagram:
     smallest edge label.  Rendering the extracted relations and re-parsing
     them reproduces the same diagram.
     """
-    quads: list[tuple[int, int, int, int]] = []
-    pos = _PD_SKIP.match(text).end()
-    while pos < len(text):
-        m = _PD_TERM.match(text, pos)
-        if m is None:
-            raise PDCodeError(f"malformed quadruple at offset {pos + 1}")
-        try:  # leading zeros stripped, as in arc indices
-            quad = tuple(int(g.lstrip("0") or "0") for g in m.groups())
-        except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
-            limit = sys.get_int_max_str_digits()
-            raise PDCodeError(f"edge label of more than {limit} digits at offset {pos + 1}") from None
-        if min(quad) < 1:
-            raise PDCodeError(f"edge labels must be >= 1: {quad}")
-        quads.append(quad)
-        pos = m.end()
-    if not quads:
+    end = _PD_SYNTAX.match(text).end()
+    try:
+        labels = [int(g) for g in _PD_LABEL.findall(text, 0, end) if g]
+    except ValueError:  # more digits than the caller's int-string limit, which the CLI lifts
+        raise _pd_error(text) from None
+    if end != len(text) or 0 in labels:
+        raise _pd_error(text)
+    if not labels:
         raise PDCodeError(
             "empty PD code: a diagram without crossings cannot be written in "
             "PD form (use the relations format with a circles header)"
         )
 
-    occurrences: dict[int, list[tuple[int, str]]] = {}
-    for i, (a, b, c, d) in enumerate(quads):
-        for edge, slot in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
-            occurrences.setdefault(edge, []).append((i, slot))
-    for edge, occs in occurrences.items():
-        if len(occs) != 2:
-            raise PDCodeError(
-                f"edge {edge} appears {len(occs)} time(s); every edge label "
-                "must appear exactly twice"
-            )
+    # label k of the code sits in slot k % 4 (a, b, c, d) of quadruple k // 4;
+    # an edge's endpoints are its first and last positions, and the edges
+    # keep the order of their first appearance
+    size = len(labels)
+    last = dict(zip(labels, range(size)))
+    first = dict(zip(reversed(labels), range(size - 1, -1, -1)))
+    # twice each: size / 2 edges, none whose first position is its last
+    if 2 * len(last) != size or not set(first.values()).isdisjoint(last.values()):
+        edge, k = next((e, k) for e, k in Counter(labels).items() if k != 2)
+        raise PDCodeError(
+            f"edge {edge} appears {k} time(s); every edge label "
+            "must appear exactly twice"
+        )
 
     # Orientation of each crossing: True when the over-strand runs d -> b
     # (positive).  In slot terms, 'a' arrives, 'c' departs, 'b' departs iff
     # positive, 'd' departs iff negative.
-    orientation: list[bool | None] = [None] * len(quads)
+    count = size // 4
+    orientation: list[bool | None] = [None] * count
     forced: list[tuple[int, bool]] = []
-    linked: dict[int, list[tuple[int, bool]]] = {i: [] for i in range(len(quads))}
-    for edge, ((i, s1), (j, s2)) in occurrences.items():
-        under1, under2 = s1 in "ac", s2 in "ac"
+    linked: list[list[tuple[int, bool]]] = [[] for _ in range(count)]
+    for edge, p in last.items():
+        (i, s1), (j, s2) = divmod(first[edge], 4), divmod(p, 4)
+        under1, under2 = s1 % 2 == 0, s2 % 2 == 0  # slots a and c
         if under1 and under2:
             if s1 == s2:
-                kind = "incoming" if s1 == "a" else "outgoing"
+                kind = "incoming" if s1 == 0 else "outgoing"
                 raise PDCodeError(
                     f"inconsistent orientation: edge {edge} is the {kind} "
                     "under-edge of two crossings"
                 )
         elif under1 or under2:
-            (uc, us), (oc, os) = ((i, s1), (j, s2)) if under1 else ((j, s2), (i, s1))
-            must_depart = us == "a"  # arrived at the under slot, so departs here
-            forced.append((oc, must_depart if os == "b" else not must_depart))
+            us, oc, os = (s1, j, s2) if under1 else (s2, i, s1)
+            must_depart = us == 0  # arrived at the under slot, so departs here
+            forced.append((oc, must_depart if os == 1 else not must_depart))
         else:
             if i == j:
                 continue  # b and d of one crossing: satisfied either way
@@ -386,24 +433,17 @@ def parse_pd_code(text: str) -> LinkDiagram:
     for i, value in forced:
         assign(i, value, queue)
     propagate(queue)
-    for i in range(len(quads)):
+    for i in range(count):
         if orientation[i] is None:
             assign(i, True, queue)
             propagate(queue)
 
     # Arcs: edges merged across over-passages, numbered by smallest edge.
-    classes = _merged_classes(occurrences, ((b, d) for a, b, c, d in quads))
+    classes = _merged_classes(last, zip(labels[1::4], labels[3::4]))
     arc_of = {e: arc_id for arc_id, members in enumerate(classes, start=1) for e in members}
-
-    crossings = tuple(
-        Crossing(
-            1 if orientation[i] else -1,
-            under_in=arc_of[a],
-            under_out=arc_of[c],
-            over=arc_of[b],
-        )
-        for i, (a, b, c, d) in enumerate(quads)
-    )
+    arcs = [arc_of[e] for e in labels]
+    signs = [1 if o else -1 for o in orientation]
+    crossings = tuple(map(Crossing, signs, arcs[0::4], arcs[2::4], arcs[1::4]))
     return LinkDiagram(arc_count=len(classes), crossings=crossings, free_circles=0)
 
 

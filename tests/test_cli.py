@@ -195,6 +195,46 @@ def test_link_from_pd_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: malformed quadruple at offset 33\n")
 
 
+TREFOIL_PD = "X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)\n"
+KINK = "x1 = x1 * x1\n"
+PD, RELATIONS = (0, "count: 9\n", ""), (0, "count: 3\n", "")  # the trefoil and the kink at (3, 2)
+RELATION_ERROR = (2, "", "error: line 1, column 1: expected arc reference 'x<index>'\n")
+
+
+# a file is a PD code when its first term, past whitespace and comments, opens X( or x(
+@pytest.mark.parametrize("text, outcome", [
+    pytest.param(TREFOIL_PD, PD, id="pd"),
+    pytest.param("# trefoil\n# X(1,1,2,2)\n" + TREFOIL_PD, PD, id="comment-lines"),
+    pytest.param("# ends at any line break\x85" + TREFOIL_PD, PD, id="comment-to-nel"),
+    pytest.param("\n\n  \t\n" + TREFOIL_PD, PD, id="blank-lines"),
+    pytest.param("\u00a0\u2003\u3000" + TREFOIL_PD, PD, id="unicode-whitespace"),
+    pytest.param("x" + TREFOIL_PD[1:], PD, id="lower-case"),
+    pytest.param("  # c\n  x" + TREFOIL_PD[1:], PD, id="comment-then-lower-case"),
+    pytest.param(KINK + "# X(1,5,2,4)\n", RELATIONS, id="relations"),
+    pytest.param("# X(1,5,2,4)\n" + KINK, RELATIONS, id="relations-after-a-pd-comment"),
+    pytest.param("X " + TREFOIL_PD[1:], RELATION_ERROR, id="space-before-paren"),
+    pytest.param("X\n" + TREFOIL_PD[1:], RELATION_ERROR, id="break-before-paren"),
+])
+def test_link_file_format_is_chosen_by_its_first_term(tmp_path, capsys, text, outcome):
+    path = tmp_path / "link.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "colorings", str(path), "--n", "3", "--t", "2") == outcome
+
+
+def test_files_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    relations, pd, table = tmp_path / "t.rel", tmp_path / "t.pd", tmp_path / "q.txt"
+    relations.write_bytes(bom + b"x3 = x1 * x2\nx2 = x3 * x1\nx1 = x2 * x3\n")
+    pd.write_bytes(bom + TREFOIL_PD.encode())
+    table.write_bytes(bom + b"order: 3\n0 2 1\n2 1 0\n1 0 2\n")
+    for path in (relations, pd):
+        assert run(capsys, "colorings", str(path), "--n", "3", "--t", "2") == PD
+    assert run(capsys, "colorings", "trefoil", "--quandle-file", str(table)) == PD
+    assert run(capsys, "validate-quandle", str(table)) == (
+        0, "valid quandle of order 3 (involutory: yes)\n", ""
+    )
+
+
 def test_phi_output(capsys):
     code, out, _ = run(capsys, "phi", "trefoil", "--n", "3", "--t", "2")
     assert code == 0
