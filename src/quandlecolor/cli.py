@@ -46,7 +46,7 @@ def _resolve_link(target: str) -> tuple[str, LinkDiagram]:
     path = Path(target)
     if path.is_file():
         text = path.read_text(encoding="utf-8-sig")
-        # a PD code is a file whose first term, past whitespace and comments, opens X(
+        # a PD code is a file whose first term, past whitespace and comments, opens X( or x(
         if text.startswith(("X(", "x("), _PD_SKIP.match(text).end()):
             return target, parse_pd_code(text)
         return target, parse_relations_file(text)

@@ -197,12 +197,12 @@ _RELATION_LINE_RE = re.compile(
     r"\s*x0*([1-9][0-9]*)[ \t]*=[ \t]*x0*([1-9][0-9]*)[ \t]*([*/])[ \t]*x0*([1-9][0-9]*)\s*(?:#.*)?"
 )
 # A relation line past its leading whitespace, read only to name the error of
-# a line the pattern above rejects.  Each token is an optional group nested
-# inside the one before, so the match stops at the first bad token:
-# m.lastindex is the last good one, and m.end() is where the next was
-# expected, past the spaces and tabs that follow (none are skipped right after
-# an 'x').
-_RELATION_RE = re.compile(
+# a line the pattern above rejects (so compiled on the first error, and kept
+# by re).  Each token is an optional group nested inside the one before, so
+# the match stops at the first bad token: m.lastindex is the last good one,
+# and m.end() is where the next was expected, past the spaces and tabs that
+# follow (none are skipped right after an 'x').
+_RELATION_TOKENS = (
     r"(?:(x)(?:([0-9]+)[ \t]*(?:(=)[ \t]*(?:(x)(?:([0-9]+)[ \t]*"
     r"(?:([*/])[ \t]*(?:(x)(?:([0-9]+)[ \t]*)?)?)?)?)?)?)?)?"
 )
@@ -220,7 +220,8 @@ def _relation_error(lineno: int, raw: str) -> RelationSyntaxError:
     """The error of a relation line that ``_RELATION_LINE_RE`` rejects, or
     that it takes but with an index over the int-string limit."""
     line = raw.split("#", 1)[0].rstrip()
-    m = _RELATION_RE.match(line, len(line) - len(line.lstrip()))  # columns stay raw-line positions
+    start = len(line) - len(line.lstrip())  # columns stay raw-line positions
+    m = re.compile(_RELATION_TOKENS).match(line, start)
     arcs = [m[g] and m[g].lstrip("0") for g in (2, 5, 8)]  # int()'s digit limit counts leading zeros
     for g, digits in zip((2, 5, 8), arcs):  # an index of 0, at its 'x', comes before any later error
         if digits == "":
@@ -310,25 +311,25 @@ _PD_GAP = rf"(?:\s|{_PD_COMMENT})*"
 _PD_SKIP = re.compile(_PD_GAP)
 # a quadruple of labels {0}: captured in a term, not in the whole-code match,
 # where groups inside the repetition would cost it about two thirds more
-_PD_QUAD = r"X\(\s*{0}\s*,\s*{0}\s*,\s*{0}\s*,\s*{0}\s*\)"
+_PD_QUAD = r"[Xx]\(\s*{0}\s*,\s*{0}\s*,\s*{0}\s*,\s*{0}\s*\)"
 # the longest run of quadruples that opens the text: its end is the offset of
 # the first malformed one, or the end of a good code
-_PD_SYNTAX = re.compile(
-    _PD_GAP + "(?:" + _PD_QUAD.format("[0-9]+") + _PD_GAP + ")*", re.IGNORECASE
-)
+_PD_SYNTAX = re.compile(_PD_GAP + "(?:" + _PD_QUAD.format("[0-9]+") + _PD_GAP + ")*")
 # over a run of quadruples: each label past its leading zeros, and '' for each
 # comment, whose digits are no labels
 _PD_LABEL = re.compile(_PD_COMMENT + "|0*([0-9]+)")
-# a quadruple and the gap after it, so one match steps to the next
-_PD_TERM = re.compile(_PD_QUAD.format("([0-9]+)") + _PD_GAP, re.IGNORECASE)
+# a quadruple and the gap after it, so one match steps to the next; read only
+# to name an error, so compiled on the first one (and kept by re)
+_PD_TERM = _PD_QUAD.format("([0-9]+)") + _PD_GAP
 
 
 def _pd_error(text: str) -> PDCodeError:
     """The error of the first bad quadruple of a PD code that has one: a
     label over the int-string limit or below 1, or a malformed quadruple."""
+    term = re.compile(_PD_TERM)
     pos = _PD_SKIP.match(text).end()
     while True:
-        m = _PD_TERM.match(text, pos)
+        m = term.match(text, pos)
         if m is None:
             return PDCodeError(f"malformed quadruple at offset {pos + 1}")
         try:  # leading zeros stripped, as in arc indices
@@ -388,10 +389,10 @@ def parse_pd_code(text: str) -> LinkDiagram:
     # Orientation of each crossing: True when the over-strand runs d -> b
     # (positive).  In slot terms, 'a' arrives, 'c' departs, 'b' departs iff
     # positive, 'd' departs iff negative.
-    count = size // 4
-    orientation: list[bool | None] = [None] * count
+    quads = size // 4
+    orientation: list[bool | None] = [None] * quads
     forced: list[tuple[int, bool]] = []
-    linked: list[list[tuple[int, bool]]] = [[] for _ in range(count)]
+    linked: list[list[tuple[int, bool]]] = [[] for _ in range(quads)]
     for edge, p in last.items():
         (i, s1), (j, s2) = divmod(first[edge], 4), divmod(p, 4)
         under1, under2 = s1 % 2 == 0, s2 % 2 == 0  # slots a and c
@@ -433,7 +434,7 @@ def parse_pd_code(text: str) -> LinkDiagram:
     for i, value in forced:
         assign(i, value, queue)
     propagate(queue)
-    for i in range(count):
+    for i in range(quads):
         if orientation[i] is None:
             assign(i, True, queue)
             propagate(queue)
