@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quandlecolor import alexander
+from quandlecolor import alexander, catalog_names, units
 from quandlecolor.cli import build_parser, main
 
 from conftest import grown, run_cli_limited, run_python_limited, table_text, transpositions
@@ -342,6 +342,43 @@ def test_compare_headline_grid_bytes(capsys, policy):
                        "--t", policy, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HEADLINE_GRID_SHA256[policy]
+
+
+ENUMERATE_SHA256 = {
+    "listings": "aa182144bfa45adf225e4a7ca70ec42b9d094372fa3cbbcf9061f7673c61db52",
+    "cap-exceeded": "4e32ef0d487ebb6480108af830c88697ec936d80a3926ca0116c42de597ed1c4",
+}
+
+
+def _enumerate_transcript(capsys, extras) -> str:
+    """sha256 of ``colorings --enumerate`` on every catalog link, n = 2..12 and all units.
+
+    Each run adds its argv, exit code, stdout and stderr to the digest.
+    ``extras`` lists (expected exit code, flags appended to the argv).
+    """
+    digest = hashlib.sha256()
+    for link in catalog_names():
+        for n in range(2, 13):
+            for t in units(n):
+                argv = ("colorings", link, "--n", str(n), "--t", str(t), "--enumerate")
+                for expected, flags in extras:
+                    code, out, err = run(capsys, *argv, *flags)
+                    assert code == expected, (argv, flags)
+                    digest.update(f"{' '.join(argv + flags)}\n{code}\n{out}{err}".encode())
+    return digest.hexdigest()
+
+
+def test_enumerate_listing_bytes(capsys):
+    # every listing, as text and as JSON, byte for byte as first recorded
+    extras = ((0, ()), (0, ("--format", "json")))
+    assert _enumerate_transcript(capsys, extras) == ENUMERATE_SHA256["listings"]
+
+
+def test_enumerate_cap_exceeded_bytes(capsys):
+    # every link has at least n colorings: caps 0 and 1 exit 3, and the
+    # error names the exact count
+    extras = ((3, ("--cap", "0")), (3, ("--cap", "1")))
+    assert _enumerate_transcript(capsys, extras) == ENUMERATE_SHA256["cap-exceeded"]
 
 
 def test_compare_bad_flags(capsys):
