@@ -142,18 +142,13 @@ def cmd_colorings(args) -> int:
     q, quandle_inputs = _resolve_quandle(args)
     inputs = {"link": name, "cap": args.cap, **quandle_inputs}
     results: dict = {}
-    human: list[str] = []
     if args.enumerate:
-        colorings = all_colorings(p, q, args.cap)
-        count = len(colorings)
-        results["colorings"] = [list(c.colors) for c in colorings]
+        results["colorings"] = [list(c.colors) for c in all_colorings(p, q, args.cap)]
+        results["count"] = len(results["colorings"])
     else:
-        count = counting_invariant(p, q, args.cap)
-    results["count"] = count
-    human.append(f"count: {count}")
-    if args.enumerate:
-        for c in results["colorings"]:
-            human.append(" ".join(str(v) for v in c))
+        results["count"] = counting_invariant(p, q, args.cap)
+    human = [f"count: {results['count']}"]
+    human += [" ".join(map(str, c)) for c in results.get("colorings", ())]
     _emit(args, _document("colorings", inputs, results), human)
     return 0
 

@@ -7,24 +7,22 @@ refines it by recording how many distinct colors each coloring uses,
 invariants across a grid of Alexander quandles and reports whether two
 links are distinguished anywhere on the grid.
 
-For an Alexander quandle every invariant but ``all_colorings`` takes one
-reduction: the brute-force search's plan runs over linear forms in its
-branch values (see solver._forced_system), and leaves check rows over the
-branches and one form per arc.  ``counting_invariant`` eliminates the
-checks; ``phi_polynomial`` and ``compare`` hand checks and forms to
-``image_size_counts``, which solves the checks over Z_n, searches one
-coloring per class of x -> x + c*1, lifts it to every arc and counts
-image sizes in numpy, with no ``Coloring`` built.  ``compare`` compiles
-each link's plan once per call and class of t (t = 1, 1 - t a unit, or
-neither) and runs its forms at each grid point.  The count is the sum of
-the polynomial or, past the cap, the exact count the CapExceededError
-carries.  ``all_colorings`` eliminates build_system's sparse rows once
-per call, with no dense matrix built.
+For an Alexander quandle every query takes one reduction: the brute-force
+search's plan runs over linear forms in its branch values (see
+solver._forced_system), and leaves check rows over the branches and one
+form per arc.  ``counting_invariant`` eliminates the checks;
+``all_colorings`` enumerates their solutions and lifts each by the forms;
+``phi_polynomial`` and ``compare`` hand checks and forms to
+``image_size_counts``, which searches one coloring per class of
+x -> x + c*1 and counts image sizes in numpy, with no ``Coloring`` built.
+``compare`` compiles each link's plan once per call and class of t (t = 1,
+1 - t a unit, or neither) and runs its forms at each grid point.  The count
+is the sum of the polynomial or, past the cap, the exact count the
+CapExceededError carries.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Union
@@ -40,10 +38,12 @@ from .solver import (
     _forced_system,
     _forcing_class,
     _forcing_steps,
+    _frontier,
+    _image_sizes,
+    _plan,
     _run_forms,
     brute_force_colorings,
     brute_force_count,
-    build_system,
     count_solutions,
     enumerate_solutions,
     image_size_counts,
@@ -80,7 +80,8 @@ def all_colorings(
 ) -> list[Coloring]:
     """Every coloring of p by q, via the exact linear route when q is Alexander."""
     if q.alexander is not None:
-        return enumerate_solutions(build_system(p, q.alexander), q.alexander.n, cap)
+        checks, forms = _forced_system(p, q.alexander)
+        return enumerate_solutions(checks, q.alexander.n, cap, forms)
     return brute_force_colorings(p, q, cap)
 
 
@@ -106,16 +107,16 @@ def phi_polynomial(
 ) -> PhiPolynomial:
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
-    An Alexander quandle's image sizes are counted in numpy from the
-    checks and forms of the forcing search (see image_size_counts); other
-    quandles go through the brute-force search.
+    An Alexander quandle's image sizes are counted from the checks and
+    forms of the forcing search (see image_size_counts); another quandle's,
+    by the same histogram, from the brute-force search's blocks, whose
+    columns (classes of alike arcs) take as many distinct colors as the arcs.
     """
-    if q.alexander is not None:
-        checks, forms = _forced_system(p, q.alexander)
-        counts = image_size_counts(checks, q.alexander.n, cap, forms)
-    else:
-        counts = Counter(c.image_size for c in brute_force_colorings(p, q, cap))
-    return PhiPolynomial.from_counts(counts)
+    if q.alexander is None:
+        plan = _plan(p, q)
+        return PhiPolynomial.from_counts(_image_sizes(_frontier(plan, cap), plan.width))
+    checks, forms = _forced_system(p, q.alexander)
+    return PhiPolynomial.from_counts(image_size_counts(checks, q.alexander.n, cap, forms))
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -126,8 +127,9 @@ def involutory_units(n: int) -> tuple[int, ...]:
     """Units t of Z_n with t*t = 1 (mod n): exactly the involutory Alexander quandles.
 
     Always contains 1 and n-1; composite n can have more (t=3 mod 8, say).
+    t*t = 1 makes t a unit, so no list of the units is built.
     """
-    return tuple(t for t in units(n) if (t * t) % n == 1)
+    return tuple(t for t in range(1, n) if t * t % n == 1)
 
 
 TPolicy = Union[str, int]

@@ -2,22 +2,21 @@
 
 Two independent routes:
 
-* an exact linear-algebra path for Alexander quandles.  ``build_system``
-  turns the presentation into integer coefficients, at most 3 per relation
-  and held as sparse rows; it serves the ``matrix`` command and
-  enumeration.  The rows go as they are into the Smith-form kernel over
-  Z_n itself (``smith._eliminate`` with modulus n; no dense matrix is
-  built), so no coefficient exceeds n/2.  This is sound for composite n,
-  where naive row reduction is not: the row and column operations are
-  integer unimodular ones reduced mod n, or a row scaled by a unit of Z_n,
-  hence invertible mod n, so U*A*V = D (mod n) and the count
+* an exact linear-algebra path for Alexander quandles.  Every query takes
+  one reduction: the search plan of the second route, one column per arc,
+  runs over linear forms in the branch values (:func:`_forced_system`),
+  and only the relations it does not meet by construction, a few check
+  rows over the branches, go to the Smith-form kernel over Z_n itself
+  (``smith._eliminate`` with modulus n; no dense matrix is built), so no
+  coefficient exceeds n/2.  This is sound for composite n, where naive
+  row reduction is not: the row and column operations are integer
+  unimodular ones reduced mod n, or a row scaled by a unit of Z_n, hence
+  invertible mod n, so U*A*V = D (mod n) and the count
   n**(cols - rank) * prod(gcd(d_i, n)) and the parameterization x = V*y
-  still hold.  A count builds no column of V, and an enumeration only the
-  columns it reads.  Counts and image sizes take the forcing route: the
-  search plan of the second route, one column per arc, runs over linear
-  forms in the branch values (:func:`_forced_system`), and only the
-  relations it does not meet by construction, a few check rows over the
-  branches, go to the kernel;
+  still hold.  A count builds no column of V; :func:`_solutions` builds
+  the columns it reads and lifts each to every arc by the forms.
+  ``build_system``, one sparse row of at most 3 coefficients per relation,
+  serves the ``matrix`` command and, as their oracle, the tests;
 * a brute-force search over arc assignments that works for any finite
   quandle and serves as the oracle for the first.  A plan is compiled once
   from the relations (:func:`_compile`, which reads only whether the
@@ -36,15 +35,13 @@ Two independent routes:
   relation reads ``out = in``): otherwise they force a value for some rows
   and not others, which no plan, the same for every row, can say.
 
-Image sizes, which is all the enhanced polynomial reads, come from the
-forcing route too.  ``image_size_counts`` solves the checks over Z_n with
-one coloring per class of x -> x + c*1, lifts the solutions to every arc
-by the forms and counts image sizes in numpy, with no ``Coloring`` built.
 A plan reads of (n, t) only its class (:func:`_forcing_class`: t = 1,
 1 - t a unit, or neither), so a sweep over many (n, t) compiles it once
-per class and runs the forms at each point (:func:`_run_forms`).
-``enumerate_solutions`` stays the route for sorted colorings, and the
-reference the histogram is tested against.
+per class and runs the forms at each point (:func:`_run_forms`).  Both
+routes share one lexicographic sort (``enumerate_solutions``,
+``brute_force_colorings``) and one numpy histogram of image sizes
+(``image_size_counts``, and ``phi`` by a table), with no ``Coloring``
+built for the histogram.
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, so such
@@ -59,7 +56,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
-from math import gcd, prod
+from math import gcd
 
 from .diagram import _find
 from .errors import CapExceededError
@@ -77,13 +74,13 @@ class ColoringSystem:
     """Integer coefficient matrix of the homogeneous system over Z_n, held sparse.
 
     ``entries[i]`` lists row i's nonzero coefficients as (column, value)
-    pairs, columns ascending: at most 3 per relation from build_system.
-    From build_system, column j holds the coefficient of arc j+1 (from
-    :func:`_run_forms`, of the j-th branch).  A positive
-    crossing ``under_out = under_in > over`` contributes +t at under_in,
-    +(1-t) at over, -1 at under_out (entries combined when arcs coincide);
-    negative crossings use 1/t mod n in place of t.  Every row sums to zero,
-    so the all-equal coloring is always a solution.  The elimination reads
+    pairs.  Every query solves the checks of :func:`_run_forms`, whose
+    column j is the j-th branch.  From build_system, for ``matrix`` and
+    the tests, column j is arc j+1 and a positive crossing
+    ``under_out = under_in > over`` contributes +t at under_in, +(1-t) at
+    over, -1 at under_out (entries combined when arcs coincide); negative
+    crossings use 1/t mod n in place of t.  Every row sums to zero, so the
+    all-equal coloring is always a solution.  The elimination reads
     ``entries`` as they are; the dense ``matrix`` is built only when read.
     """
 
@@ -116,7 +113,11 @@ class Coloring:
 
 
 def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSystem:
-    """Coefficients of the coloring equations, one sparse row per relation."""
+    """Coefficients of the coloring equations, one sparse row per relation.
+
+    No query solves these rows: they serve the ``matrix`` command and, as
+    the full system the forcing route must agree with, the tests.
+    """
     t, t_inv = params.t, params.t_inverse
     rows = []
     for r in p.relations:
@@ -133,101 +134,106 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(_eliminate(system.entries, system.cols, n), n)
 
 
-def _solution_space(
-    entries, cols: int, n: int, cap: int, scale: int = 1
-) -> tuple[list[tuple[int, range]], list[list[int]]]:
-    """The solutions of A*x = 0 (mod n) as x = V*y: y's varying ranges, V's columns.
+def _solutions(entries, cols: int, n: int, cap: int, forms: Lift | None = None, held: int = 0):
+    """Every solution of A*x = 0 (mod n), A's rows sparse, as an iterator of 4096-row chunks.
 
-    A's rows are given sparse, as for :func:`_eliminate`.
-
-    (k, range) for each coordinate k of y that varies over the solutions of
-    D*y = 0 (mod n): torsion ones step by n/gcd(d_i, n), free ones by 1.
-    Only their columns of V are built, reduced mod n; V is invertible mod n,
-    so no two y give the same x.  CapExceededError carries the exact count
-    (``scale`` times the number of solutions), so no caller needs a second
-    elimination to learn it.
+    One elimination gives x = V*y (mod n) with V invertible mod n, so no
+    two y give the same x; y ranges over the solutions of D*y = 0, torsion
+    coordinates by steps of n/gcd(d_i, n) and free ones by 1.  Past the
+    cap, the call itself raises CapExceededError with the exact count,
+    before a column is built or numpy is imported.  Only the columns of V
+    for the coordinates that vary are built, reduced mod n, and lifted by
+    the forms when given: a row is then each form's value at x, in order,
+    and otherwise x itself.  x opens with ``held`` zeros, for columns a
+    caller held at 0 and left out of A, which the forms still name.  A
+    chunk's y are its row indices in mixed radix.
     """
     snf = _eliminate(entries, cols, n)
-    count = scale * solution_count_mod(snf, n)
+    count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
-    steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (snf.cols - snf.rank)
-    varying = [(k, range(0, n, step)) for k, step in enumerate(steps) if step < n]
-    return varying, [[x % n for x in snf.column(k)] for k, _ in varying]
+    steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
+    varying = [k for k, step in enumerate(steps) if step < n]
+    basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
+    if forms is not None:
+        basis = [[sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis]
+    import numpy as np
+
+    # each entry of a row is a sum of len(varying) products below n**2; n itself must fit too
+    dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
+    width = held + cols if forms is None else len(forms)
+    basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
+
+    def chunk(start: int):
+        index = np.arange(start, min(start + 4096, count)).astype(dtype)
+        ys = np.empty((len(index), len(varying)), dtype=dtype)
+        for col, k in enumerate(varying):
+            ys[:, col] = index % (n // steps[k]) * steps[k]
+            index //= n // steps[k]
+        return ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
+
+    return map(chunk, range(0, count, 4096))
 
 
-def enumerate_solutions(
-    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP
-) -> list[Coloring]:
-    """All solutions of the system over Z_n, sorted; CapExceededError if too many.
+def _sorted_colorings(blocks: list) -> list[Coloring]:
+    """A Coloring per row of the blocks, integer arrays of one width, in lexicographic order."""
+    import numpy as np
 
-    Each solution is x = V*y (mod n) for y over the ranges of the varying
-    coordinates (see :func:`_solution_space`).
-    """
-    varying, basis = _solution_space(system.entries, system.cols, n, cap)
-    rows = _solution_rows(basis, varying, n, system.cols)
-    return [Coloring(colors) for colors in sorted(tuple(x) for xs in rows for x in xs.tolist())]
+    rows = np.concatenate(blocks)
+    if rows.shape[1]:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return [Coloring(tuple(colors)) for colors in rows.tolist()]
 
 
-def _solution_rows(basis: list[list[int]], varying: list[tuple[int, range]], n: int, width: int):
-    """Every x = y * basis (mod n), y over the varying coordinates' ranges, 4096 rows at a time.
+def _image_sizes(blocks, width: int) -> dict[int, int]:
+    """Number of rows per count of distinct entries, over blocks of rows ``width`` wide.
 
-    Row i of the basis is the column of V for varying coordinate i, lifted to
-    ``width`` entries.  The y of a chunk are its indices written in mixed
-    radix, one digit per coordinate.
+    Each block is sorted along its rows in place, and a row's distinct
+    entries are its steps plus one.
     """
     import numpy as np
 
-    # each entry of x is a sum of len(varying) products below n**2; n itself must fit too
-    dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
-    basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
-    radices = [n // values.step for _, values in varying]
-    total = prod(radices)
-    for start in range(0, total, 4096):
-        index = np.arange(start, min(start + 4096, total)).astype(dtype)
-        ys = np.empty((len(index), len(varying)), dtype=dtype)
-        for col, ((_, values), radix) in enumerate(zip(varying, radices)):
-            ys[:, col] = index % radix * values.step
-            index //= radix
-        yield ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
+    sizes = np.zeros(width + 1, dtype=np.int64)
+    for xs in blocks:
+        xs.sort(axis=1)
+        distinct = (xs[:, 1:] != xs[:, :-1]).sum(axis=1) + (width > 0)
+        sizes += np.bincount(distinct, minlength=width + 1)
+    return {size: int(c) for size, c in enumerate(sizes.tolist()) if c}
+
+
+def enumerate_solutions(
+    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, forms: Lift | None = None
+) -> list[Coloring]:
+    """All solutions of the system over Z_n, lifted by the forms if given, sorted.
+
+    CapExceededError, with the exact count, past the cap (see :func:`_solutions`).
+    """
+    return _sorted_colorings(list(_solutions(system.entries, system.cols, n, cap, forms)))
 
 
 def image_size_counts(
     system: ColoringSystem,
     n: int,
     cap: int = DEFAULT_CAP,
-    back: Lift = (),
+    forms: Lift | None = None,
 ) -> dict[int, int]:
     """Number of solutions over Z_n per image size; CapExceededError if too many.
 
-    A solution is the system's columns followed by one value per entry of
-    ``back``, the sum of coefficient * value over its (position, coefficient)
-    terms (see :func:`_run_forms`).  Each row sums to zero and each lift's
-    coefficients sum to 1, so x -> x + c*1 maps solutions to solutions
-    with the same image size, and no x is fixed by it: the search takes only
-    the solutions whose first column is 0, n times fewer, and multiplies by
-    n.  The cap still compares the full count.  Each solution is a row of
-    x = y * basis (mod n), built a chunk of rows at a time; sorting a row
-    and counting its steps gives its image size.
+    A solution is lifted by the forms when given (see :func:`_run_forms`),
+    and is x otherwise.  Each row sums to zero and each form's coefficients
+    sum to 1, so x -> x + c*1 maps solutions to solutions with the same
+    image size and fixes none: the search takes only those whose first
+    column is 0, n times fewer, and multiplies by n.  The cap, and the
+    error, keep the full count.
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
-    varying, columns = _solution_space(entries, system.cols - fixed, n, cap, n**fixed)
-    basis = []
-    for column in columns:
-        row = [0] * fixed + column
-        for terms in back:
-            row.append(sum(c * row[pos] for pos, c in terms.items()) % n)
-        basis.append(row)
-    import numpy as np  # past the cap check: a query over the cap never loads it
-
-    width = system.cols + len(back)
-    sizes = np.zeros(width + 1, dtype=np.int64)
-    for xs in _solution_rows(basis, varying, n, width):
-        xs.sort(axis=1)
-        distinct = (xs[:, 1:] != xs[:, :-1]).sum(axis=1) + (width > 0)
-        sizes += np.bincount(distinct, minlength=width + 1)
-    return {size: int(c) * n**fixed for size, c in enumerate(sizes.tolist()) if c}
+    try:
+        solutions = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
+    except CapExceededError as exc:
+        raise CapExceededError(cap, exc.count * n**fixed) from None
+    sizes = _image_sizes(solutions, system.cols if forms is None else len(forms))
+    return {size: c * n**fixed for size, c in sizes.items()}
 
 
 def _alike_arcs(p: QuandlePresentation) -> list[int]:
@@ -536,11 +542,5 @@ def brute_force_colorings(
     finished colorings pass the cap.  Their rows are then spread from
     classes of alike arcs to arcs and sorted.
     """
-    import numpy as np
-
     plan = _plan(p, q)
-    blocks = list(_frontier(plan, cap))
-    colorings = np.concatenate(blocks)[:, plan.columns]
-    if p.arc_count:
-        colorings = colorings[np.lexsort(colorings.T[::-1])]
-    return [Coloring(tuple(colors)) for colors in colorings.tolist()]
+    return _sorted_colorings([block[:, plan.columns] for block in _frontier(plan, cap)])

@@ -22,12 +22,16 @@ from quandlecolor import (
     alexander,
     catalog,
     catalog_names,
+    connected_sum,
     enumerate_solutions,
+    parse_pd_code,
     parse_quandle_file,
+    parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
     smith_normal_form,
     solution_count_mod,
+    units,
     validate,
 )
 
@@ -224,6 +228,27 @@ def braid_pd(strands: int, word) -> str:
         for e in quad:
             label.setdefault(closing.get(e, e), len(label) + 1)
     return " ".join("X({},{},{},{})".format(*(label[closing.get(e, e)] for e in q)) for q in quads)
+
+
+# (n, t) for the forcing route: at (8, 3) 1 - t is no unit, so no step
+# solves for an over-arc; t = 1, and n = 2, are trivial quandles, whose
+# steps only copy and compare
+FORCING_QUANDLES = ((8, 3), (9, 2), (15, 2), (9, 1), (2, 1))
+
+
+def forcing_diagrams():
+    """Catalog, chain, braid-closure and free-circle diagrams small enough for the dense oracle."""
+    chain = connected_sum(
+        connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1), catalog("allen_swenberg"), 1, 1
+    )
+    braids = [parse_pd_code(braid_pd(3, [1, -2] * 4)), parse_pd_code(braid_pd(4, [1, -2, 3] * 5))]
+    circles = parse_relations_file("circles: 1\n" + catalog("trefoil").render_relations())
+    return [*map(catalog, catalog_names()), chain, *braids, circles]
+
+
+def involutory_units_among_units(n: int) -> tuple[int, ...]:
+    """The units of Z_n, listed in full, filtered by t*t = 1 (mod n)."""
+    return tuple(t for t in units(n) if t * t % n == 1)
 
 
 @functools.cache

@@ -551,16 +551,16 @@ TAKASAKI_3 = "order: 3\n0 2 1\n2 1 0\n1 0 2\n"
 TREFOIL_3_LISTING = "count: 9\n0 0 0\n0 1 2\n0 2 1\n1 0 2\n1 1 1\n1 2 0\n2 0 1\n2 1 0\n2 2 2\n"
 
 # in a fresh interpreter: import the CLI, run each argv of argv[1] (JSON),
-# and after each record (exit code, stdout, whether numpy is loaded)
+# and after each record (exit code, stdout, stderr, whether numpy is loaded)
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import quandlecolor.cli
-results = [[None, None, "numpy" in sys.modules]]
+results = [[None, None, None, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = quandlecolor.cli.main(argv)
-    results.append([code, out.getvalue(), "numpy" in sys.modules])
+    results.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
 print(json.dumps(results))
 """
 
@@ -568,8 +568,9 @@ print(json.dumps(results))
 def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # numpy is most of a fresh process's start-up: importing the CLI, and
     # commands that build no array, never load it (a count by (n, t) of a
-    # grown file, or at t = 1, included); phi, enumeration and table
-    # validation import it where they build arrays
+    # grown file, or at t = 1, included, and phi or an enumeration past the
+    # cap, which exit 3); phi, enumeration and table validation import it
+    # where they build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
     link = tmp_path / "grown.rel"
@@ -580,6 +581,8 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
         ["colorings", "allen_swenberg", "--n", "101", "--t", "3"],
         ["colorings", str(link), "--n", "9", "--t", "2"],
         ["colorings", "allen_swenberg", "--n", "9", "--t", "1"],
+        ["colorings", "allen_swenberg", "--n", "101", "--t", "1", "--enumerate"],
+        ["phi", "allen_swenberg", "--n", "101", "--t", "1"],
         ["matrix", "trefoil", "--n", "5", "--t", "2"],
     ]
     needs_numpy = [
@@ -590,13 +593,13 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     done = run_python_limited("-c", NUMPY_PROBE, json.dumps(lean + needs_numpy))
     assert (done.returncode, done.stderr) == (0, "")
     results = [tuple(r) for r in json.loads(done.stdout)]
-    assert results[0] == (None, None, False)
+    assert results[0] == (None, None, None, False)
     for argv, result in zip(lean, results[1:]):
-        assert result == (*run(capsys, *argv)[:2], False)
+        assert result == (*run(capsys, *argv), False)
     assert results[len(lean) + 1:] == [
-        (0, "3*q^1 + 6*q^3\n", True),
-        (0, TREFOIL_3_LISTING, True),
-        (0, "count: 9\n", True),
+        (0, "3*q^1 + 6*q^3\n", "", True),
+        (0, TREFOIL_3_LISTING, "", True),
+        (0, "count: 9\n", "", True),
     ]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd, prod
 
@@ -24,6 +25,7 @@ from quandlecolor import (
     catalog_names,
     compare,
     connected_sum,
+    count_solutions,
     counting_invariant,
     enumerate_solutions,
     extract,
@@ -35,11 +37,14 @@ from quandlecolor import (
 from quandlecolor.solver import _forced_system, image_size_counts
 
 from conftest import (
+    FORCING_QUANDLES,
     as_table_file,
     braid_pd,
     check_against_oracle,
     dense_smith,
+    forcing_diagrams,
     grown,
+    involutory_units_among_units,
     takasaki,
     transpositions,
     trivial,
@@ -260,12 +265,52 @@ def test_phi_exponents_bounded_by_arc_count():
     assert poly.terms == ((1, 5),)
 
 
+def _colorings_or_count(route):
+    """A route's colorings, or the count its CapExceededError carries (None by brute force)."""
+    try:
+        return [c.colors for c in route()]
+    except CapExceededError as exc:
+        return exc.count
+
+
 def test_all_colorings_routes_agree():
-    p = extract(catalog("hopf"))
-    q = alexander(4, 3)
-    via_linear = {c.colors for c in all_colorings(p, q)}
-    via_search = {c.colors for c in brute_force_colorings(p, q)}
-    assert via_linear == via_search
+    # by (n, t), all_colorings lifts the solutions of the forcing search's
+    # checks; it must list what build_system's full rows and brute force by
+    # the quandle's table list, and past the cap carry build_system's count
+    cap = 2000
+    diagrams = forcing_diagrams() + [
+        grown("trefoil", 40, 21), grown("hopf_sum", 120, 22), grown("allen_swenberg", 200, 23)
+    ]
+    for d in diagrams:
+        p = extract(d)
+        for n, t in FORCING_QUANDLES:
+            q = alexander(n, t)
+            full = build_system(p, q.alexander)
+            linear = _colorings_or_count(lambda: all_colorings(p, q, cap))
+            assert linear == _colorings_or_count(lambda: enumerate_solutions(full, n, cap))
+            brute = _colorings_or_count(lambda: brute_force_colorings(p, as_table_file(q), cap))
+            if isinstance(linear, list):
+                assert linear == brute, (d.arc_count, n, t)
+            else:
+                assert linear == count_solutions(full, n) > cap and brute is None, (d.arc_count, n, t)
+
+
+def test_all_colorings_by_n_t_never_builds_the_full_system(monkeypatch):
+    import quandlecolor.invariants as invariants
+    import quandlecolor.solver as solver
+
+    def refuse(*args):
+        raise AssertionError("build_system called")
+
+    for module in (solver, invariants):
+        monkeypatch.setattr(module, "build_system", refuse, raising=False)
+    colorings = all_colorings(extract(catalog("trefoil")), alexander(3, 2))
+    assert [" ".join(map(str, c.colors)) for c in colorings] == [
+        "0 0 0", "0 1 2", "0 2 1", "1 0 2", "1 1 1", "1 2 0", "2 0 1", "2 1 0", "2 2 2",
+    ]
+    with pytest.raises(CapExceededError) as exc:
+        all_colorings(extract(catalog("allen_swenberg")), alexander(101, 1))
+    assert exc.value.count == 101**3
 
 
 def test_units_and_involutory_units():
@@ -277,6 +322,17 @@ def test_units_and_involutory_units():
     for n in range(2, 25):
         for t in involutory_units(n):
             assert alexander(n, t).is_involutory()
+    for n in range(1, 2000):
+        assert involutory_units(n) == involutory_units_among_units(n), n
+    # no tuple of the phi(n) units is built on the way: at n = 10**6 + 3 it
+    # would peak near 40 MB
+    tracemalloc.start()
+    try:
+        assert involutory_units(10**6 + 3) == (1, 10**6 + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _involutory_counts(p, n):
@@ -503,6 +559,24 @@ def test_image_size_counts_match_enumeration(name):
                 assert sum(image_size_counts(checks, n, count, forms).values()) == count
             else:
                 assert cell.phi_a is None and cell.count_a == expected, (n, t)
+
+
+def test_phi_by_a_table_counts_the_image_sizes_of_the_brute_force_colorings():
+    # phi by a table histograms the search's blocks, one column per class of
+    # alike arcs: the image sizes of the sorted colorings, and for an
+    # Alexander table phi by (n, t)
+    cap = 3000
+    tables = [transpositions(4), trivial(3), *(alexander(n, t) for n, t in ((9, 2), (8, 3)))]
+    for q in tables:
+        table = as_table_file(q)
+        for d in forcing_diagrams() + [grown("trefoil", 40, 21)]:
+            p = extract(d)
+            expected = _counts_or_cap(
+                lambda: Counter(c.image_size for c in brute_force_colorings(p, table, cap))
+            )
+            assert _counts_or_cap(lambda: dict(phi_polynomial(p, table, cap).terms)) == expected
+            if q.alexander is not None and expected is not None:
+                assert dict(phi_polynomial(p, q, cap).terms) == expected, (d.arc_count, q.order)
 
 
 def test_compare_compiles_each_link_once_per_class_of_t(monkeypatch):

@@ -25,7 +25,6 @@ from quandlecolor import (
     extract,
     connected_sum,
     counting_invariant,
-    parse_pd_code,
     parse_relations_file,
     reidemeister_r1,
     reidemeister_r2,
@@ -34,12 +33,13 @@ from quandlecolor import (
 )
 
 from conftest import (
+    FORCING_QUANDLES,
     apply,
     as_table_file,
-    braid_pd,
     check_against_oracle,
     dense_smith,
     exact_det,
+    forcing_diagrams,
     grown,
     matmul,
     modular_solutions,
@@ -538,26 +538,10 @@ def test_counts_can_exceed_machine_words():
     assert count_solutions(sys, 10) == 10**60
 
 
-# (n, t) for the count by forcing: at (8, 3) 1 - t is no unit, so no step
-# solves for an over-arc; t = 1, and n = 2, are trivial quandles, whose
-# steps only copy and compare
-FORCING_QUANDLES = ((8, 3), (9, 2), (15, 2), (9, 1), (2, 1))
-
-
-def _forcing_diagrams():
-    """Catalog, chain, braid-closure and free-circle diagrams small enough for the dense oracle."""
-    chain = connected_sum(
-        connected_sum(catalog("hopf_sum"), catalog("trefoil"), 1, 1), catalog("allen_swenberg"), 1, 1
-    )
-    braids = [parse_pd_code(braid_pd(3, [1, -2] * 4)), parse_pd_code(braid_pd(4, [1, -2, 3] * 5))]
-    circles = parse_relations_file("circles: 1\n" + catalog("trefoil").render_relations())
-    return [*map(catalog, catalog_names()), chain, *braids, circles]
-
-
 def test_forcing_counts_match_the_kernel_and_the_dense_oracle():
     # counting_invariant counts by forcing; build_system's rows through the
     # sparse kernel, and the dense integer Smith form, count independently
-    for d in _forcing_diagrams():
+    for d in forcing_diagrams():
         p = extract(d)
         for n, t in FORCING_QUANDLES:
             system = build_system(p, AlexanderParams(n, t))
@@ -584,7 +568,7 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
     # each arc's form over the branches sums to 1 and each check to 0; the
     # solutions of the checks, lifted by the forms, are exactly the colorings
     # (enumerated up to 2000 of them)
-    for d in _forcing_diagrams():
+    for d in forcing_diagrams():
         p = extract(d)
         for n, t in FORCING_QUANDLES:
             params = AlexanderParams(n, t)
@@ -603,7 +587,7 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
 def test_forcing_steps_follow_the_two_facts():
     # solve steps exist only when 1 - t is a unit, and a trivial quandle's
     # steps copy and compare (e = 0) and never read an over-arc
-    presentations = [extract(d) for d in _forcing_diagrams()]
+    presentations = [extract(d) for d in forcing_diagrams()]
     for n, t in FORCING_QUANDLES:
         steps = [step for p in presentations
                  for step in solver._compile(p, range(-1, p.arc_count), p.arc_count, t == 1,
