@@ -9,7 +9,7 @@ import pytest
 from quandlecolor import alexander, catalog_names, units
 from quandlecolor.cli import build_parser, main
 
-from conftest import grown, run_cli_limited, run_python_limited, table_text, transpositions
+from conftest import grown, run_cli_limited, run_python_limited, table_text, transpositions, trivial
 
 
 def run(capsys, *argv):
@@ -379,6 +379,48 @@ def test_enumerate_cap_exceeded_bytes(capsys):
     # error names the exact count
     extras = ((3, ("--cap", "0")), (3, ("--cap", "1")))
     assert _enumerate_transcript(capsys, extras) == ENUMERATE_SHA256["cap-exceeded"]
+
+
+TABLE_LISTING_SHA256 = {
+    "listings": "90d7aa5404dd43a67c982d61c30ef7eccd4ea2149df75a48f2ff6af7af6c6de1",
+    "cap-exceeded": "78b92662c4b7077958715e843cb78e3e4d64a947620625a355f945ad492ece1f",
+}
+
+
+def _table_transcript(capsys, tmp_path, monkeypatch, extras) -> str:
+    """sha256 of ``colorings --quandle-file --enumerate`` on every catalog link and four tables.
+
+    The tables, written by ``table_text`` and named relative to the working
+    directory so the JSON inputs do not hold a temporary path, are the
+    transpositions of S4, trivial(3), and Alexander (5, 2) and (9, 2) with
+    no (n, t), so every listing takes the brute-force search.  Each run
+    adds its argv, exit code, stdout and stderr to the digest.
+    """
+    monkeypatch.chdir(tmp_path)
+    tables = {"s4.txt": transpositions(4), "trivial3.txt": trivial(3),
+              "alexander5_2.txt": alexander(5, 2), "alexander9_2.txt": alexander(9, 2)}
+    for name, q in tables.items():
+        (tmp_path / name).write_text(table_text(q))
+    digest = hashlib.sha256()
+    for link in catalog_names():
+        for name in tables:
+            argv = ("colorings", link, "--quandle-file", name, "--enumerate")
+            for expected, flags in extras:
+                code, out, err = run(capsys, *argv, *flags)
+                assert code == expected, (argv, flags)
+                digest.update(f"{' '.join(argv + flags)}\n{code}\n{out}{err}".encode())
+    return digest.hexdigest()
+
+
+def test_table_listing_bytes(capsys, tmp_path, monkeypatch):
+    extras = ((0, ()), (0, ("--format", "json")))
+    assert _table_transcript(capsys, tmp_path, monkeypatch, extras) == TABLE_LISTING_SHA256["listings"]
+
+
+def test_table_listing_cap_exceeded_bytes(capsys, tmp_path, monkeypatch):
+    # every link has at least as many colorings as the table has elements
+    extras = ((3, ("--cap", "1")),)
+    assert _table_transcript(capsys, tmp_path, monkeypatch, extras) == TABLE_LISTING_SHA256["cap-exceeded"]
 
 
 def test_compare_bad_flags(capsys):
