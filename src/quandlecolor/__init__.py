@@ -55,7 +55,6 @@ from .quandle import (
 from .smith import SmithForm, smith_normal_form, solution_count_mod
 from .solver import (
     DEFAULT_CAP,
-    Coloring,
     ColoringSystem,
     brute_force_colorings,
     build_system,
@@ -71,7 +70,6 @@ __all__ = [
     "CATALOG",
     "CapExceededError",
     "CatalogEntry",
-    "Coloring",
     "ColoringSystem",
     "ComparisonCell",
     "Crossing",

@@ -143,7 +143,7 @@ def cmd_colorings(args) -> int:
     inputs = {"link": name, "cap": args.cap, **quandle_inputs}
     results: dict = {}
     if args.enumerate:
-        results["colorings"] = [list(c.colors) for c in all_colorings(p, q, args.cap)]
+        results["colorings"] = all_colorings(p, q, args.cap)
         results["count"] = len(results["colorings"])
     else:
         results["count"] = counting_invariant(p, q, args.cap)

@@ -14,7 +14,7 @@ form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
 ``phi_polynomial`` and ``compare`` hand checks and forms to
 ``image_size_counts``, which searches one coloring per class of
-x -> x + c*1 and counts image sizes in numpy, with no ``Coloring`` built.
+x -> x + c*1 and counts image sizes in numpy, with no coloring listed.
 ``compare`` compiles each link's plan once per call and class of t (t = 1,
 1 - t a unit, or neither) and runs its forms at each grid point.  The count
 is the sum of the polynomial or, past the cap, the exact count the
@@ -32,7 +32,6 @@ from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
-    Coloring,
     ColoringSystem,
     Lift,
     _forced_system,
@@ -77,8 +76,11 @@ class PhiPolynomial:
 
 def all_colorings(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
-) -> list[Coloring]:
-    """Every coloring of p by q, via the exact linear route when q is Alexander."""
+) -> list[tuple[int, ...]]:
+    """Every coloring of p by q, sorted, via the exact linear route when q is Alexander.
+
+    A coloring is a tuple of arc colors, arc 1 first.
+    """
     if q.alexander is not None:
         checks, forms = _forced_system(p, q.alexander)
         return enumerate_solutions(checks, q.alexander.n, cap, forms)
@@ -123,13 +125,44 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, n) if gcd(t, n) == 1)
 
 
+def _prime_powers(n: int):
+    """(p, p**k) for each prime p dividing n, k its multiplicity, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            yield p, q
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, n
+
+
 def involutory_units(n: int) -> tuple[int, ...]:
     """Units t of Z_n with t*t = 1 (mod n): exactly the involutory Alexander quandles.
 
     Always contains 1 and n-1; composite n can have more (t=3 mod 8, say).
-    t*t = 1 makes t a unit, so no list of the units is built.
+    The square roots of 1 modulo a prime power q = p**k are +-1 for odd p,
+    1 mod 2, 1 and 3 mod 4, and +-1 and q/2 +- 1 for q >= 8; the Chinese
+    remainder theorem combines them over the prime powers of n, so the
+    cost is the trial division, not a scan of Z_n.
     """
-    return tuple(t for t in range(1, n) if t * t % n == 1)
+    if n < 2:
+        return ()
+    roots, m = [0], 1  # the square roots of 1 mod m
+    for p, q in _prime_powers(n):
+        if p > 2:
+            mine = (1, q - 1)
+        elif q <= 4:
+            mine = range(1, q, 2)
+        else:
+            mine = (1, q - 1, q // 2 - 1, q // 2 + 1)
+        inverse = pow(m, -1, q)
+        roots = [a + m * ((b - a) * inverse % q) for a in roots for b in mine]
+        m *= q
+    return tuple(sorted(roots))
 
 
 TPolicy = Union[str, int]

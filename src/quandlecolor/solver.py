@@ -39,9 +39,10 @@ A plan reads of (n, t) only its class (:func:`_forcing_class`: t = 1,
 1 - t a unit, or neither), so a sweep over many (n, t) compiles it once
 per class and runs the forms at each point (:func:`_run_forms`).  Both
 routes share one lexicographic sort (``enumerate_solutions``,
-``brute_force_colorings``) and one numpy histogram of image sizes
-(``image_size_counts``, and ``phi`` by a table), with no ``Coloring``
-built for the histogram.
+``brute_force_colorings``), which lists each coloring as a tuple of arc
+colors, arc 1 first, and one numpy histogram of image sizes
+(``image_size_counts``, and ``phi`` by a table), with no coloring listed
+for the histogram.
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, so such
@@ -98,18 +99,6 @@ class ColoringSystem:
                 row[j] = x
             dense.append(tuple(row))
         return tuple(dense)
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """An arc assignment satisfying every relation of its source presentation."""
-
-    colors: tuple[int, ...]  # colors[i] is the color of arc i+1
-
-    @property
-    def image_size(self) -> int:
-        """Number of distinct colors used."""
-        return len(set(self.colors))
 
 
 def build_system(p: QuandlePresentation, params: AlexanderParams) -> ColoringSystem:
@@ -175,14 +164,14 @@ def _solutions(entries, cols: int, n: int, cap: int, forms: Lift | None = None, 
     return map(chunk, range(0, count, 4096))
 
 
-def _sorted_colorings(blocks: list) -> list[Coloring]:
-    """A Coloring per row of the blocks, integer arrays of one width, in lexicographic order."""
+def _sorted_colorings(blocks: list) -> list[tuple[int, ...]]:
+    """The rows of the blocks, integer arrays of one width, as tuples in lexicographic order."""
     import numpy as np
 
     rows = np.concatenate(blocks)
     if rows.shape[1]:
         rows = rows[np.lexsort(rows.T[::-1])]
-    return [Coloring(tuple(colors)) for colors in rows.tolist()]
+    return list(map(tuple, rows.tolist()))
 
 
 def _image_sizes(blocks, width: int) -> dict[int, int]:
@@ -203,7 +192,7 @@ def _image_sizes(blocks, width: int) -> dict[int, int]:
 
 def enumerate_solutions(
     system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, forms: Lift | None = None
-) -> list[Coloring]:
+) -> list[tuple[int, ...]]:
     """All solutions of the system over Z_n, lifted by the forms if given, sorted.
 
     CapExceededError, with the exact count, past the cap (see :func:`_solutions`).
@@ -527,13 +516,13 @@ def _frontier(plan: _Plan, cap: int):
 
 
 def brute_force_count(p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP) -> int:
-    """``len(brute_force_colorings(p, q, cap))``, summed over the search's blocks with no Coloring built."""
+    """``len(brute_force_colorings(p, q, cap))``, summed over the search's blocks with no list built."""
     return sum(len(block) for block in _frontier(_plan(p, q), cap))
 
 
 def brute_force_colorings(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
-) -> list[Coloring]:
+) -> list[tuple[int, ...]]:
     """Every coloring of p by an arbitrary finite quandle, sorted.
 
     The plan (:func:`_plan`) is compiled once from the relations and run

@@ -194,7 +194,7 @@ def check_against_oracle(matrix, cols: int, moduli, max_enumerated: int = 5000) 
                 tuple(sum(y * c[r] for y, c in zip(ys, columns)) % n for r in range(cols))
                 for ys in itertools.product(*(values for _, values in active))
             )
-            assert [c.colors for c in enumerate_solutions(system, n)] == oracle, n
+            assert enumerate_solutions(system, n) == oracle, n
 
 
 def system_of(matrix, cols: int) -> ColoringSystem:
@@ -244,6 +244,11 @@ def forcing_diagrams():
     braids = [parse_pd_code(braid_pd(3, [1, -2] * 4)), parse_pd_code(braid_pd(4, [1, -2, 3] * 5))]
     circles = parse_relations_file("circles: 1\n" + catalog("trefoil").render_relations())
     return [*map(catalog, catalog_names()), chain, *braids, circles]
+
+
+def image_size(colors: tuple[int, ...]) -> int:
+    """Number of distinct colors a coloring uses: its exponent in phi."""
+    return len(set(colors))
 
 
 def involutory_units_among_units(n: int) -> tuple[int, ...]:

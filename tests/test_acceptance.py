@@ -67,7 +67,7 @@ def test_criterion_1_trefoil_regression():
         assert counting_invariant(p, q) == 9
         poly = phi_polynomial(p, q)
         assert poly.terms == ((1, 3), (3, 6))
-        sols = {c.colors for c in enumerate_solutions(build_system(p, q.alexander), 3)}
+        sols = set(enumerate_solutions(build_system(p, q.alexander), 3))
         assert sols == {
             (0, 0, 0), (1, 1, 1), (2, 2, 2),
             (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
@@ -141,11 +141,8 @@ def test_criterion_6_oracle_equivalence():
             for n in range(2, 6):
                 for t in _units(n):
                     q = alexander(n, t)
-                    brute = {c.colors for c in brute_force_colorings(p, q)}
-                    linear = {
-                        c.colors
-                        for c in enumerate_solutions(build_system(p, q.alexander), n)
-                    }
+                    brute = set(brute_force_colorings(p, q))
+                    linear = set(enumerate_solutions(build_system(p, q.alexander), n))
                     assert brute == linear, (name, n, t)
 
 
@@ -192,8 +189,8 @@ def test_criterion_9_composite_modulus_soundness():
         # independent re-check: every returned assignment satisfies the table
         for c in brute:
             for r in p.relations:
-                assert c.colors[r.under_out - 1] == apply(
-                    q, c.colors[r.under_in - 1], c.colors[r.over - 1], r.positive
+                assert c[r.under_out - 1] == apply(
+                    q, c[r.under_in - 1], c[r.over - 1], r.positive
                 )
         assert linear == len(brute) == 16
         assert linear > 4  # why criteria 2 and 3 restrict to prime n

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 from math import gcd, prod
@@ -44,6 +45,7 @@ from conftest import (
     dense_smith,
     forcing_diagrams,
     grown,
+    image_size,
     involutory_units_among_units,
     takasaki,
     transpositions,
@@ -190,7 +192,7 @@ def test_counting_invariant_brute_path_for_plain_tables():
 
 
 def test_brute_path_count_reads_the_search_blocks():
-    # no Coloring is built: the count must still be the sorted list's
+    # no list of colorings is built: the count must still be the sorted list's
     # length, and the cap must hold at the same count
     for q in (transpositions(4), trivial(3), as_table_file(alexander(5, 2))):
         for name in ("hopf", "trefoil", "hopf_sum", "allen_swenberg"):
@@ -268,7 +270,7 @@ def test_phi_exponents_bounded_by_arc_count():
 def _colorings_or_count(route):
     """A route's colorings, or the count its CapExceededError carries (None by brute force)."""
     try:
-        return [c.colors for c in route()]
+        return route()
     except CapExceededError as exc:
         return exc.count
 
@@ -305,7 +307,7 @@ def test_all_colorings_by_n_t_never_builds_the_full_system(monkeypatch):
     for module in (solver, invariants):
         monkeypatch.setattr(module, "build_system", refuse, raising=False)
     colorings = all_colorings(extract(catalog("trefoil")), alexander(3, 2))
-    assert [" ".join(map(str, c.colors)) for c in colorings] == [
+    assert [" ".join(map(str, c)) for c in colorings] == [
         "0 0 0", "0 1 2", "0 2 1", "1 0 2", "1 1 1", "1 2 0", "2 0 1", "2 1 0", "2 2 2",
     ]
     with pytest.raises(CapExceededError) as exc:
@@ -322,8 +324,17 @@ def test_units_and_involutory_units():
     for n in range(2, 25):
         for t in involutory_units(n):
             assert alexander(n, t).is_involutory()
-    for n in range(1, 2000):
+    for n in range(1, 3000):
         assert involutory_units(n) == involutory_units_among_units(n), n
+    # the roots come from n's factors by CRT: a scan of 2**40 * 3**20
+    # residues would never finish; 2**40 contributes 4 roots, 3**20 two
+    n = 2**40 * 3**20
+    start = time.perf_counter()
+    roots = involutory_units(n)
+    assert time.perf_counter() - start < 0.5
+    assert len(set(roots)) == 8 and roots == tuple(sorted(roots))
+    assert roots[0] == 1 and roots[-1] == n - 1
+    assert all(0 < t < n and t * t % n == 1 for t in roots)
     # no tuple of the phi(n) units is built on the way: at n = 10**6 + 3 it
     # would peak near 40 MB
     tracemalloc.start()
@@ -540,7 +551,7 @@ def test_image_size_counts_match_enumeration(name):
             params = AlexanderParams(n, t)
             full = build_system(p, params)
             expected = _counts_or_cap(
-                lambda: Counter(c.image_size for c in enumerate_solutions(full, n, cap))
+                lambda: Counter(map(image_size, enumerate_solutions(full, n, cap)))
             )
             checks, forms = _forced_system(p, params)
             assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
@@ -572,7 +583,7 @@ def test_phi_by_a_table_counts_the_image_sizes_of_the_brute_force_colorings():
         for d in forcing_diagrams() + [grown("trefoil", 40, 21)]:
             p = extract(d)
             expected = _counts_or_cap(
-                lambda: Counter(c.image_size for c in brute_force_colorings(p, table, cap))
+                lambda: Counter(map(image_size, brute_force_colorings(p, table, cap)))
             )
             assert _counts_or_cap(lambda: dict(phi_polynomial(p, table, cap).terms)) == expected
             if q.alexander is not None and expected is not None:
