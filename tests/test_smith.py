@@ -1,12 +1,25 @@
 """Smith normal form: exactness, unimodularity, and modular solution counts."""
 
+import hashlib
+import random
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandlecolor import smith_normal_form, solution_count_mod
+from quandlecolor import (
+    AlexanderParams,
+    build_system,
+    catalog,
+    catalog_names,
+    extract,
+    smith_normal_form,
+    solution_count_mod,
+    units,
+)
+from quandlecolor.smith import _eliminate
+from quandlecolor.solver import _forced_system
 
 from conftest import (
     check_against_oracle,
@@ -163,3 +176,57 @@ def test_modular_form_answers_only_its_modulus():
         solution_count_mod(snf, 8)
     with pytest.raises(ValueError):
         smith_normal_form([[1]], modulus=-3)
+
+
+def _kernel_digests() -> dict[str, str]:
+    """sha256 of repr((diagonal, column_ops, column_order)) for every system of a fixed set.
+
+    The forced checks of every catalog link for n = 2..23 and every unit t,
+    mod n; the same links' build_system rows, mod n and over Z; and 300
+    seeded random matrices of at most 7 x 7 with many zeros, over Z and mod
+    each n in 2..30.
+    """
+    digests = {}
+
+    def digest(name, systems):
+        h = hashlib.sha256()
+        for entries, cols, modulus in systems:
+            snf = _eliminate(entries, cols, modulus)
+            h.update(repr((snf.diagonal, snf.column_ops, snf.column_order)).encode())
+        digests[name] = h.hexdigest()
+
+    def catalog_systems(route, moduli):
+        for name in catalog_names():
+            p = extract(catalog(name))
+            for n in range(2, 24):
+                for t in units(n):
+                    system = route(p, AlexanderParams(n, t))
+                    for modulus in moduli(n):
+                        yield system.entries, system.cols, modulus
+
+    digest("forced", catalog_systems(lambda p, params: _forced_system(p, params)[0], lambda n: (n,)))
+    digest("build_system", catalog_systems(build_system, lambda n: (n, 0)))
+    rng = random.Random(24)
+    values = (0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 5, 6, 9, -12, 16, 30, -45)
+
+    def random_systems():
+        for _ in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            entries = [[(j, x) for j in range(cols) if (x := rng.choice(values))]
+                       for _ in range(rows)]
+            for modulus in (0, *range(2, 31)):
+                yield entries, cols, modulus
+
+    digest("random", random_systems())
+    return digests
+
+
+def test_kernel_pivots_and_operation_log_are_pinned():
+    # the pivots, the diagonal and the column operations of the kernel, on
+    # every system the paper's grid and the catalog make and on random ones:
+    # a change to how _eliminate runs must leave all three digests as they are
+    assert _kernel_digests() == {
+        "forced": "1bf01250a12e08b11e206f372f90c0d7c253e8e5399a0d1d5ecd6a7b91d6e1fb",
+        "build_system": "2ebf0b46ba10344bc20c2987de147b5f12bd247cfd61c9f9175e55bfa151bdd5",
+        "random": "40175ac4c1f7692c52ac31b0d360819d6375b5fa0fa165adf4fc8dd267df9f64",
+    }
