@@ -16,6 +16,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .catalog import CATALOG, catalog_entry, catalog_names
 from .diagram import _PD_SKIP, LinkDiagram, parse_pd_code, parse_relations_file
@@ -76,11 +77,16 @@ def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
     return alexander(args.n, args.t), {"n": args.n, "t": args.t}
 
 
-def _emit(args, doc: dict, human: list[str]) -> None:
+def _emit(args, doc: Callable[[], dict], human: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON document or the text lines, whichever --format asks for.
+
+    Each comes from a function called only when its output is printed, so
+    the other is never built.
+    """
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc(), indent=2, sort_keys=True))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -89,32 +95,32 @@ def _document(command: str, inputs: dict, results: dict) -> dict:
 
 
 def cmd_catalog(args) -> int:
-    rows = []
-    human = []
-    for name in catalog_names():
-        entry = catalog_entry(name)
-        d = entry.diagram
-        rows.append(
+    entries = [(name, catalog_entry(name)) for name in catalog_names()]
+    _emit(
+        args,
+        lambda: _document("catalog", {}, {"links": [
             {
                 "name": name,
-                "arcs": d.arc_count,
-                "crossings": d.crossing_count,
+                "arcs": entry.diagram.arc_count,
+                "crossings": entry.diagram.crossing_count,
                 "components": entry.expected_components,
             }
-        )
-        human.append(
-            f"{name} {d.arc_count} arcs {d.crossing_count} crossings "
+            for name, entry in entries
+        ]}),
+        lambda: [
+            f"{name} {entry.diagram.arc_count} arcs {entry.diagram.crossing_count} crossings "
             f"{entry.expected_components} components"
-        )
-    _emit(args, _document("catalog", {}, {"links": rows}), human)
+            for name, entry in entries
+        ],
+    )
     return 0
 
 
 def cmd_relations(args) -> int:
     name, diagram = _resolve_link(args.link)
     text = diagram.render_relations()
-    doc = _document("relations", {"link": name}, {"relations": text})
-    _emit(args, doc, [text.rstrip("\n")])
+    _emit(args, lambda: _document("relations", {"link": name}, {"relations": text}),
+          lambda: [text.rstrip("\n")])
     return 0
 
 
@@ -122,16 +128,15 @@ def cmd_validate_quandle(args) -> int:
     text = Path(args.file).read_text(encoding="utf-8-sig")
     q = parse_quandle_file(text)
     involutory = q.is_involutory()
-    doc = _document(
-        "validate-quandle",
-        {"file": args.file},
-        {"valid": True, "order": q.order, "involutory": involutory},
+    _emit(
+        args,
+        lambda: _document(
+            "validate-quandle",
+            {"file": args.file},
+            {"valid": True, "order": q.order, "involutory": involutory},
+        ),
+        lambda: [f"valid quandle of order {q.order} (involutory: {'yes' if involutory else 'no'})"],
     )
-    human = [
-        f"valid quandle of order {q.order} "
-        f"(involutory: {'yes' if involutory else 'no'})"
-    ]
-    _emit(args, doc, human)
     return 0
 
 
@@ -147,9 +152,9 @@ def cmd_colorings(args) -> int:
         results["count"] = len(results["colorings"])
     else:
         results["count"] = counting_invariant(p, q, args.cap)
-    human = [f"count: {results['count']}"]
-    human += [" ".join(map(str, c)) for c in results.get("colorings", ())]
-    _emit(args, _document("colorings", inputs, results), human)
+    _emit(args, lambda: _document("colorings", inputs, results), lambda: [
+        f"count: {results['count']}", *(" ".join(map(str, c)) for c in results.get("colorings", ()))
+    ])
     return 0
 
 
@@ -164,7 +169,7 @@ def cmd_phi(args) -> int:
     poly = phi_polynomial(p, q, args.cap)
     inputs = {"link": name, "n": args.n, "t": args.t, "cap": args.cap}
     results = {"terms": [list(term) for term in poly.terms], "count": poly.total()}
-    _emit(args, _document("phi", inputs, results), [str(poly)])
+    _emit(args, lambda: _document("phi", inputs, results), lambda: [str(poly)])
     return 0
 
 
@@ -212,16 +217,17 @@ def cmd_compare(args) -> int:
         "t_policy": str(policy),
         "cap": args.cap,
     }
-    human = [f"compare {name_a} vs {name_b}"]
-    for cell in report.grid:
-        phi_a = "-" if cell.phi_a is None else str(cell.phi_a)
-        phi_b = "-" if cell.phi_b is None else str(cell.phi_b)
-        human.append(
-            f"n={cell.n} t={cell.t} count_a={cell.count_a} count_b={cell.count_b} "
-            f"phi_a=({phi_a}) phi_b=({phi_b})"
-        )
-    human.append(f"verdict: {report.verdict}")
-    _emit(args, _document("compare", inputs, report.to_dict()), human)
+
+    def human():
+        yield f"compare {name_a} vs {name_b}"
+        for cell in report.grid:
+            phi_a = "-" if cell.phi_a is None else str(cell.phi_a)
+            phi_b = "-" if cell.phi_b is None else str(cell.phi_b)
+            yield (f"n={cell.n} t={cell.t} count_a={cell.count_a} count_b={cell.count_b} "
+                   f"phi_a=({phi_a}) phi_b=({phi_b})")
+        yield f"verdict: {report.verdict}"
+
+    _emit(args, lambda: _document("compare", inputs, report.to_dict()), human)
     return 0
 
 
@@ -240,19 +246,21 @@ def cmd_matrix(args) -> int:
         lines.extend(" ".join(str(v) for v in row) for row in matrix)
         return lines
 
-    human = block(system.matrix) + [""] + block(reduced)
-    doc = _document(
-        "matrix",
-        {"link": name, "n": args.n, "t": args.t},
-        {
-            "rows": system.rows,
-            "cols": system.cols,
-            "matrix": [list(r) for r in system.matrix],
-            "reduced": [list(r) for r in reduced],
-            "diagonal": list(snf.diagonal),
-        },
+    _emit(
+        args,
+        lambda: _document(
+            "matrix",
+            {"link": name, "n": args.n, "t": args.t},
+            {
+                "rows": system.rows,
+                "cols": system.cols,
+                "matrix": [list(r) for r in system.matrix],
+                "reduced": [list(r) for r in reduced],
+                "diagonal": list(snf.diagonal),
+            },
+        ),
+        lambda: block(system.matrix) + [""] + block(reduced),
     )
-    _emit(args, doc, human)
     return 0
 
 

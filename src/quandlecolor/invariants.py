@@ -14,7 +14,9 @@ form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
 ``phi_polynomial`` and ``compare`` hand checks and forms to
 ``image_size_counts``, which searches one coloring per class of
-x -> x + c*1 and counts image sizes in numpy, with no coloring listed.
+x -> x + c*1 and counts image sizes in numpy, with no coloring listed, over
+one column per distinct form; a single class, the constant colorings, is
+answered from its count alone.
 ``compare`` compiles each link's plan once per call and class of t (t = 1,
 1 - t a unit, or neither) and runs its forms at each grid point.  The count
 is the sum of the polynomial or, past the cap, the exact count the

@@ -142,50 +142,28 @@ def _eliminate(
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
     half = modulus // 2
-
-    def residue(x: int) -> int:
-        if modulus:
-            x %= modulus
-            if x > half:
-                x -= modulus
-        return x
-
-    def rank(x: int) -> int:
-        """How good a pivot x is, least best: over Z_n every unit ranks as 1."""
-        return 1 if modulus and gcd(x, modulus) == 1 else abs(x)
-
     rows: dict[int, dict[int, int]] = {}  # live rows, maybe empty; no stored zeros
-    holders: list[set[int]] = [set() for _ in range(cols)]  # column -> live rows
+    holders: dict[int, set[int]] = {}  # column -> live rows that hold it
     for i, pairs in enumerate(entries):
         row = {}
         for j, x in pairs:
-            if x := residue(x):
+            if modulus:
+                x %= modulus
+                if x > half:
+                    x -= modulus
+            if x:
                 row[j] = x
-                holders[j].add(i)
+                holders.setdefault(j, set()).add(i)
         if row:
             rows[i] = row
     queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
     heapq.heapify(queue)
 
-    def add_row(dst: int, src: dict[int, int], q: int) -> None:
-        row = rows[dst]
-        for j, x in src.items():
-            y = row.get(j, 0) - q * x
-            if modulus:
-                y %= modulus
-                if y > half:
-                    y -= modulus
-            if y:
-                if j not in row:
-                    holders[j].add(dst)
-                row[j] = y
-            elif j in row:
-                del row[j]
-                holders[j].discard(dst)
-        heapq.heappush(queue, (len(row), dst))
-
-    def pick() -> tuple[int, int] | None:
-        """The next pivot (row, col), or None once every live row is zero."""
+    d: list[int] = []  # the pivots, in order
+    pivot_cols: list[int] = []
+    ops: list[tuple[int, int, int]] = []  # V's column operations, over Z_n only
+    while True:
+        # the next pivot (row, col); an entry ranks by |x|, a unit mod n as 1
         popped: list[tuple[int, int]] = []
         best = None  # (nonzeros, rank, row, col)
         while queue:
@@ -197,57 +175,77 @@ def _eliminate(
             if best is not None and k > best[0]:
                 break
             popped.append(heapq.heappop(queue))
-            a, _, j = min((rank(x), len(holders[j]), j) for j, x in row.items())
+            least = None
+            for j, x in row.items():
+                entry = (1 if modulus and gcd(x, modulus) == 1 else abs(x), len(holders[j]), j)
+                if least is None or entry < least:
+                    least = entry
+            a, _, j = least
             if best is None or a < best[1]:
                 best = (k, a, i, j)
                 if a == 1:  # rows come in index order, so nothing later beats it
                     break
         for entry in popped:
             heapq.heappush(queue, entry)
-        return None if best is None else best[2:]
-
-    d: list[int] = []  # the pivots, in order
-    pivot_cols: list[int] = []
-    ops: list[tuple[int, int, int]] = []  # V's column operations, over Z_n only
-    while (pivot := pick()) is not None:
-        pi, pj = pivot
+        if best is None:  # every live row is zero
+            break
+        _, _, pi, pj = best
         while True:
             prow = rows[pi]
             p = prow[pj]
-            if modulus and p != 1 and gcd(p, modulus) == 1:
-                u = pow(p, -1, modulus)  # a unit: the row times its inverse, and p is 1
+            unit = modulus and p != 1 and gcd(p, modulus) == 1
+            if unit or p < 0:  # a unit: the row times its inverse, and p is 1; else negated
+                u = pow(p, -1, modulus) if unit else -1
                 for j, x in prow.items():
-                    prow[j] = residue(u * x)
-                p = 1
-            elif p < 0:
-                for j, x in prow.items():
-                    prow[j] = residue(-x)
-                p = -p
+                    x *= u
+                    if modulus:
+                        x %= modulus
+                        if x > half:
+                            x -= modulus
+                    prow[j] = x
+                p = prow[pj]
             # clear column pj by row operations; the least remainder left
             # becomes the pivot
             left = None
-            for i in sorted(holders[pj] - {pi}):
-                add_row(i, prow, rows[i][pj] // p)
-                r = rows[i].get(pj)
-                if r and (left is None or r < left[0]):
-                    left = (r, i)
-            if left is not None:
-                pi = left[1]
-                continue
+            if len(holders[pj]) > 1:
+                for i in sorted(holders[pj] - {pi}):
+                    row = rows[i]
+                    q = row[pj] // p
+                    for j, x in prow.items():
+                        y = row.get(j, 0) - q * x
+                        if modulus:
+                            y %= modulus
+                            if y > half:
+                                y -= modulus
+                        if y:
+                            if j not in row:
+                                holders[j].add(i)
+                            row[j] = y
+                        elif j in row:
+                            del row[j]
+                            holders[j].discard(i)
+                    heapq.heappush(queue, (len(row), i))
+                    r = row.get(pj)
+                    if r and (left is None or r < left[0]):
+                        left = (r, i)
+                if left is not None:
+                    pi = left[1]
+                    continue
             # clear row pi by column operations; column pj is zero outside
             # row pi, so in A they change row pi alone
-            for j in sorted(prow.keys() - {pj}):
-                q = prow[j] // p
-                if modulus and q:
-                    ops.append((j, pj, q))
-                r = prow[j] - q * p
-                if r:
-                    prow[j] = r
-                    if left is None or r < left[0]:
-                        left = (r, j)
-                else:
-                    del prow[j]
-                    holders[j].discard(pi)
+            if len(prow) > 1:
+                for j in sorted(prow.keys() - {pj}):
+                    q = prow[j] // p
+                    if modulus and q:
+                        ops.append((j, pj, q))
+                    r = prow[j] - q * p
+                    if r:
+                        prow[j] = r
+                        if left is None or r < left[0]:
+                            left = (r, j)
+                    else:
+                        del prow[j]
+                        holders[j].discard(pi)
             if left is None:
                 break
             pj = left[1]
@@ -259,7 +257,7 @@ def _eliminate(
     if not modulus:
         # divisibility chain: diag(p, q) becomes diag(g, p*q/g), g = gcd(p, q)
         for i in range(len(d)):
-            for j in range(i + 1, len(d)):
+            for j in range(i + 1, len(d)) if d[i] != 1 else ():  # 1 divides them all
                 p, q = d[i], d[j]
                 if q % p:
                     g = gcd(p, q)

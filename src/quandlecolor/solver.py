@@ -45,8 +45,9 @@ colors, arc 1 first, and one numpy histogram of image sizes
 for the histogram.
 
 numpy is imported inside the functions that build arrays, and not when
-the module loads: a count by (n, t) and the Smith form never use it, so such
-a query does not pay its import (most of a fresh process's start-up time).
+the module loads: a count by (n, t) and the Smith form never use it, nor
+does an image-size histogram whose colorings are all constant, so such a
+query does not pay its import (most of a fresh process's start-up time).
 The brute-force search builds arrays too; a quandle read from a table file
 has loaded numpy for its validation by then.
 """
@@ -124,44 +125,46 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
 
 
 def _solutions(entries, cols: int, n: int, cap: int, forms: Lift | None = None, held: int = 0):
-    """Every solution of A*x = 0 (mod n), A's rows sparse, as an iterator of 4096-row chunks.
+    """The number of solutions of A*x = 0 (mod n), A's rows sparse, and an iterator of them.
 
     One elimination gives x = V*y (mod n) with V invertible mod n, so no
     two y give the same x; y ranges over the solutions of D*y = 0, torsion
-    coordinates by steps of n/gcd(d_i, n) and free ones by 1.  Past the
-    cap, the call itself raises CapExceededError with the exact count,
-    before a column is built or numpy is imported.  Only the columns of V
-    for the coordinates that vary are built, reduced mod n, and lifted by
-    the forms when given: a row is then each form's value at x, in order,
-    and otherwise x itself.  x opens with ``held`` zeros, for columns a
-    caller held at 0 and left out of A, which the forms still name.  A
-    chunk's y are its row indices in mixed radix.
+    coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
+    exact; past the cap, the call itself raises CapExceededError with it.
+    The iterator yields 4096-row chunks and builds nothing, nor imports
+    numpy, until it is read.  Only the columns of V for the coordinates
+    that vary are built, reduced mod n, and lifted by the forms when given:
+    a row is then each form's value at x, in order, and otherwise x itself.
+    x opens with ``held`` zeros, for columns a caller held at 0 and left out
+    of A, which the forms still name.  A chunk's y are its row indices in
+    mixed radix.
     """
     snf = _eliminate(entries, cols, n)
     count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
-    steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
-    varying = [k for k, step in enumerate(steps) if step < n]
-    basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
-    if forms is not None:
-        basis = [[sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis]
-    import numpy as np
 
-    # each entry of a row is a sum of len(varying) products below n**2; n itself must fit too
-    dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
-    width = held + cols if forms is None else len(forms)
-    basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
+    def chunks():
+        steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
+        varying = [k for k, step in enumerate(steps) if step < n]
+        basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
+        if forms is not None:
+            basis = [[sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis]
+        import numpy as np
 
-    def chunk(start: int):
-        index = np.arange(start, min(start + 4096, count)).astype(dtype)
-        ys = np.empty((len(index), len(varying)), dtype=dtype)
-        for col, k in enumerate(varying):
-            ys[:, col] = index % (n // steps[k]) * steps[k]
-            index //= n // steps[k]
-        return ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
+        # each entry of a row is a sum of len(varying) products below n**2; n itself must fit too
+        dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
+        width = held + cols if forms is None else len(forms)
+        basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
+        for start in range(0, count, 4096):
+            index = np.arange(start, min(start + 4096, count)).astype(dtype)
+            ys = np.empty((len(index), len(varying)), dtype=dtype)
+            for col, k in enumerate(varying):
+                ys[:, col] = index % (n // steps[k]) * steps[k]
+                index //= n // steps[k]
+            yield ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
 
-    return map(chunk, range(0, count, 4096))
+    return count, chunks()
 
 
 def _sorted_colorings(blocks: list) -> list[tuple[int, ...]]:
@@ -197,7 +200,7 @@ def enumerate_solutions(
 
     CapExceededError, with the exact count, past the cap (see :func:`_solutions`).
     """
-    return _sorted_colorings(list(_solutions(system.entries, system.cols, n, cap, forms)))
+    return _sorted_colorings(list(_solutions(system.entries, system.cols, n, cap, forms)[1]))
 
 
 def image_size_counts(
@@ -213,15 +216,21 @@ def image_size_counts(
     sum to 1, so x -> x + c*1 maps solutions to solutions with the same
     image size and fixes none: the search takes only those whose first
     column is 0, n times fewer, and multiplies by n.  The cap, and the
-    error, keep the full count.
+    error, keep the full count.  Arcs that share a form object share a
+    color, so each distinct form is lifted once.  When the search has one
+    solution, x = 0, every coloring is constant, and the answer follows
+    from the count with nothing lifted.
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
+    if forms is not None:
+        forms = list({id(form): form for form in forms}.values())
     try:
-        solutions = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
+        count, solutions = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
     except CapExceededError as exc:
         raise CapExceededError(cap, exc.count * n**fixed) from None
-    sizes = _image_sizes(solutions, system.cols if forms is None else len(forms))
+    width = system.cols if forms is None else len(forms)
+    sizes = {min(width, 1): 1} if count == 1 else _image_sizes(solutions, width)
     return {size: c * n**fixed for size, c in sizes.items()}
 
 

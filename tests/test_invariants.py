@@ -545,7 +545,8 @@ def test_image_size_counts_match_enumeration(name):
     # histograms and cap decisions
     p = HISTOGRAM_CASES[name]
     cap = 3000
-    for n in (4, 8, 9, 12, 16):
+    # at a prime n with t != 1 most cells have only the constant colorings
+    for n in (4, 5, 7, 8, 9, 12, 16, 23):
         report = compare(p, p, (n,), "all-units", cap=cap)
         for t, cell in zip(units(n), report.grid):
             params = AlexanderParams(n, t)
@@ -624,9 +625,25 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
 
     monkeypatch.setattr(solver, "_eliminate", recording)
     # the 1000003 colorings are the constant ones, a single class under
-    # x -> x + c: the first arc is fixed at 0, and one coloring is searched
+    # x -> x + c: the first arc is fixed at 0, and the elimination of the
+    # other branches alone finds that class
     p = extract(catalog("allen_swenberg"))
     branches = _forced_system(p, AlexanderParams(1000003, 2))[0].cols
     widths.clear()
     assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
     assert widths == [branches - 1]
+
+
+def test_a_constant_only_cell_is_answered_from_its_count(monkeypatch):
+    import quandlecolor.solver as solver
+
+    def histogram(blocks, width):
+        raise AssertionError("a cell with one translation class built a histogram")
+
+    monkeypatch.setattr(solver, "_image_sizes", histogram)
+    p = extract(catalog("allen_swenberg"))
+    assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
+    # the cap still applies to the full count
+    with pytest.raises(CapExceededError) as exc:
+        phi_polynomial(p, alexander(1000003, 2), cap=1000002)
+    assert exc.value.count == 1000003
