@@ -40,14 +40,15 @@ A plan reads of (n, t) only its class (:func:`_forcing_class`: t = 1,
 per class and runs the forms at each point (:func:`_run_forms`).  Both
 routes share one lexicographic sort (``enumerate_solutions``,
 ``brute_force_colorings``), which lists each coloring as a tuple of arc
-colors, arc 1 first, and one numpy histogram of image sizes
+colors, arc 1 first, and one histogram of image sizes
 (``image_size_counts``, and ``phi`` by a table), with no coloring listed
-for the histogram.
+for the histogram; a small one is counted in Python, others in numpy.
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, nor
-does an image-size histogram whose colorings are all constant, so such a
-query does not pay its import (most of a fresh process's start-up time).
+does an image-size histogram whose colorings are all constant or which
+has at most SMALL_HISTOGRAM entries, so such a query does not pay its
+import (most of a fresh process's start-up time).
 The brute-force search builds arrays too; a quandle read from a table file
 has loaded numpy for its validation by then.
 """
@@ -55,10 +56,11 @@ has loaded numpy for its validation by then.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
-from math import gcd
+from math import gcd, prod
 
 from .diagram import _find
 from .errors import CapExceededError
@@ -67,6 +69,10 @@ from .quandle import AlexanderParams, FiniteQuandle
 from .smith import _eliminate, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
+# entries (rows x columns) up to which image_size_counts counts in Python: at
+# this size that costs about what numpy's fixed cost per histogram does, and
+# a query whose histograms are all this small never imports numpy
+SMALL_HISTOGRAM = 512
 
 Lift = Sequence[dict[int, int]]  # per lifted arc: {position: coefficient mod n}
 
@@ -125,46 +131,52 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
 
 
 def _solutions(entries, cols: int, n: int, cap: int, forms: Lift | None = None, held: int = 0):
-    """The number of solutions of A*x = 0 (mod n), A's rows sparse, and an iterator of them.
+    """The number of solutions of A*x = 0 (mod n), A's rows sparse, and how to list them.
 
     One elimination gives x = V*y (mod n) with V invertible mod n, so no
     two y give the same x; y ranges over the solutions of D*y = 0, torsion
     coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
     exact; past the cap, the call itself raises CapExceededError with it.
-    The iterator yields 4096-row chunks and builds nothing, nor imports
-    numpy, until it is read.  Only the columns of V for the coordinates
-    that vary are built, reduced mod n, and lifted by the forms when given:
-    a row is then each form's value at x, in order, and otherwise x itself.
-    x opens with ``held`` zeros, for columns a caller held at 0 and left out
-    of A, which the forms still name.  A chunk's y are its row indices in
-    mixed radix.
+    The second value, called, returns the step of each coordinate that
+    varies and the matching columns of V, reduced mod n and lifted by the
+    forms when given: a row is then each form's value at x, in order, and
+    otherwise x itself.  Nothing is built until it is called.  x opens with
+    ``held`` zeros, for columns a caller held at 0 and left out of A, which
+    the forms still name.
     """
     snf = _eliminate(entries, cols, n)
     count = solution_count_mod(snf, n)
     if count > cap:
         raise CapExceededError(cap, count)
 
-    def chunks():
+    def lattice() -> tuple[list[int], list[list[int]]]:
         steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
         varying = [k for k, step in enumerate(steps) if step < n]
         basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
         if forms is not None:
             basis = [[sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis]
-        import numpy as np
+        return [steps[k] for k in varying], basis
 
-        # each entry of a row is a sum of len(varying) products below n**2; n itself must fit too
-        dtype = np.int64 if max(len(varying), 1) * (n - 1) ** 2 < 2**63 else object
-        width = held + cols if forms is None else len(forms)
-        basis = np.array(basis, dtype=dtype).reshape(len(varying), width)
-        for start in range(0, count, 4096):
-            index = np.arange(start, min(start + 4096, count)).astype(dtype)
-            ys = np.empty((len(index), len(varying)), dtype=dtype)
-            for col, k in enumerate(varying):
-                ys[:, col] = index % (n // steps[k]) * steps[k]
-                index //= n // steps[k]
-            yield ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
+    return count, lattice
 
-    return count, chunks()
+
+def _chunks(count: int, steps: list[int], basis: list[list[int]], width: int, n: int):
+    """Every row sum of y*basis mod n, y over the steps' multiples below n, as 4096-row arrays.
+
+    A chunk's y are its row indices in mixed radix.
+    """
+    import numpy as np
+
+    # each entry of a row is a sum of len(steps) products below n**2; n itself must fit too
+    dtype = np.int64 if max(len(steps), 1) * (n - 1) ** 2 < 2**63 else object
+    basis = np.array(basis, dtype=dtype).reshape(len(steps), width)
+    for start in range(0, count, 4096):
+        index = np.arange(start, min(start + 4096, count)).astype(dtype)
+        ys = np.empty((len(index), len(steps)), dtype=dtype)
+        for col, step in enumerate(steps):
+            ys[:, col] = index % (n // step) * step
+            index //= n // step
+        yield ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
 
 
 def _sorted_colorings(blocks: list) -> list[tuple[int, ...]]:
@@ -193,6 +205,22 @@ def _image_sizes(blocks, width: int) -> dict[int, int]:
     return {size: int(c) for size, c in enumerate(sizes.tolist()) if c}
 
 
+def _small_image_sizes(steps: list[int], basis: list[list[int]], width: int, n: int) -> dict:
+    """Rows of :func:`_chunks` per count of distinct entries, counted in Python.
+
+    Each column is one list; each varying coordinate appends its nonzero
+    multiples, added to every row so far.
+    """
+    columns = [[0] for _ in range(width)]
+    for step, v in zip(steps, basis):
+        multiples = range(step, n, step)
+        columns = [col + [(a + m * x) % n for m in multiples for a in col]
+                   for col, x in zip(columns, v)]
+    if not width:
+        return {0: prod(n // step for step in steps)}
+    return dict(Counter(map(len, map(set, zip(*columns)))))
+
+
 def enumerate_solutions(
     system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, forms: Lift | None = None
 ) -> list[tuple[int, ...]]:
@@ -200,7 +228,9 @@ def enumerate_solutions(
 
     CapExceededError, with the exact count, past the cap (see :func:`_solutions`).
     """
-    return _sorted_colorings(list(_solutions(system.entries, system.cols, n, cap, forms)[1]))
+    count, lattice = _solutions(system.entries, system.cols, n, cap, forms)
+    width = system.cols if forms is None else len(forms)
+    return _sorted_colorings(list(_chunks(count, *lattice(), width, n)))
 
 
 def image_size_counts(
@@ -219,18 +249,24 @@ def image_size_counts(
     error, keep the full count.  Arcs that share a form object share a
     color, so each distinct form is lifted once.  When the search has one
     solution, x = 0, every coloring is constant, and the answer follows
-    from the count with nothing lifted.
+    from the count with nothing lifted.  A histogram of at most
+    SMALL_HISTOGRAM entries is counted in Python, a larger one in numpy.
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
     if forms is not None:
         forms = list({id(form): form for form in forms}.values())
     try:
-        count, solutions = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
+        count, lattice = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
     except CapExceededError as exc:
         raise CapExceededError(cap, exc.count * n**fixed) from None
     width = system.cols if forms is None else len(forms)
-    sizes = {min(width, 1): 1} if count == 1 else _image_sizes(solutions, width)
+    if count == 1:
+        sizes = {min(width, 1): 1}
+    elif count * width <= SMALL_HISTOGRAM:
+        sizes = _small_image_sizes(*lattice(), width, n)
+    else:
+        sizes = _image_sizes(_chunks(count, *lattice(), width, n), width)
     return {size: c * n**fixed for size, c in sizes.items()}
 
 

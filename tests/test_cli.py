@@ -610,9 +610,11 @@ print(json.dumps(results))
 def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # numpy is most of a fresh process's start-up: importing the CLI, and
     # commands that build no array, never load it (a count by (n, t) of a
-    # grown file, or at t = 1, included, and phi or an enumeration past the
-    # cap, which exit 3); phi, enumeration and table validation import it
-    # where they build arrays
+    # grown file, or at t = 1, included, phi or an enumeration past the
+    # cap, which exit 3, and phi whose histogram is small enough to count
+    # in Python); phi past SMALL_HISTOGRAM entries (529 searched colorings
+    # of 3 forms here), enumeration and table validation import it where
+    # they build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
     link = tmp_path / "grown.rel"
@@ -626,9 +628,10 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
         ["colorings", "allen_swenberg", "--n", "101", "--t", "1", "--enumerate"],
         ["phi", "allen_swenberg", "--n", "101", "--t", "1"],
         ["matrix", "trefoil", "--n", "5", "--t", "2"],
+        ["phi", "trefoil", "--n", "3", "--t", "2"],
     ]
     needs_numpy = [
-        ["phi", "trefoil", "--n", "3", "--t", "2"],
+        ["phi", "hopf_sum", "--n", "23", "--t", "1"],
         ["colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate"],
         ["colorings", "trefoil", "--quandle-file", str(table)],
     ]
@@ -639,7 +642,7 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     for argv, result in zip(lean, results[1:]):
         assert result == (*run(capsys, *argv), False)
     assert results[len(lean) + 1:] == [
-        (0, "3*q^1 + 6*q^3\n", "", True),
+        (0, "23*q^1 + 1518*q^2 + 10626*q^3\n", "", True),
         (0, TREFOIL_3_LISTING, "", True),
         (0, "count: 9\n", "", True),
     ]

@@ -634,6 +634,21 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
     assert widths == [branches - 1]
 
 
+def test_small_histograms_in_python_match_numpy(monkeypatch):
+    # the same cells counted all in Python, then all in numpy
+    import quandlecolor.solver as solver
+
+    cells = [_forced_system(extract(catalog(name)), AlexanderParams(n, t)) + (n,)
+             for name in ("hopf_sum", "allen_swenberg", "trefoil")
+             for n in (4, 9, 12, 23) for t in units(n)]
+    routes = []
+    for limit in (10**9, 0):
+        monkeypatch.setattr(solver, "SMALL_HISTOGRAM", limit)
+        routes.append([image_size_counts(checks, n, 10**6, forms) for checks, forms, n in cells])
+    assert routes[0] == routes[1]
+    assert sum(len(sizes) > 1 for sizes in routes[0]) > 20
+
+
 def test_a_constant_only_cell_is_answered_from_its_count(monkeypatch):
     import quandlecolor.solver as solver
 
