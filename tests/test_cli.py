@@ -328,6 +328,28 @@ def test_compare_json_document(capsys):
     assert doc["inputs"]["n"] == [3]
 
 
+def test_compare_count_only_cells_and_the_phi_cap(capsys):
+    # a cell past the cap on one side prints both exact counts and no
+    # polynomial, in either order; at the cap both polynomials print
+    for cap, unknot_phi, trefoil_phi in (("5", "-", "-"), ("9", "3*q^1", "3*q^1 + 6*q^3")):
+        for a, b, counts, phis in (
+            ("unknot", "trefoil", "count_a=3 count_b=9", (unknot_phi, trefoil_phi)),
+            ("trefoil", "unknot", "count_a=9 count_b=3", (trefoil_phi, unknot_phi)),
+        ):
+            code, out, _ = run(capsys, "compare", a, b, "--n", "3", "--t", "2", "--cap", cap)
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                "n=3 t=2 {} phi_a=({}) phi_b=({})".format(counts, *phis),
+                "verdict: distinguished",
+            ]
+    code, out, _ = run(capsys, "compare", "hopf_sum", "allen_swenberg", "--n", "23", "--t", "1",
+                       "--cap", "1000")
+    assert code == 0
+    assert out.splitlines()[1] == "n=23 t=1 count_a=12167 count_b=12167 phi_a=(-) phi_b=(-)"
+    code, out, err = run(capsys, "phi", "allen_swenberg", "--n", "23", "--t", "1", "--cap", "1000")
+    assert (code, out, err) == (3, "", "error: 12167 colorings exceed cap 1000\n")
+
+
 HEADLINE_GRID_SHA256 = {
     "all-units": "ac95986402b6327cb30f1092028bfd7f33183b86d8e4bf83aef29311055595ad",
     "involutory": "0fb812858d58dbdc9872076d7ced738fde58041790bc94900ae32ba7b38a343a",

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import sys
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -707,6 +708,52 @@ def test_connected_sum_arc_out_of_range():
         connected_sum(catalog("hopf"), catalog("hopf"), 3, 1)
     with pytest.raises(DiagramError, match="out of range"):
         connected_sum(catalog("hopf"), catalog("hopf"), 1, 0)
+
+
+def _sum_cases():
+    """(d1, d2, a1, a2): 300 seeded over the catalog and copies of it moved by
+    R1/R2, then every arc pair of a few small diagrams with free circles and
+    an over-only arc."""
+    over_only = reidemeister_r2(catalog("unlink2"), 1, 2)  # x2 passes over x1 only
+    pool = [catalog(name) for name in catalog_names()] + [over_only]
+    pool += [grown(name, catalog(name).arc_count + k, seed)
+             for name in catalog_names() for k, seed in ((2, 31), (7, 32))]
+    rng = random.Random(25)
+    cases = []
+    for _ in range(300):
+        d1, d2 = rng.choice(pool), rng.choice(pool)
+        cases.append((d1, d2, rng.randint(1, d1.arc_count), rng.randint(1, d2.arc_count)))
+    small = [catalog("unknot"), catalog("unlink2"), over_only, catalog("hopf")]
+    cases += [(d1, d2, a1, a2) for d1, d2 in itertools.product(small, repeat=2)
+              for a1 in range(1, d1.arc_count + 1) for a2 in range(1, d2.arc_count + 1)]
+    return cases
+
+
+def _splice_kind(d: LinkDiagram, arc: int) -> str:
+    if arc > d.arc_count - d.free_circles:
+        return "free"
+    if any(arc in (c.under_in, c.under_out) for c in d.crossings):
+        return "under"
+    return "over-only"
+
+
+# sha256 of the arc count and render_relations() of each connected sum of
+# _sum_cases(), first recorded while d2's merged arc was renamed by a second
+# pass over its crossings
+CONNECTED_SUM_SHA256 = "c58a86264984a5773cdb1734e5f2bacc1fbb426605abacc406945b8b2c4e14b1"
+
+
+def test_connected_sum_is_unchanged():
+    digest, kinds = hashlib.sha256(), Counter()
+    for d1, d2, a1, a2 in _sum_cases():
+        d = connected_sum(d1, d2, a1, a2)
+        assert d.crossing_count == d1.crossing_count + d2.crossing_count
+        digest.update(f"{d.arc_count}\n{d.render_relations()}\n".encode())
+        kinds[_splice_kind(d1, a1), _splice_kind(d2, a2)] += 1
+    # a band (both spliced arcs under-strands), and every no-band case
+    assert kinds["under", "under"] > 100
+    assert all(kinds[k] for k in itertools.product(("under", "over-only", "free"), repeat=2))
+    assert digest.hexdigest() == CONNECTED_SUM_SHA256
 
 
 # ---------------------------------------------------------------------------

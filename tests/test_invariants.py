@@ -451,6 +451,28 @@ def test_compare_cap_exceeded_cells_keep_counts():
         assert report.distinguished
 
 
+def test_compare_count_only_cells_at_the_cap_boundary():
+    # unknot has 3 colorings at (3, 2) and trefoil 9: below 9 the trefoil side
+    # is past the cap, so the cell keeps both counts and drops both
+    # polynomials, in either order; at 9 both polynomials are kept
+    unknot, trefoil = extract(catalog("unknot")), extract(catalog("trefoil"))
+    phis = {unknot: PhiPolynomial(((1, 3),)), trefoil: PhiPolynomial(((1, 3), (3, 6)))}
+    counts = {unknot: 3, trefoil: 9}
+    for cap in (5, 8, 9):
+        for a, b in ((unknot, trefoil), (trefoil, unknot)):
+            (cell,) = compare(a, b, (3,), t_policy=2, cap=cap).grid
+            assert (cell.count_a, cell.count_b) == (counts[a], counts[b])
+            if cap < 9:
+                assert cell.phi_a is None and cell.phi_b is None
+            else:
+                assert (cell.phi_a, cell.phi_b) == (phis[a], phis[b])
+            assert cell.differs
+    # phi alone raises with the exact count
+    with pytest.raises(CapExceededError, match="^12167 colorings exceed cap 1000$") as exc:
+        phi_polynomial(extract(catalog("allen_swenberg")), alexander(23, 1), cap=1000)
+    assert exc.value.count == 12167
+
+
 def test_compare_eliminates_each_system_once(monkeypatch):
     import quandlecolor.solver as solver
 
