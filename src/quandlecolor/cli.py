@@ -20,15 +20,7 @@ from typing import Callable, Iterable
 
 from .catalog import CATALOG, catalog_entry, catalog_names
 from .diagram import _PD_SKIP, LinkDiagram, parse_pd_code, parse_relations_file
-from .errors import (
-    AxiomError,
-    CapExceededError,
-    DiagramError,
-    InputError,
-    NotAUnitError,
-    QuandleColorError,
-    UnknownLinkError,
-)
+from .errors import CapExceededError, NotAUnitError, QuandleColorError, UnknownLinkError
 from .invariants import all_colorings, compare, counting_invariant, phi_polynomial
 from .presentation import extract
 from .quandle import AlexanderParams, FiniteQuandle, alexander, parse_quandle_file
@@ -363,16 +355,9 @@ def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotAUnitError as exc:
+    except (QuandleColorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, DiagramError, UnknownLinkError, AxiomError, UsageError, OSError,
-            UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, NotAUnitError) else 3 if isinstance(exc, CapExceededError) else 2
 
 
 def entry_point() -> None:

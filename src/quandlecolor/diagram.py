@@ -479,17 +479,6 @@ def _replace_slot(crossings: list[Crossing], slot: tuple[int, str], new: int) ->
         crossings[i] = Crossing(c.sign, c.under_in, new, c.over)
 
 
-def _rename_arc(crossings: list[Crossing], old: int, new: int) -> None:
-    for i, c in enumerate(crossings):
-        if old in (c.under_in, c.under_out, c.over):
-            crossings[i] = Crossing(
-                c.sign,
-                new if c.under_in == old else c.under_in,
-                new if c.under_out == old else c.under_out,
-                new if c.over == old else c.over,
-            )
-
-
 def _normalized(crossings, free_circles: int) -> LinkDiagram:
     """Relabel referenced arcs to 1..R (order-preserving), free circles above."""
     referenced = sorted({a for c in crossings for a in (c.under_in, c.under_out, c.over)})
@@ -519,33 +508,24 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
         raise DiagramError(f"arc x{a2} out of range for the second diagram")
     off = d1.arc_count
     cross1 = list(d1.crossings)
+    # d2's arcs move above d1's, and a2 becomes a1, in one pass
     cross2 = [
-        Crossing(c.sign, c.under_in + off, c.under_out + off, c.over + off)
+        Crossing(c.sign, a1 if c.under_in == a2 else c.under_in + off,
+                 a1 if c.under_out == a2 else c.under_out + off,
+                 a1 if c.over == a2 else c.over + off)
         for c in d2.crossings
     ]
-    b = a2 + off
     occ1 = _under_slots(cross1, a1)
-    occ2 = _under_slots(cross2, b)
-    a1_referenced = a1 <= d1.arc_count - d1.free_circles
-    b_referenced = a2 <= d2.arc_count - d2.free_circles
-
+    occ2 = _under_slots(d2.crossings, a2)
+    free = d1.free_circles + d2.free_circles
     if occ1 and occ2:
         # Band between two under-strand arcs: the new arc takes the
         # downstream endpoint of a1 and the upstream endpoint of a2.
         band = off + d2.arc_count + 1
-        slot1 = next((s for s in occ1 if s[1] == "in"), occ1[-1])
-        slot2 = next((s for s in occ2 if s[1] == "out"), occ2[-1])
-        _replace_slot(cross1, slot1, band)
-        _replace_slot(cross2, slot2, band)
-        _rename_arc(cross2, b, a1)
-        free = d1.free_circles + d2.free_circles
-    else:
-        # At least one side is a closed circle: plain merge, no band arc.
-        _rename_arc(cross2, b, a1)
-        free = d1.free_circles + d2.free_circles
-        free -= (0 if a1_referenced else 1) + (0 if b_referenced else 1)
-        if not (a1_referenced or b_referenced):
-            free += 1  # two free circles merge into one
+        _replace_slot(cross1, next((s for s in occ1 if s[1] == "in"), occ1[-1]), band)
+        _replace_slot(cross2, next((s for s in occ2 if s[1] == "out"), occ2[-1]), band)
+    elif a1 > d1.arc_count - d1.free_circles or a2 > d2.arc_count - d2.free_circles:
+        free -= 1  # no band: a free circle merges into the other spliced arc
     return _normalized(cross1 + cross2, free)
 
 

@@ -13,14 +13,15 @@ solver._forced_system), and leaves check rows over the branches and one
 form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
 ``phi_polynomial`` and ``compare`` hand checks and forms to
-``image_size_counts``, which searches one coloring per class of
-x -> x + c*1 and counts image sizes in numpy, with no coloring listed, over
-one column per distinct form; a single class, the constant colorings, is
-answered from its count alone.
-``compare`` compiles each link's plan once per call and class of t (t = 1,
-1 - t a unit, or neither) and runs its forms at each grid point.  The count
-is the sum of the polynomial or, past the cap, the exact count the
-CapExceededError carries.
+``image_size_counts``, which returns the exact count and, within the cap,
+the image sizes: it searches one coloring per class of x -> x + c*1, with
+no coloring listed, over one column per distinct form, answers a single
+class (the constant colorings) from its count alone, counts a histogram of
+at most SMALL_HISTOGRAM entries in Python and only a larger one in numpy.
+So ``phi trefoil --n 3 --t 2`` loads no numpy, and ``phi hopf_sum --n 23
+--t 1`` (1587 entries) does.  ``compare`` compiles each link's plan once per
+call and class of t (t = 1, 1 - t a unit, or neither) and runs its forms at
+each grid point; a cell past the cap keeps the exact counts alone.
 """
 
 from __future__ import annotations
@@ -119,8 +120,10 @@ def phi_polynomial(
     if q.alexander is None:
         plan = _plan(p, q)
         return PhiPolynomial.from_counts(_image_sizes(_frontier(plan, cap), plan.width))
-    checks, forms = _forced_system(p, q.alexander)
-    return PhiPolynomial.from_counts(image_size_counts(checks, q.alexander.n, cap, forms))
+    count, sizes = image_size_counts(*_forced_system(p, q.alexander), q.alexander.n, cap)
+    if sizes is None:
+        raise CapExceededError(cap, count)
+    return PhiPolynomial.from_counts(sizes)
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -179,21 +182,6 @@ def resolve_t_values(policy: TPolicy, n: int) -> tuple[int, ...]:
     if isinstance(policy, int):
         return (AlexanderParams(n, policy).t,)
     raise ValueError(f"unknown t policy {policy!r}")
-
-
-def _count_and_phi(
-    checks: ColoringSystem, forms: Lift, n: int, cap: int
-) -> tuple[int, PhiPolynomial | None]:
-    """Exact count and polynomial from one elimination of the forcing search's checks.
-
-    The count is the sum of the polynomial's coefficients or, past the cap,
-    the exact count the CapExceededError carries; the polynomial is then None.
-    """
-    try:
-        counts = image_size_counts(checks, n, cap, forms)
-    except CapExceededError as exc:
-        return exc.count, None
-    return sum(counts.values()), PhiPolynomial.from_counts(counts)
 
 
 @dataclass(frozen=True)
@@ -268,10 +256,12 @@ def compare(
 
     Each link's forcing plan is compiled once per call and class of t (see
     solver._forcing_class); each cell runs the two plans' forms at (n, t)
-    and eliminates each link's checks once (see _count_and_phi).  Cells
-    where either enumeration would exceed the cap keep their exact counts
-    and drop both polynomials (count-only cells) rather than failing the
-    grid.  Cells are assembled in (n, t) order.
+    and eliminates each link's checks once (see image_size_counts), which
+    gives its exact count whatever the cap.  A cell where either link has
+    more than ``cap`` colorings keeps both exact counts and drops both
+    polynomials (a count-only cell) rather than failing the grid; once the
+    first link is past the cap, the second is counted and not histogrammed.
+    Cells are assembled in (n, t) order.
     """
     plans: dict[tuple[int, tuple[bool, bool]], list] = {}  # (link, class of t) -> its steps
 
@@ -285,11 +275,13 @@ def compare(
     for n in sorted(set(int(n) for n in n_values)):
         for t in resolve_t_values(t_policy, n):
             params = AlexanderParams(n, t)
-            count_a, phi_a = _count_and_phi(*forced(0, params), n, cap)
+            count_a, sizes_a = image_size_counts(*forced(0, params), n, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
-            count_b, phi_b = _count_and_phi(*forced(1, params), n, cap if phi_a is not None else 0)
-            if phi_a is None or phi_b is None:
-                phi_a = phi_b = None
+            count_b, sizes_b = image_size_counts(*forced(1, params), n,
+                                                 0 if sizes_a is None else cap)
+            phi_a = phi_b = None
+            if sizes_a is not None and sizes_b is not None:
+                phi_a, phi_b = map(PhiPolynomial.from_counts, (sizes_a, sizes_b))
             cells.append(ComparisonCell(n, t, count_a, count_b, phi_a, phi_b))
     return DistinguishabilityReport(
         link_a=link_a,

@@ -130,34 +130,30 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(_eliminate(system.entries, system.cols, n), n)
 
 
-def _solutions(entries, cols: int, n: int, cap: int, forms: Lift | None = None, held: int = 0):
+def _solutions(entries, cols: int, n: int, forms: Lift, held: int):
     """The number of solutions of A*x = 0 (mod n), A's rows sparse, and how to list them.
 
     One elimination gives x = V*y (mod n) with V invertible mod n, so no
     two y give the same x; y ranges over the solutions of D*y = 0, torsion
     coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
-    exact; past the cap, the call itself raises CapExceededError with it.
-    The second value, called, returns the step of each coordinate that
-    varies and the matching columns of V, reduced mod n and lifted by the
-    forms when given: a row is then each form's value at x, in order, and
-    otherwise x itself.  Nothing is built until it is called.  x opens with
-    ``held`` zeros, for columns a caller held at 0 and left out of A, which
-    the forms still name.
+    exact and returned whatever its size: a caller compares it with its
+    cap.  The second value, called, returns the step of each coordinate
+    that varies and the matching columns of V, reduced mod n and lifted by
+    the forms: a row is each form's value at x, in order.  Nothing is built
+    until it is called.  x opens with ``held`` zeros, for columns a caller
+    held at 0 and left out of A, which the forms still name.
     """
     snf = _eliminate(entries, cols, n)
-    count = solution_count_mod(snf, n)
-    if count > cap:
-        raise CapExceededError(cap, count)
 
     def lattice() -> tuple[list[int], list[list[int]]]:
         steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
         varying = [k for k, step in enumerate(steps) if step < n]
         basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
-        if forms is not None:
-            basis = [[sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis]
-        return [steps[k] for k in varying], basis
+        return [steps[k] for k in varying], [
+            [sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis
+        ]
 
-    return count, lattice
+    return solution_count_mod(snf, n), lattice
 
 
 def _chunks(count: int, steps: list[int], basis: list[list[int]], width: int, n: int):
@@ -224,29 +220,30 @@ def _small_image_sizes(steps: list[int], basis: list[list[int]], width: int, n: 
 def enumerate_solutions(
     system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, forms: Lift | None = None
 ) -> list[tuple[int, ...]]:
-    """All solutions of the system over Z_n, lifted by the forms if given, sorted.
+    """All solutions of the system over Z_n, lifted by the forms (x itself without), sorted.
 
-    CapExceededError, with the exact count, past the cap (see :func:`_solutions`).
+    CapExceededError, with the exact count, when there are more than ``cap``.
     """
-    count, lattice = _solutions(system.entries, system.cols, n, cap, forms)
-    width = system.cols if forms is None else len(forms)
-    return _sorted_colorings(list(_chunks(count, *lattice(), width, n)))
+    if forms is None:
+        forms = [{j: 1} for j in range(system.cols)]
+    count, lattice = _solutions(system.entries, system.cols, n, forms, 0)
+    if count > cap:
+        raise CapExceededError(cap, count)
+    return _sorted_colorings(list(_chunks(count, *lattice(), len(forms), n)))
 
 
 def image_size_counts(
-    system: ColoringSystem,
-    n: int,
-    cap: int = DEFAULT_CAP,
-    forms: Lift | None = None,
-) -> dict[int, int]:
-    """Number of solutions over Z_n per image size; CapExceededError if too many.
+    system: ColoringSystem, forms: Lift, n: int, cap: int
+) -> tuple[int, dict[int, int] | None]:
+    """The exact number of solutions over Z_n and, unless it passes the cap, their image sizes.
 
-    A solution is lifted by the forms when given (see :func:`_run_forms`),
-    and is x otherwise.  Each row sums to zero and each form's coefficients
-    sum to 1, so x -> x + c*1 maps solutions to solutions with the same
-    image size and fixes none: the search takes only those whose first
-    column is 0, n times fewer, and multiplies by n.  The cap, and the
-    error, keep the full count.  Arcs that share a form object share a
+    Returns ``(count, sizes)``, sizes mapping image size to number of
+    solutions, or None when count > cap.  A solution is lifted by the forms
+    (see :func:`_run_forms`).  Each row sums to zero and each form's
+    coefficients sum to 1, so x -> x + c*1 maps solutions to solutions with
+    the same image size and fixes none: the search takes only those whose
+    first column is 0, n times fewer, and multiplies by n; the cap is
+    compared with the full count.  Arcs that share a form object share a
     color, so each distinct form is lifted once.  When the search has one
     solution, x = 0, every coloring is constant, and the answer follows
     from the count with nothing lifted.  A histogram of at most
@@ -254,20 +251,18 @@ def image_size_counts(
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
-    if forms is not None:
-        forms = list({id(form): form for form in forms}.values())
-    try:
-        count, lattice = _solutions(entries, system.cols - fixed, n, cap // n**fixed, forms, fixed)
-    except CapExceededError as exc:
-        raise CapExceededError(cap, exc.count * n**fixed) from None
-    width = system.cols if forms is None else len(forms)
+    forms = list({id(form): form for form in forms}.values())
+    count, lattice = _solutions(entries, system.cols - fixed, n, forms, fixed)
+    scale, width = n**fixed, len(forms)
+    if count * scale > cap:
+        return count * scale, None
     if count == 1:
         sizes = {min(width, 1): 1}
     elif count * width <= SMALL_HISTOGRAM:
         sizes = _small_image_sizes(*lattice(), width, n)
     else:
         sizes = _image_sizes(_chunks(count, *lattice(), width, n), width)
-    return {size: c * n**fixed for size, c in sizes.items()}
+    return count * scale, {size: c * scale for size, c in sizes.items()}
 
 
 def _alike_arcs(p: QuandlePresentation) -> list[int]:

@@ -560,11 +560,20 @@ def _counts_or_cap(route):
         return exc.count
 
 
+def _sizes_or_count(result):
+    """image_size_counts's histogram, whose sum is its count, or past the cap the count alone."""
+    count, sizes = result
+    if sizes is None:
+        return count
+    assert sum(sizes.values()) == count
+    return sizes
+
+
 @pytest.mark.parametrize("name", sorted(HISTOGRAM_CASES))
 def test_image_size_counts_match_enumeration(name):
-    # the numpy histogram, from the forcing search's checks and forms and from
-    # the full rows, equals enumerate_solutions + Counter in counts,
-    # histograms and cap decisions
+    # the histogram, from the forcing search's checks and forms and from the
+    # full rows with identity forms, equals enumerate_solutions + Counter in
+    # counts, histograms and cap decisions
     p = HISTOGRAM_CASES[name]
     cap = 3000
     # at a prime n with t != 1 most cells have only the constant colorings
@@ -579,18 +588,17 @@ def test_image_size_counts_match_enumeration(name):
             checks, forms = _forced_system(p, params)
             assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
             assert all(sum(form.values()) % n == 1 for form in forms), (n, t)
-            assert _counts_or_cap(lambda: image_size_counts(checks, n, cap, forms)) == expected
-            assert _counts_or_cap(lambda: image_size_counts(full, n, cap)) == expected
+            assert _sizes_or_count(image_size_counts(checks, forms, n, cap)) == expected
+            identity = [{j: 1} for j in range(full.cols)]
+            assert _sizes_or_count(image_size_counts(full, identity, n, cap)) == expected
             assert (cell.n, cell.t, cell.count_a) == (n, t, counting_invariant(p, alexander(n, t)))
             if isinstance(expected, dict):
                 assert cell.phi_a == PhiPolynomial.from_counts(expected), (n, t)
                 assert sum(expected.values()) == cell.count_a
                 # the cap compares the full count, not the n-times-smaller search
                 count = cell.count_a
-                with pytest.raises(CapExceededError) as exc:
-                    image_size_counts(checks, n, count - 1, forms)
-                assert exc.value.count == count
-                assert sum(image_size_counts(checks, n, count, forms).values()) == count
+                assert image_size_counts(checks, forms, n, count - 1) == (count, None)
+                assert _sizes_or_count(image_size_counts(checks, forms, n, count)) == expected
             else:
                 assert cell.phi_a is None and cell.count_a == expected, (n, t)
 
@@ -666,9 +674,9 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
     routes = []
     for limit in (10**9, 0):
         monkeypatch.setattr(solver, "SMALL_HISTOGRAM", limit)
-        routes.append([image_size_counts(checks, n, 10**6, forms) for checks, forms, n in cells])
+        routes.append([image_size_counts(checks, forms, n, 10**6) for checks, forms, n in cells])
     assert routes[0] == routes[1]
-    assert sum(len(sizes) > 1 for sizes in routes[0]) > 20
+    assert sum(len(sizes) > 1 for _, sizes in routes[0]) > 20
 
 
 def test_a_constant_only_cell_is_answered_from_its_count(monkeypatch):
