@@ -84,7 +84,14 @@ class SmithForm:
         return len(self.diagonal)
 
     def column(self, c: int) -> tuple[int, ...]:
-        """Column c of V over Z_n: the log replayed, last operation first, on a unit vector."""
+        """Column c of V over Z_n: the log replayed, last operation first, on a unit vector.
+
+        ValueError over Z, where V is not kept, and for c outside 0..cols-1.
+        """
+        if not self.modulus:
+            raise ValueError("V is kept only over Z_n, not over Z")
+        if not 0 <= c < self.cols:
+            raise ValueError(f"column {c} out of range 0..{self.cols - 1}")
         n, w = self.modulus, [0] * self.cols
         w[self.column_order[c]] = 1 % n
         for j, pj, q in reversed(self.column_ops):

@@ -178,6 +178,20 @@ def test_modular_form_answers_only_its_modulus():
         smith_normal_form([[1]], modulus=-3)
 
 
+def test_column_of_v_only_over_z_n_and_in_range():
+    # V is kept only mod n: over Z, and at an index outside 0..cols-1, column
+    # raises ValueError (a negative index does not read from the end)
+    snf = smith_normal_form([[2, 3], [4, 1]], modulus=7)
+    assert [snf.column(c) for c in range(2)] == [tuple(col) for col in zip(*snf.col_transform)]
+    for c in (-1, 2):
+        with pytest.raises(ValueError, match=f"column {c} out of range"):
+            snf.column(c)
+    over_z = smith_normal_form([[2, 3], [4, 1]])
+    with pytest.raises(ValueError, match="not over Z"):
+        over_z.column(0)
+    assert over_z.col_transform == ()
+
+
 def _kernel_digests() -> dict[str, str]:
     """sha256 of repr((diagonal, column_ops, column_order)) for every system of a fixed set.
 
