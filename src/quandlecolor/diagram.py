@@ -508,7 +508,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
         raise DiagramError(f"arc x{a2} out of range for the second diagram")
     off = d1.arc_count
     cross1 = list(d1.crossings)
-    # d2's arcs move above d1's, and a2 becomes a1, in one pass
+    # d2's arcs move above d1's, and a2 becomes a1
     cross2 = [
         Crossing(c.sign, a1 if c.under_in == a2 else c.under_in + off,
                  a1 if c.under_out == a2 else c.under_out + off,
