@@ -455,8 +455,7 @@ def parse_pd_code(text: str) -> LinkDiagram:
 # keep their labels, a free circle the move cuts takes the next label above r
 # (two cut circles in index order), then come the new arcs.  So a move copies
 # the crossing tuple once, renames one under-slot and appends its crossings;
-# this is the order-preserving relabelling that connected_sum's _normalized
-# would give.
+# this is the order-preserving relabelling connected_sum gives too.
 
 
 def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
@@ -479,21 +478,6 @@ def _replace_slot(crossings: list[Crossing], slot: tuple[int, str], new: int) ->
         crossings[i] = Crossing(c.sign, c.under_in, new, c.over)
 
 
-def _normalized(crossings, free_circles: int) -> LinkDiagram:
-    """Relabel referenced arcs to 1..R (order-preserving), free circles above."""
-    referenced = sorted({a for c in crossings for a in (c.under_in, c.under_out, c.over)})
-    relabel = {old: i for i, old in enumerate(referenced, start=1)}
-    new = tuple(
-        Crossing(c.sign, relabel[c.under_in], relabel[c.under_out], relabel[c.over])
-        for c in crossings
-    )
-    return LinkDiagram(
-        arc_count=len(referenced) + free_circles,
-        crossings=new,
-        free_circles=free_circles,
-    )
-
-
 def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDiagram:
     """Splice arc ``a2`` of ``d2`` into arc ``a1`` of ``d1``.
 
@@ -501,32 +485,34 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
     both spliced arcs have under-strand endpoints one new arc closes the
     band (one endpoint from each side moves onto it).  Crossings are
     untouched otherwise, so the crossing count is the sum of the inputs'.
+    The referenced arcs are x1.. in order, free circles above: d1's keep
+    their labels, a free a1 that a2's crossings now name comes next, then
+    d2's arcs but a2 in order, then the band.
     """
     if not 1 <= a1 <= d1.arc_count:
         raise DiagramError(f"arc x{a1} out of range for the first diagram")
     if not 1 <= a2 <= d2.arc_count:
         raise DiagramError(f"arc x{a2} out of range for the second diagram")
-    off = d1.arc_count
+    r1, r2 = d1.arc_count - d1.free_circles, d2.arc_count - d2.free_circles
+    base = r1 + (a1 > r1 and a2 <= r2)  # d2's arc j becomes base + j, less one past a2
+    label = [base + j - (j > a2) for j in range(r2 + 1)]
+    if a2 <= r2:
+        label[a2] = a1 if a1 <= r1 else base
     cross1 = list(d1.crossings)
-    # d2's arcs move above d1's, and a2 becomes a1
-    cross2 = [
-        Crossing(c.sign, a1 if c.under_in == a2 else c.under_in + off,
-                 a1 if c.under_out == a2 else c.under_out + off,
-                 a1 if c.over == a2 else c.over + off)
-        for c in d2.crossings
-    ]
+    cross2 = [Crossing(c.sign, label[c.under_in], label[c.under_out], label[c.over])
+              for c in d2.crossings]
     occ1 = _under_slots(cross1, a1)
     occ2 = _under_slots(d2.crossings, a2)
-    free = d1.free_circles + d2.free_circles
+    arcs, free = base + r2 - (a2 <= r2), d1.free_circles + d2.free_circles
     if occ1 and occ2:
         # Band between two under-strand arcs: the new arc takes the
         # downstream endpoint of a1 and the upstream endpoint of a2.
-        band = off + d2.arc_count + 1
-        _replace_slot(cross1, next((s for s in occ1 if s[1] == "in"), occ1[-1]), band)
-        _replace_slot(cross2, next((s for s in occ2 if s[1] == "out"), occ2[-1]), band)
-    elif a1 > d1.arc_count - d1.free_circles or a2 > d2.arc_count - d2.free_circles:
+        arcs += 1
+        _replace_slot(cross1, next((s for s in occ1 if s[1] == "in"), occ1[-1]), arcs)
+        _replace_slot(cross2, next((s for s in occ2 if s[1] == "out"), occ2[-1]), arcs)
+    elif a1 > r1 or a2 > r2:
         free -= 1  # no band: a free circle merges into the other spliced arc
-    return _normalized(cross1 + cross2, free)
+    return LinkDiagram(arcs + free, cross1 + cross2, free)
 
 
 def _last_under_slot(crossings, arc: int) -> tuple[int, str] | None:

@@ -12,15 +12,20 @@ search's plan runs over linear forms in its branch values (see
 solver._forced_system), and leaves check rows over the branches and one
 form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
-``phi_polynomial`` and ``compare`` hand checks and forms to
-``image_size_counts``, which returns the exact count and, within the cap,
-the image sizes: it searches one coloring per class of x -> x + c*1, with
-no coloring listed, over one column per distinct form, answers a single
-class (the constant colorings) from its count alone, counts a histogram of
-at most SMALL_HISTOGRAM entries in Python and only a larger one in numpy.
-So ``phi trefoil --n 3 --t 2`` loads no numpy, and ``phi hopf_sum --n 23
---t 1`` (1587 entries) does.  ``compare`` compiles each link's plan once per
-call and class of t (t = 1, 1 - t a unit, or neither) and runs its forms at
+``phi_polynomial`` and ``compare`` both take solver._forced_image_sizes,
+which returns the exact count and, within the cap, the image sizes.  At
+t = 1 the quandle is trivial: the plan's c branches are the components,
+each free, so the count is n**c and the sizes have a closed form in
+Stirling numbers, with nothing eliminated.  Otherwise it hands checks and
+forms to ``image_size_counts``, which searches one coloring per class of
+x -> x + c*1, with no coloring listed, over one column per group of forms
+whose lifted columns agree, answers a single class (the constant
+colorings) from its count alone, counts a histogram of at most
+SMALL_HISTOGRAM entries in Python and only a larger one in numpy.  So
+``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1`` and the paper's
+whole grid load no numpy, and ``phi allen_swenberg --n 24 --t 13`` (144
+colorings of 9 columns) does.  ``compare`` compiles each link's plan once
+per call and class of t (t = 1, 1 - t a unit, or neither) and runs it at
 each grid point; a cell past the cap keeps the exact counts alone.
 """
 
@@ -35,20 +40,17 @@ from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
-    ColoringSystem,
-    Lift,
+    _forced_image_sizes,
     _forced_system,
     _forcing_class,
     _forcing_steps,
     _frontier,
     _image_sizes,
     _plan,
-    _run_forms,
     brute_force_colorings,
     brute_force_count,
     count_solutions,
     enumerate_solutions,
-    image_size_counts,
 )
 
 
@@ -112,15 +114,18 @@ def phi_polynomial(
 ) -> PhiPolynomial:
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
-    An Alexander quandle's image sizes are counted from the checks and
-    forms of the forcing search (see image_size_counts); another quandle's,
+    An Alexander quandle's image sizes are counted from the forcing search
+    (see solver._forced_image_sizes: in closed form at t = 1, else from its
+    checks and forms by image_size_counts); another quandle's,
     by the same histogram, from the brute-force search's blocks, whose
     columns (classes of alike arcs) take as many distinct colors as the arcs.
     """
     if q.alexander is None:
         plan = _plan(p, q)
         return PhiPolynomial.from_counts(_image_sizes(_frontier(plan, cap), plan.width))
-    count, sizes = image_size_counts(*_forced_system(p, q.alexander), q.alexander.n, cap)
+    params = q.alexander
+    count, sizes = _forced_image_sizes(_forcing_steps(p, _forcing_class(params)), p.arc_count,
+                                       params, cap)
     if sizes is None:
         raise CapExceededError(cap, count)
     return PhiPolynomial.from_counts(sizes)
@@ -255,9 +260,10 @@ def compare(
     """Sweep both links over the (n, t) grid and compare counts and polynomials.
 
     Each link's forcing plan is compiled once per call and class of t (see
-    solver._forcing_class); each cell runs the two plans' forms at (n, t)
-    and eliminates each link's checks once (see image_size_counts), which
-    gives its exact count whatever the cap.  A cell where either link has
+    solver._forcing_class); a t = 1 cell is counted from the plan's
+    branches in closed form, and any other runs the two plans' forms at
+    (n, t) and eliminates each link's checks once (see image_size_counts),
+    which gives its exact count whatever the cap.  A cell where either link has
     more than ``cap`` colorings keeps both exact counts and drops both
     polynomials (a count-only cell) rather than failing the grid; once the
     first link is past the cap, the second is counted and not histogrammed.
@@ -265,20 +271,19 @@ def compare(
     """
     plans: dict[tuple[int, tuple[bool, bool]], list] = {}  # (link, class of t) -> its steps
 
-    def forced(link: int, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
+    def sizes(link: int, params: AlexanderParams, cap: int) -> tuple[int, dict[int, int] | None]:
         p, key = (a, b)[link], (link, _forcing_class(params))
         if key not in plans:
             plans[key] = _forcing_steps(p, key[1])
-        return _run_forms(plans[key], p.arc_count, params)
+        return _forced_image_sizes(plans[key], p.arc_count, params, cap)
 
     cells = []
     for n in sorted(set(int(n) for n in n_values)):
         for t in resolve_t_values(t_policy, n):
             params = AlexanderParams(n, t)
-            count_a, sizes_a = image_size_counts(*forced(0, params), n, cap)
+            count_a, sizes_a = sizes(0, params, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
-            count_b, sizes_b = image_size_counts(*forced(1, params), n,
-                                                 0 if sizes_a is None else cap)
+            count_b, sizes_b = sizes(1, params, 0 if sizes_a is None else cap)
             phi_a = phi_b = None
             if sizes_a is not None and sizes_b is not None:
                 phi_a, phi_b = map(PhiPolynomial.from_counts, (sizes_a, sizes_b))

@@ -42,13 +42,17 @@ routes share one lexicographic sort (``enumerate_solutions``,
 ``brute_force_colorings``), which lists each coloring as a tuple of arc
 colors, arc 1 first, and one histogram of image sizes
 (``image_size_counts``, and ``phi`` by a table), with no coloring listed
-for the histogram; a small one is counted in Python, others in numpy.
+for the histogram; a small one is counted in Python, others in numpy.  At
+t = 1 the quandle is trivial and the histogram has a closed form in the
+number of branches, the components (:func:`_forced_image_sizes`).
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, nor
-does an image-size histogram whose colorings are all constant or which
-has at most SMALL_HISTOGRAM entries, so such a query does not pay its
-import (most of a fresh process's start-up time).
+does an image-size histogram at t = 1 (a closed form), one whose
+colorings are all constant, or one of at most SMALL_HISTOGRAM entries
+once forms with equal lifted columns are merged, so such a query (``phi
+hopf_sum --n 23 --t 1``, and every cell of the paper's ``compare`` grid)
+does not pay its import (most of a fresh process's start-up time).
 The brute-force search builds arrays too; a quandle read from a table file
 has loaded numpy for its validation by then.
 """
@@ -69,10 +73,11 @@ from .quandle import AlexanderParams, FiniteQuandle
 from .smith import _eliminate, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
-# entries (rows x columns) up to which image_size_counts counts in Python: at
-# this size that costs about what numpy's fixed cost per histogram does, and
-# a query whose histograms are all this small never imports numpy
-SMALL_HISTOGRAM = 512
+# entries (searched rows x kept lifted columns) up to which image_size_counts
+# counts in Python, so that a query whose histograms are all this small never
+# imports numpy (the paper's grid peaks at 900); a loaded numpy is faster at
+# any size, 24 against 62 us at 900 entries
+SMALL_HISTOGRAM = 1024
 
 Lift = Sequence[dict[int, int]]  # per lifted arc: {position: coefficient mod n}
 
@@ -138,34 +143,35 @@ def _solutions(entries, cols: int, n: int, forms: Lift, held: int):
     coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
     exact and returned whatever its size: a caller compares it with its
     cap.  The second value, called, returns the step of each coordinate
-    that varies and the matching columns of V, reduced mod n and lifted by
-    the forms: a row is each form's value at x, in order.  Nothing is built
-    until it is called.  x opens with ``held`` zeros, for columns a caller
+    that varies and, per form in order, its value at the matching columns
+    of V, reduced mod n: the form's lifted column.  Nothing is built until
+    it is called.  x opens with ``held`` zeros, for columns a caller
     held at 0 and left out of A, which the forms still name.
     """
     snf = _eliminate(entries, cols, n)
 
-    def lattice() -> tuple[list[int], list[list[int]]]:
+    def lattice() -> tuple[list[int], list[tuple[int, ...]]]:
         steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
         varying = [k for k, step in enumerate(steps) if step < n]
         basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
         return [steps[k] for k in varying], [
-            [sum(c * v[j] for j, c in form.items()) % n for form in forms] for v in basis
+            tuple(sum(c * v[j] for j, c in form.items()) % n for v in basis) for form in forms
         ]
 
     return solution_count_mod(snf, n), lattice
 
 
-def _chunks(count: int, steps: list[int], basis: list[list[int]], width: int, n: int):
-    """Every row sum of y*basis mod n, y over the steps' multiples below n, as 4096-row arrays.
+def _chunks(count: int, steps: list[int], columns: list[tuple[int, ...]], n: int):
+    """Every y*columns mod n, y over the steps' multiples below n, as 4096-row arrays.
 
-    A chunk's y are its row indices in mixed radix.
+    A row has one entry per lifted column; a chunk's y are its row indices
+    in mixed radix.
     """
     import numpy as np
 
     # each entry of a row is a sum of len(steps) products below n**2; n itself must fit too
     dtype = np.int64 if max(len(steps), 1) * (n - 1) ** 2 < 2**63 else object
-    basis = np.array(basis, dtype=dtype).reshape(len(steps), width)
+    basis = np.array(columns, dtype=dtype).reshape(len(columns), len(steps)).T
     for start in range(0, count, 4096):
         index = np.arange(start, min(start + 4096, count)).astype(dtype)
         ys = np.empty((len(index), len(steps)), dtype=dtype)
@@ -201,20 +207,21 @@ def _image_sizes(blocks, width: int) -> dict[int, int]:
     return {size: int(c) for size, c in enumerate(sizes.tolist()) if c}
 
 
-def _small_image_sizes(steps: list[int], basis: list[list[int]], width: int, n: int) -> dict:
+def _small_image_sizes(steps: list[int], columns: list[tuple[int, ...]], n: int) -> dict:
     """Rows of :func:`_chunks` per count of distinct entries, counted in Python.
 
-    Each column is one list; each varying coordinate appends its nonzero
-    multiples, added to every row so far.
+    Each lifted column becomes the list of its entries over the rows: each
+    varying coordinate appends its nonzero multiples, added to every row so far.
     """
-    columns = [[0] for _ in range(width)]
-    for step, v in zip(steps, basis):
-        multiples = range(step, n, step)
-        columns = [col + [(a + m * x) % n for m in multiples for a in col]
-                   for col, x in zip(columns, v)]
-    if not width:
+    if not columns:
         return {0: prod(n // step for step in steps)}
-    return dict(Counter(map(len, map(set, zip(*columns)))))
+    entries = []
+    for xs in columns:
+        col = [0]
+        for step, x in zip(steps, xs):
+            col += [(a + m * x) % n for m in range(step, n, step) for a in col]
+        entries.append(col)
+    return dict(Counter(map(len, map(set, zip(*entries)))))
 
 
 def enumerate_solutions(
@@ -229,7 +236,7 @@ def enumerate_solutions(
     count, lattice = _solutions(system.entries, system.cols, n, forms, 0)
     if count > cap:
         raise CapExceededError(cap, count)
-    return _sorted_colorings(list(_chunks(count, *lattice(), len(forms), n)))
+    return _sorted_colorings(list(_chunks(count, *lattice(), n)))
 
 
 def image_size_counts(
@@ -243,26 +250,50 @@ def image_size_counts(
     coefficients sum to 1, so x -> x + c*1 maps solutions to solutions with
     the same image size and fixes none: the search takes only those whose
     first column is 0, n times fewer, and multiplies by n; the cap is
-    compared with the full count.  Arcs that share a form object share a
-    color, so each distinct form is lifted once.  When the search has one
-    solution, x = 0, every coloring is constant, and the answer follows
-    from the count with nothing lifted.  A histogram of at most
-    SMALL_HISTOGRAM entries is counted in Python, a larger one in numpy.
+    compared with the full count.  When the search has one solution, x = 0,
+    every coloring is constant, and the answer follows from the count with
+    nothing lifted.  Otherwise forms whose lifted columns agree color alike
+    in every solution, so one of each is kept; a histogram of at most
+    SMALL_HISTOGRAM entries, searched solutions times kept columns, is
+    counted in Python, a larger one in numpy.
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
-    forms = list({id(form): form for form in forms}.values())
     count, lattice = _solutions(entries, system.cols - fixed, n, forms, fixed)
-    scale, width = n**fixed, len(forms)
+    scale = n**fixed
     if count * scale > cap:
         return count * scale, None
     if count == 1:
-        sizes = {min(width, 1): 1}
-    elif count * width <= SMALL_HISTOGRAM:
-        sizes = _small_image_sizes(*lattice(), width, n)
+        sizes = {min(len(forms), 1): 1}
     else:
-        sizes = _image_sizes(_chunks(count, *lattice(), width, n), width)
+        steps, columns = lattice()
+        columns = list(dict.fromkeys(columns))
+        if count * len(columns) <= SMALL_HISTOGRAM:
+            sizes = _small_image_sizes(steps, columns, n)
+        else:
+            sizes = _image_sizes(_chunks(count, steps, columns, n), len(columns))
     return count * scale, {size: c * scale for size, c in sizes.items()}
+
+
+def trivial_image_sizes(components: int, n: int) -> dict[int, int]:
+    """The colorings of ``components`` components by the trivial quandle of order n, per image size.
+
+    Each component takes any color, so k colors are used by
+    S(components, k) * n(n-1)...(n-k+1) colorings, S the Stirling numbers
+    of the second kind; the sizes sum to n**components.
+    """
+    top = min(components, n)
+    stirling = [1] + [0] * top  # S(i, k) for k = 0..top, from i = 0
+    for i in range(components):
+        for k in range(min(i + 1, top), 0, -1):
+            stirling[k] = k * stirling[k] + stirling[k - 1]
+        stirling[0] = 0
+    sizes, falling = {}, 1
+    for k, s in enumerate(stirling):
+        if s:
+            sizes[k] = s * falling
+        falling *= n - k
+    return sizes
 
 
 def _alike_arcs(p: QuandlePresentation) -> list[int]:
@@ -494,6 +525,25 @@ def _run_forms(
 def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
     """p's colorings by (Z_n, t) as checks over branches and forms (see :func:`_run_forms`)."""
     return _run_forms(_forcing_steps(p, _forcing_class(params)), p.arc_count, params)
+
+
+def _forced_image_sizes(
+    steps: list[_Step], arc_count: int, params: AlexanderParams, cap: int
+) -> tuple[int, dict[int, int] | None]:
+    """:func:`image_size_counts` of the colorings by (Z_n, t) that the forcing steps search.
+
+    The steps are :func:`_forcing_steps` for params' class.  At t = 1 the
+    quandle is trivial and the steps only copy: a branch's copies reach its
+    whole component before the next branch, so every check holds and each
+    branch is a component of any color.  The count is n**branches and the
+    histogram is :func:`trivial_image_sizes`, with nothing eliminated or
+    lifted.
+    """
+    if params.t == 1:
+        components = sum(step[0] == "branch" for step in steps)
+        count = params.n**components
+        return count, None if count > cap else trivial_image_sizes(components, params.n)
+    return image_size_counts(*_run_forms(steps, arc_count, params), params.n, cap)
 
 
 def _frontier(plan: _Plan, cap: int):

@@ -350,6 +350,27 @@ def test_compare_count_only_cells_and_the_phi_cap(capsys):
     assert (code, out, err) == (3, "", "error: 12167 colorings exceed cap 1000\n")
 
 
+def test_trivial_cells_at_the_cap_boundary(capsys):
+    # at t = 1, and at t = 4 mod 3, the quandle is trivial: each of the 3
+    # components of hopf_sum and allen_swenberg takes any color, n**3
+    # colorings; one cap below that, phi exits 3 with the exact count and
+    # compare keeps both counts and no polynomial
+    for n, t, phi in (("23", "1", "23*q^1 + 1518*q^2 + 10626*q^3"),
+                      ("3", "4", "3*q^1 + 18*q^2 + 6*q^3")):
+        count = int(n) ** 3
+        for cap, expected, shown in ((count, (0, phi + "\n", ""), phi),
+                                     (count - 1, (3, "", f"error: {count} colorings exceed cap "
+                                                         f"{count - 1}\n"), "-")):
+            assert run(capsys, "phi", "hopf_sum", "--n", n, "--t", t, "--cap", str(cap)) == expected
+            code, out, _ = run(capsys, "compare", "hopf_sum", "allen_swenberg", "--n", n, "--t", t,
+                               "--cap", str(cap))
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                f"n={n} t=1 count_a={count} count_b={count} phi_a=({shown}) phi_b=({shown})",
+                "verdict: not distinguished",
+            ]
+
+
 HEADLINE_GRID_SHA256 = {
     "all-units": "ac95986402b6327cb30f1092028bfd7f33183b86d8e4bf83aef29311055595ad",
     "involutory": "0fb812858d58dbdc9872076d7ced738fde58041790bc94900ae32ba7b38a343a",
@@ -633,10 +654,11 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # numpy is most of a fresh process's start-up: importing the CLI, and
     # commands that build no array, never load it (a count by (n, t) of a
     # grown file, or at t = 1, included, phi or an enumeration past the
-    # cap, which exit 3, and phi whose histogram is small enough to count
-    # in Python); phi past SMALL_HISTOGRAM entries (529 searched colorings
-    # of 3 forms here), enumeration and table validation import it where
-    # they build arrays
+    # cap, which exit 3, phi at t = 1, which has a closed form, and phi
+    # whose histogram is small enough to count in Python); phi past
+    # SMALL_HISTOGRAM entries (144 searched colorings of 9 distinct lifted
+    # columns here), enumeration and table validation import it where they
+    # build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
     link = tmp_path / "grown.rel"
@@ -651,9 +673,10 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
         ["phi", "allen_swenberg", "--n", "101", "--t", "1"],
         ["matrix", "trefoil", "--n", "5", "--t", "2"],
         ["phi", "trefoil", "--n", "3", "--t", "2"],
+        ["phi", "hopf_sum", "--n", "23", "--t", "1"],
     ]
     needs_numpy = [
-        ["phi", "hopf_sum", "--n", "23", "--t", "1"],
+        ["phi", "allen_swenberg", "--n", "24", "--t", "13"],
         ["colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate"],
         ["colorings", "trefoil", "--quandle-file", str(table)],
     ]
@@ -664,9 +687,27 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     for argv, result in zip(lean, results[1:]):
         assert result == (*run(capsys, *argv), False)
     assert results[len(lean) + 1:] == [
-        (0, "23*q^1 + 1518*q^2 + 10626*q^3\n", "", True),
+        (0, "24*q^1 + 792*q^2 + 2640*q^3\n", "", True),
         (0, TREFOIL_3_LISTING, "", True),
         (0, "count: 9\n", "", True),
+    ]
+
+
+def test_the_paper_grid_loads_no_numpy():
+    # the paper's sweep under either policy, in a fresh process: every cell
+    # is answered from its count, in closed form (t = 1) or by a histogram
+    # small enough to count in Python, with the bytes first recorded
+    grid = ",".join(str(n) for n in range(2, 24))
+    policies = sorted(HEADLINE_GRID_SHA256)
+    argvs = [["compare", "hopf_sum", "allen_swenberg", "--n", grid, "--t", policy,
+              "--format", "json"] for policy in policies]
+    done = run_python_limited("-c", NUMPY_PROBE, json.dumps(argvs))
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)
+    assert results[0] == [None, None, None, False]
+    assert [(code, hashlib.sha256(out.encode()).hexdigest(), err, numpy)
+            for code, out, err, numpy in results[1:]] == [
+        (0, HEADLINE_GRID_SHA256[policy], "", False) for policy in policies
     ]
 
 

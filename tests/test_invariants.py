@@ -1,5 +1,6 @@
 """Counting invariant, enhanced polynomial, involutory sweep, and comparison grids."""
 
+import itertools
 import json
 import random
 import time
@@ -32,10 +33,12 @@ from quandlecolor import (
     extract,
     involutory_units,
     parse_pd_code,
+    parse_relations_file,
     phi_polynomial,
+    reidemeister_r2,
     units,
 )
-from quandlecolor.solver import _forced_system, image_size_counts
+from quandlecolor.solver import _forced_system, image_size_counts, trivial_image_sizes
 
 from conftest import (
     FORCING_QUANDLES,
@@ -485,11 +488,14 @@ def test_compare_eliminates_each_system_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_eliminate", counting)
     a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
+    # a t = 1 cell is the trivial quandle, counted in closed form: no elimination
     report = compare(a, b, (2, 3, 5), t_policy="all-units")
     assert len(report.grid) == 7
-    assert len(calls) == 2 * len(report.grid)
+    assert len(calls) == 2 * sum(cell.t != 1 for cell in report.grid) == 8
     calls.clear()
     compare(a, b, (5,), t_policy=1, cap=10)  # both over the cap
+    assert calls == []
+    compare(a, b, (5,), t_policy=2, cap=4)  # both over the cap
     assert len(calls) == 2
 
 
@@ -670,13 +676,78 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
 
     cells = [_forced_system(extract(catalog(name)), AlexanderParams(n, t)) + (n,)
              for name in ("hopf_sum", "allen_swenberg", "trefoil")
-             for n in (4, 9, 12, 23) for t in units(n)]
+             for n in (4, 9, 12, 16, 20, 23) for t in units(n)]
     routes = []
     for limit in (10**9, 0):
         monkeypatch.setattr(solver, "SMALL_HISTOGRAM", limit)
         routes.append([image_size_counts(checks, forms, n, 10**6) for checks, forms, n in cells])
     assert routes[0] == routes[1]
     assert sum(len(sizes) > 1 for _, sizes in routes[0]) > 20
+
+
+def test_trivial_image_sizes_count_colorings_by_colors_used():
+    # S(c, k) * n(n-1)...(n-k+1) colorings of c free components use k colors
+    for c, n in itertools.product(range(6), range(1, 7)):
+        expected = Counter(map(image_size, itertools.product(range(n), repeat=c)))
+        assert trivial_image_sizes(c, n) == dict(expected), (c, n)
+
+
+def _trivial_cell_diagrams():
+    over_only = reidemeister_r2(catalog("unlink2"), 1, 2)  # x2 passes over x1 only
+    circles = parse_relations_file("circles: 1\n" + catalog("hopf_sum").render_relations())
+    grown_copies = [grown(name, catalog(name).arc_count + 12, 26) for name in catalog_names()]
+    return [*map(catalog, catalog_names()), *grown_copies, over_only, circles]
+
+
+def test_trivial_cells_in_closed_form_match_the_histogram(monkeypatch):
+    # t = 1 is the trivial quandle: each of the c components (the branches
+    # of the trivial plan) takes any color, so phi and compare answer from
+    # c alone, with nothing eliminated, the same as image_size_counts
+    import quandlecolor.solver as solver
+
+    links = []
+    for d in _trivial_cell_diagrams():
+        p, cells = extract(d), []
+        for n in range(2, 24):
+            checks, forms = _forced_system(p, AlexanderParams(n, 1))
+            assert (checks.rows, checks.cols) == (0, d.component_count())
+            count, sizes = image_size_counts(checks, forms, n, 10**9)
+            assert count == n**checks.cols
+            assert trivial_image_sizes(checks.cols, n) == sizes, (d.arc_count, n)
+            cells.append((n, count, sizes))
+        links.append((p, cells))
+    eliminations = []
+    original = solver._eliminate
+    monkeypatch.setattr(solver, "_eliminate",
+                        lambda *args: eliminations.append(args) or original(*args))
+    for p, cells in links:
+        for n, count, sizes in cells:
+            assert dict(phi_polynomial(p, alexander(n, 1), cap=count).terms) == sizes
+        # the canonical t decides: 4 is 1 mod 3
+        assert dict(phi_polynomial(p, alexander(3, 4), cap=10**9).terms) == cells[1][2]
+        report = compare(p, p, range(2, 24), t_policy=1, cap=10**9)
+        assert [(cell.n, cell.count_a, cell.phi_a) for cell in report.grid] == [
+            (n, count, PhiPolynomial.from_counts(sizes)) for n, count, sizes in cells
+        ]
+    assert eliminations == []
+
+
+def test_trivial_cells_at_the_cap_boundary():
+    # at cap n**c - 1 the cell is count-only and phi raises with the exact
+    # count; at cap n**c both have the polynomial
+    for name in catalog_names():
+        p, c = extract(catalog(name)), catalog_entry(name).expected_components
+        for n in (2, 5, 23):
+            count = n**c
+            phi = phi_polynomial(p, alexander(n, 1), cap=count)
+            assert phi.total() == count
+            with pytest.raises(CapExceededError) as exc:
+                phi_polynomial(p, alexander(n, 1), cap=count - 1)
+            assert exc.value.count == count
+            (cell,) = compare(p, p, (n,), t_policy=1, cap=count - 1).grid
+            assert (cell.count_a, cell.count_b, cell.phi_a, cell.phi_b) == (count, count, None, None)
+            (cell,) = compare(p, p, (n,), t_policy=1, cap=count).grid
+            assert (cell.count_a, cell.phi_a, cell.phi_b) == (count, phi, phi)
 
 
 def test_a_constant_only_cell_is_answered_from_its_count(monkeypatch):
