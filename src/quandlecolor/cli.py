@@ -16,12 +16,20 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .catalog import CATALOG, catalog_entry, catalog_names
 from .diagram import _PD_SKIP, LinkDiagram, parse_pd_code, parse_relations_file
 from .errors import CapExceededError, NotAUnitError, QuandleColorError, UnknownLinkError
-from .invariants import all_colorings, compare, counting_invariant, phi_polynomial
+from .invariants import (
+    VERDICTS,
+    ComparisonCell,
+    PhiPolynomial,
+    all_colorings,
+    compare_cells,
+    counting_invariant,
+    phi_polynomial,
+)
 from .presentation import extract
 from .quandle import AlexanderParams, FiniteQuandle, alexander, parse_quandle_file
 from .smith import smith_normal_form
@@ -73,7 +81,8 @@ def _emit(args, doc: Callable[[], dict], human: Callable[[], Iterable[str]]) -> 
     """Print the JSON document or the text lines, whichever --format asks for.
 
     Each comes from a function called only when its output is printed, so
-    the other is never built.
+    the other is never built.  Every command but ``compare``, which streams
+    its cells (see cmd_compare), prints through here.
     """
     if args.format == "json":
         print(json.dumps(doc(), indent=2, sort_keys=True))
@@ -187,39 +196,78 @@ def _parse_t_policy(text: str):
         ) from None
 
 
+def _text_phi(phi: PhiPolynomial | None) -> str:
+    return "-" if phi is None else str(phi)
+
+
+def _compare_text(cells: Iterable[ComparisonCell], name_a: str, name_b: str) -> Iterator[str]:
+    """The text report: a header line, a line per cell, then the verdict."""
+    yield f"compare {name_a} vs {name_b}\n"
+    distinguished = False
+    for cell in cells:
+        distinguished = distinguished or cell.differs
+        yield (f"n={cell.n} t={cell.t} count_a={cell.count_a} count_b={cell.count_b} "
+               f"phi_a=({_text_phi(cell.phi_a)}) phi_b=({_text_phi(cell.phi_b)})\n")
+    yield f"verdict: {VERDICTS[distinguished]}\n"
+
+
+def _json_phi(phi: PhiPolynomial | None) -> str:
+    """A cell's polynomial as json.dumps(indent=2) lays out its [exponent, coefficient] pairs."""
+    if phi is None:
+        return "null"
+    if not phi.terms:
+        return "[]"
+    pairs = ",".join(f"\n          [\n            {e},\n            {c}\n          ]"
+                     for e, c in phi.terms)
+    return f"[{pairs}\n        ]"
+
+
+def _compare_json(
+    cells: Iterable[ComparisonCell], name_a: str, name_b: str, n_values: list[int],
+    policy: str, cap: int,
+) -> Iterator[str]:
+    """The bytes of ``json.dumps(document, indent=2, sort_keys=True)``, one cell at a time.
+
+    Sorted keys put ``results`` last at the top and ``grid`` first in it,
+    and every other value is known before the grid, but the verdict: so
+    the head, each cell and then the tail are written with the fixed layout
+    below.  Strings go through json.dumps, which escapes them as the
+    document would.
+    """
+    link_a, link_b, t_policy = map(json.dumps, (name_a, name_b, policy))
+    ns = ",\n".join(f"      {n}" for n in n_values)
+    yield (f'{{\n  "command": "compare",\n  "exit_status": 0,\n  "inputs": {{\n'
+           f'    "cap": {cap},\n    "link_a": {link_a},\n    "link_b": {link_b},\n'
+           f'    "n": [\n{ns}\n    ],\n    "t_policy": {t_policy}\n  }},\n'
+           f'  "results": {{\n    "grid": [')
+    distinguished, separator = False, ""
+    for cell in cells:
+        distinguished = distinguished or cell.differs
+        yield (f'{separator}\n      {{\n        "count_a": {cell.count_a},\n'
+               f'        "count_b": {cell.count_b},\n        "n": {cell.n},\n'
+               f'        "phi_a": {_json_phi(cell.phi_a)},\n'
+               f'        "phi_b": {_json_phi(cell.phi_b)},\n        "t": {cell.t}\n      }}')
+        separator = ","
+    close = "\n    ]" if separator else "]"
+    yield (f'{close},\n    "link_a": {link_a},\n    "link_b": {link_b},\n'
+           f'    "t_policy": {t_policy},\n    "verdict": {json.dumps(VERDICTS[distinguished])}\n'
+           f'  }}\n}}\n')
+
+
 def cmd_compare(args) -> int:
     _check_cap(args.cap)
     name_a, diagram_a = _resolve_link(args.link_a)
     name_b, diagram_b = _resolve_link(args.link_b)
     n_values = _parse_n_list(args.n)
     policy = _parse_t_policy(args.t)
-    report = compare(
-        extract(diagram_a),
-        extract(diagram_b),
-        n_values,
-        t_policy=policy,
-        cap=args.cap,
-        link_a=name_a,
-        link_b=name_b,
-    )
-    inputs = {
-        "link_a": name_a,
-        "link_b": name_b,
-        "n": n_values,
-        "t_policy": str(policy),
-        "cap": args.cap,
-    }
-
-    def human():
-        yield f"compare {name_a} vs {name_b}"
-        for cell in report.grid:
-            phi_a = "-" if cell.phi_a is None else str(cell.phi_a)
-            phi_b = "-" if cell.phi_b is None else str(cell.phi_b)
-            yield (f"n={cell.n} t={cell.t} count_a={cell.count_a} count_b={cell.count_b} "
-                   f"phi_a=({phi_a}) phi_b=({phi_b})")
-        yield f"verdict: {report.verdict}"
-
-    _emit(args, lambda: _document("compare", inputs, report.to_dict()), human)
+    # compare_cells raises every error before its first cell, and the output
+    # opens with exit_status 0: so nothing is written before this call, and
+    # after it each cell is written as it is made, none kept
+    cells = compare_cells(extract(diagram_a), extract(diagram_b), n_values, policy, args.cap)
+    if args.format == "json":
+        sys.stdout.writelines(_compare_json(cells, name_a, name_b, n_values, str(policy), args.cap))
+    else:
+        sys.stdout.writelines(_compare_text(cells, name_a, name_b))
     return 0
 
 

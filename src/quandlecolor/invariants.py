@@ -12,12 +12,13 @@ search's plan runs over linear forms in its branch values (see
 solver._forced_system), and leaves check rows over the branches and one
 form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
-``phi_polynomial`` and ``compare`` both take solver._forced_image_sizes,
-which returns the exact count and, within the cap, the image sizes.  At
-t = 1 the quandle is trivial: the plan's c branches are the components,
-each free, so the count is n**c and the sizes have a closed form in
-Stirling numbers, with nothing eliminated.  Otherwise it hands checks and
-forms to ``image_size_counts``, which searches one coloring per class of
+``phi_polynomial`` and ``compare`` take the exact count and, within the
+cap, the image sizes.  At t = 1 the quandle is trivial: each of the c
+components is free, so every query reads c off the diagram's union-find
+(solver._components) and answers in closed form, n**c colorings and sizes
+in Stirling numbers (solver._trivial_cell), with no plan compiled and
+nothing eliminated.  Otherwise they hand checks and forms to
+``image_size_counts``, which searches one coloring per class of
 x -> x + c*1, with no coloring listed, over one column per group of forms
 whose lifted columns agree, answers a single class (the constant
 colorings) from its count alone, counts a histogram of at most
@@ -25,32 +26,38 @@ SMALL_HISTOGRAM entries in Python and only a larger one in numpy.  So
 ``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1`` and the paper's
 whole grid load no numpy, and ``phi allen_swenberg --n 24 --t 13`` (144
 colorings of 9 columns) does.  ``compare`` compiles each link's plan once
-per call and class of t (t = 1, 1 - t a unit, or neither) and runs it at
-each grid point; a cell past the cap keeps the exact counts alone.
+per call and class of t (1 - t a unit or not) and runs it at each grid
+point; a cell past the cap keeps the exact counts alone.  Its cells come
+from one generator (``compare_cells``), walked lazily in (n, t) order, so
+the CLI writes each cell as it is made and holds one cell at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
-from typing import Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
-    _forced_image_sizes,
+    _components,
     _forced_system,
     _forcing_class,
     _forcing_steps,
     _frontier,
     _image_sizes,
     _plan,
+    _run_forms,
+    _trivial_cell,
     brute_force_colorings,
     brute_force_count,
     count_solutions,
     enumerate_solutions,
+    image_size_counts,
 )
 
 
@@ -100,13 +107,18 @@ def counting_invariant(
     Alexander quandles are counted exactly, with no cap, by forcing: the
     search plan runs once over linear forms in the branch values, and the
     checks it leaves over the branches are counted through the sparse Smith
-    form over Z_n (see solver._forced_system).  Other quandles fall back to
-    the brute-force search, where ``cap`` bounds the enumeration.
+    form over Z_n (see solver._forced_system); at t = 1, where the quandle
+    is trivial, the count is n**components, with no plan compiled.  Other
+    quandles fall back to the brute-force search, where ``cap`` bounds the
+    enumeration.
     """
-    if q.alexander is not None:
-        system, _ = _forced_system(p, q.alexander)
-        return count_solutions(system, q.alexander.n)
-    return brute_force_count(p, q, cap)
+    params = q.alexander
+    if params is None:
+        return brute_force_count(p, q, cap)
+    if params.t == 1:
+        return params.n ** _components(p)
+    system, _ = _forced_system(p, params)
+    return count_solutions(system, params.n)
 
 
 def phi_polynomial(
@@ -115,7 +127,7 @@ def phi_polynomial(
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
     An Alexander quandle's image sizes are counted from the forcing search
-    (see solver._forced_image_sizes: in closed form at t = 1, else from its
+    (in closed form at t = 1, see solver._trivial_cell, else from its
     checks and forms by image_size_counts); another quandle's,
     by the same histogram, from the brute-force search's blocks, whose
     columns (classes of alike arcs) take as many distinct colors as the arcs.
@@ -124,15 +136,22 @@ def phi_polynomial(
         plan = _plan(p, q)
         return PhiPolynomial.from_counts(_image_sizes(_frontier(plan, cap), plan.width))
     params = q.alexander
-    count, sizes = _forced_image_sizes(_forcing_steps(p, _forcing_class(params)), p.arc_count,
-                                       params, cap)
+    if params.t == 1:
+        count, sizes = _trivial_cell(_components(p), params.n, cap)
+    else:
+        count, sizes = image_size_counts(*_forced_system(p, params), params.n, cap)
     if sizes is None:
         raise CapExceededError(cap, count)
     return PhiPolynomial.from_counts(sizes)
 
 
+def _walk_units(n: int) -> Iterator[int]:
+    """The units of Z_n in increasing order, one at a time."""
+    return (t for t in range(1, n) if gcd(t, n) == 1)
+
+
 def units(n: int) -> tuple[int, ...]:
-    return tuple(t for t in range(1, n) if gcd(t, n) == 1)
+    return tuple(_walk_units(n))
 
 
 def _prime_powers(n: int):
@@ -178,10 +197,14 @@ def involutory_units(n: int) -> tuple[int, ...]:
 TPolicy = Union[str, int]
 
 
-def resolve_t_values(policy: TPolicy, n: int) -> tuple[int, ...]:
-    """Expand a t policy ('all-units', 'involutory', or a fixed residue) for one n."""
+def resolve_t_values(policy: TPolicy, n: int) -> Iterable[int]:
+    """Expand a t policy ('all-units', 'involutory', or a fixed residue) for one n.
+
+    All units are walked lazily; every error (an unknown policy, a fixed t
+    that is no unit mod n) is raised by this call, not while walking.
+    """
     if policy == "all-units":
-        return units(n)
+        return _walk_units(n)
     if policy == "involutory":
         return involutory_units(n)
     if isinstance(policy, int):
@@ -211,6 +234,9 @@ class ComparisonCell:
         )
 
 
+VERDICTS = ("not distinguished", "distinguished")  # by whether any cell differs
+
+
 @dataclass(frozen=True)
 class DistinguishabilityReport:
     """Counting/polynomial grid for two links plus the resulting verdict."""
@@ -226,26 +252,7 @@ class DistinguishabilityReport:
 
     @property
     def verdict(self) -> str:
-        return "distinguished" if self.distinguished else "not distinguished"
-
-    def to_dict(self) -> dict:
-        return {
-            "link_a": self.link_a,
-            "link_b": self.link_b,
-            "t_policy": self.t_policy,
-            "grid": [
-                {
-                    "n": cell.n,
-                    "t": cell.t,
-                    "count_a": cell.count_a,
-                    "count_b": cell.count_b,
-                    "phi_a": None if cell.phi_a is None else list(cell.phi_a.terms),
-                    "phi_b": None if cell.phi_b is None else list(cell.phi_b.terms),
-                }
-                for cell in self.grid
-            ],
-            "verdict": self.verdict,
-        }
+        return VERDICTS[self.distinguished]
 
 
 def compare(
@@ -259,27 +266,57 @@ def compare(
 ) -> DistinguishabilityReport:
     """Sweep both links over the (n, t) grid and compare counts and polynomials.
 
+    The grid holds the cells of :func:`compare_cells`, in (n, t) order.
+    """
+    return DistinguishabilityReport(
+        link_a=link_a,
+        link_b=link_b,
+        t_policy=str(t_policy),
+        grid=tuple(compare_cells(a, b, n_values, t_policy, cap)),
+    )
+
+
+def compare_cells(
+    a: QuandlePresentation,
+    b: QuandlePresentation,
+    n_values,
+    t_policy: TPolicy = "all-units",
+    cap: int = DEFAULT_CAP,
+) -> Iterator[ComparisonCell]:
+    """The cells of the (n, t) grid, one at a time in (n, t) order, n over sorted distinct values.
+
+    Every error is raised by this call, before the first cell: a fixed t
+    that is no unit at some n raises NotAUnitError here, whatever comes
+    first in the grid.  The t values of each n are walked lazily, and no
+    cell is kept, so a caller that writes each cell as it comes holds one.
+
     Each link's forcing plan is compiled once per call and class of t (see
-    solver._forcing_class); a t = 1 cell is counted from the plan's
-    branches in closed form, and any other runs the two plans' forms at
+    solver._forcing_class), and a t = 1 cell is answered from each link's
+    component count in closed form.  Any other runs the two plans' forms at
     (n, t) and eliminates each link's checks once (see image_size_counts),
     which gives its exact count whatever the cap.  A cell where either link has
     more than ``cap`` colorings keeps both exact counts and drops both
     polynomials (a count-only cell) rather than failing the grid; once the
     first link is past the cap, the second is counted and not histogrammed.
-    Cells are assembled in (n, t) order.
     """
-    plans: dict[tuple[int, tuple[bool, bool]], list] = {}  # (link, class of t) -> its steps
+    grid = [(n, resolve_t_values(t_policy, n)) for n in sorted(set(int(n) for n in n_values))]
+    return _cells((a, b), grid, cap)
+
+
+def _cells(links, grid, cap: int) -> Iterator[ComparisonCell]:
+    """The generator of :func:`compare_cells`, over its resolved (n, t values) pairs."""
+    components = cache(lambda link: _components(links[link]))
+    steps = cache(lambda link, kind: _forcing_steps(links[link], kind))
 
     def sizes(link: int, params: AlexanderParams, cap: int) -> tuple[int, dict[int, int] | None]:
-        p, key = (a, b)[link], (link, _forcing_class(params))
-        if key not in plans:
-            plans[key] = _forcing_steps(p, key[1])
-        return _forced_image_sizes(plans[key], p.arc_count, params, cap)
+        if params.t == 1:
+            return _trivial_cell(components(link), params.n, cap)
+        system, forms = _run_forms(steps(link, _forcing_class(params)), links[link].arc_count,
+                                   params)
+        return image_size_counts(system, forms, params.n, cap)
 
-    cells = []
-    for n in sorted(set(int(n) for n in n_values)):
-        for t in resolve_t_values(t_policy, n):
+    for n, t_values in grid:
+        for t in t_values:
             params = AlexanderParams(n, t)
             count_a, sizes_a = sizes(0, params, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
@@ -287,10 +324,4 @@ def compare(
             phi_a = phi_b = None
             if sizes_a is not None and sizes_b is not None:
                 phi_a, phi_b = map(PhiPolynomial.from_counts, (sizes_a, sizes_b))
-            cells.append(ComparisonCell(n, t, count_a, count_b, phi_a, phi_b))
-    return DistinguishabilityReport(
-        link_a=link_a,
-        link_b=link_b,
-        t_policy=str(t_policy),
-        grid=tuple(cells),
-    )
+            yield ComparisonCell(n, t, count_a, count_b, phi_a, phi_b)

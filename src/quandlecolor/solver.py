@@ -43,8 +43,9 @@ routes share one lexicographic sort (``enumerate_solutions``,
 colors, arc 1 first, and one histogram of image sizes
 (``image_size_counts``, and ``phi`` by a table), with no coloring listed
 for the histogram; a small one is counted in Python, others in numpy.  At
-t = 1 the quandle is trivial and the histogram has a closed form in the
-number of branches, the components (:func:`_forced_image_sizes`).
+t = 1 the quandle is trivial: the count and the histogram have a closed
+form in the number of components, with no plan compiled
+(:func:`_trivial_cell`).
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, nor
@@ -66,7 +67,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 from math import gcd, prod
 
-from .diagram import _find
+from .diagram import _find, _merged_classes
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
@@ -527,23 +528,25 @@ def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[Col
     return _run_forms(_forcing_steps(p, _forcing_class(params)), p.arc_count, params)
 
 
-def _forced_image_sizes(
-    steps: list[_Step], arc_count: int, params: AlexanderParams, cap: int
-) -> tuple[int, dict[int, int] | None]:
-    """:func:`image_size_counts` of the colorings by (Z_n, t) that the forcing steps search.
+def _components(p: QuandlePresentation) -> int:
+    """The number of p's components: classes of arcs joined through an under-strand.
 
-    The steps are :func:`_forcing_steps` for params' class.  At t = 1 the
-    quandle is trivial and the steps only copy: a branch's copies reach its
-    whole component before the next branch, so every check holds and each
-    branch is a component of any color.  The count is n**branches and the
-    histogram is :func:`trivial_image_sizes`, with nothing eliminated or
-    lifted.
+    These are the branches of the trivial plan (:func:`_forcing_steps` at
+    t = 1, where a branch's copies reach its whole component before the next
+    branch), counted by the package's one union-find with no plan compiled.
     """
-    if params.t == 1:
-        components = sum(step[0] == "branch" for step in steps)
-        count = params.n**components
-        return count, None if count > cap else trivial_image_sizes(components, params.n)
-    return image_size_counts(*_run_forms(steps, arc_count, params), params.n, cap)
+    return len(_merged_classes(range(1, p.arc_count + 1),
+                               ((r.under_in, r.under_out) for r in p.relations)))
+
+
+def _trivial_cell(components: int, n: int, cap: int) -> tuple[int, dict[int, int] | None]:
+    """:func:`image_size_counts` at t = 1, where the quandle is trivial and each component free.
+
+    The count is n**components and the histogram is
+    :func:`trivial_image_sizes`, with nothing compiled, eliminated or lifted.
+    """
+    count = n**components
+    return count, None if count > cap else trivial_image_sizes(components, n)
 
 
 def _frontier(plan: _Plan, cap: int):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
 import random
 import resource
@@ -416,3 +417,44 @@ def run_python_limited(*args: str) -> subprocess.CompletedProcess:
         preexec_fn=limit,
         timeout=120,
     )
+
+
+def report_dict(report) -> dict:
+    """A DistinguishabilityReport as the ``results`` of a compare document, as a plain dict."""
+    return {
+        "link_a": report.link_a,
+        "link_b": report.link_b,
+        "t_policy": report.t_policy,
+        "grid": [
+            {
+                "n": cell.n,
+                "t": cell.t,
+                "count_a": cell.count_a,
+                "count_b": cell.count_b,
+                "phi_a": None if cell.phi_a is None else list(cell.phi_a.terms),
+                "phi_b": None if cell.phi_b is None else list(cell.phi_b.terms),
+            }
+            for cell in report.grid
+        ],
+        "verdict": report.verdict,
+    }
+
+
+def compare_document(report, n_values, cap: int) -> str:
+    """``compare --format json``'s output, encoded whole by json.dumps."""
+    inputs = {"link_a": report.link_a, "link_b": report.link_b, "n": list(n_values),
+              "t_policy": report.t_policy, "cap": cap}
+    doc = {"command": "compare", "inputs": inputs, "results": report_dict(report),
+           "exit_status": 0}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def compare_lines(report) -> list[str]:
+    """``compare``'s text output as lines, built from the whole report."""
+    lines = [f"compare {report.link_a} vs {report.link_b}"]
+    for cell in report.grid:
+        phi_a = "-" if cell.phi_a is None else str(cell.phi_a)
+        phi_b = "-" if cell.phi_b is None else str(cell.phi_b)
+        lines.append(f"n={cell.n} t={cell.t} count_a={cell.count_a} count_b={cell.count_b} "
+                     f"phi_a=({phi_a}) phi_b=({phi_b})")
+    return lines + [f"verdict: {report.verdict}"]

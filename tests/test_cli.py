@@ -1,15 +1,36 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import json
+import os
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from quandlecolor import alexander, catalog_names, units
+from quandlecolor import (
+    alexander,
+    catalog,
+    catalog_names,
+    compare,
+    extract,
+    parse_relations_file,
+    units,
+)
 from quandlecolor.cli import build_parser, main
 
-from conftest import grown, run_cli_limited, run_python_limited, table_text, transpositions, trivial
+from conftest import (
+    compare_document,
+    compare_lines,
+    grown,
+    run_cli_limited,
+    run_python_limited,
+    table_text,
+    transpositions,
+    trivial,
+)
 
 
 def run(capsys, *argv):
@@ -385,6 +406,64 @@ def test_compare_headline_grid_bytes(capsys, policy):
                        "--t", policy, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HEADLINE_GRID_SHA256[policy]
+
+
+def _link(target: str):
+    """A compare argument's diagram: a catalog name or a relations file."""
+    if target in catalog_names():
+        return catalog(target)
+    return parse_relations_file(Path(target).read_text(encoding="utf-8"))
+
+
+def test_compare_streams_the_bytes_of_the_whole_document(capsys, tmp_path):
+    # each document written cell by cell equals json.dumps of the whole
+    # report's dict, and each text report the lines of the whole report
+    odd = tmp_path / 'tr\u00e9"fo\\il \u2603.rel'
+    odd.write_text(catalog("trefoil").render_relations(), encoding="utf-8")
+    cases = [
+        ("hopf_sum", "allen_swenberg", "23,5", "1", "1000"),  # a count-only cell and one not
+        ("unknot", "trefoil", "3,4,5", "all-units", "0"),  # count-only throughout
+        ("hopf_sum", str(odd), "4,3,4,2,3", "all-units", "1000000"),  # unsorted, repeated
+        (str(odd), "unknot", "8,12,9", "involutory", "1000000"),
+        ("hopf_sum", "allen_swenberg", "7,5,3", "-1", "1000000"),  # a fixed t
+        ("unknot", "trefoil", "3", "2", "1000000"),  # a grid of one cell
+    ]
+    for a, b, n, t, cap in cases:
+        n_values = [int(v) for v in n.split(",")]
+        policy = t if t in ("all-units", "involutory") else int(t)
+        report = compare(extract(_link(a)), extract(_link(b)), n_values, policy, int(cap),
+                         link_a=a, link_b=b)
+        argv = ["compare", a, b, "--n", n, "--t", t, "--cap", cap]
+        assert run(capsys, *argv, "--format", "json") == (
+            0, compare_document(report, n_values, int(cap)), "")
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines(), err) == (0, compare_lines(report), "")
+
+
+def test_compare_writes_nothing_before_a_late_error(capsys):
+    # t = 2 is a unit mod 3 but not mod 4: the error comes before any byte
+    for fmt in ("text", "json"):
+        assert run(capsys, "compare", "hopf_sum", "trefoil", "--n", "3,4", "--t", "2",
+                   "--format", fmt) == (4, "", "error: t=2 is not a unit modulo n=4\n")
+
+
+def test_compare_holds_one_cell_at_a_time():
+    # the output of a 210-cell grid goes to os.devnull; the CLI keeps no
+    # grid, so its peak of traced memory does not grow with the grid: 0.03 MB
+    # streamed, where holding the report and its encoded document took
+    # 0.60 MB (and 6.1 MB at n = 2003).  Tracing makes each cell about 14
+    # times slower, so the grid is kept small
+    argv = ["compare", "hopf_sum", "allen_swenberg", "--n", "211", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv[:4] + ["5"] + argv[5:])  # warm: imports and the parser
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 200_000
 
 
 ENUMERATE_SHA256 = {

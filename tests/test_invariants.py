@@ -50,6 +50,7 @@ from conftest import (
     grown,
     image_size,
     involutory_units_among_units,
+    report_dict,
     takasaki,
     transpositions,
     trivial,
@@ -508,7 +509,7 @@ def test_report_serialization_round_trips():
         link_a="unknot",
         link_b="trefoil",
     )
-    doc = json.loads(json.dumps(report.to_dict()))
+    doc = json.loads(json.dumps(report_dict(report)))
     assert doc["verdict"] == report.verdict
     assert doc["grid"][0]["count_a"] == report.grid[0].count_a
     assert doc["grid"][0]["phi_b"] == [list(t) for t in report.grid[0].phi_b.terms]
@@ -639,14 +640,15 @@ def test_compare_compiles_each_link_once_per_class_of_t(monkeypatch):
 
     monkeypatch.setattr(solver, "_compile", counting)
     a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
-    # every unit of a prime n but 1 leaves 1 - t a unit: t = 1 is the other class
+    # every unit of a prime n but 1 leaves 1 - t a unit; t = 1 compiles no
+    # plan, as it is answered from the component count
     report = compare(a, b, (2, 3, 5, 7), t_policy="all-units")
     assert len(report.grid) == 1 + 2 + 4 + 6
-    assert calls == [a, b, a, b]
-    # t = 4 and 7 mod 9 make the third class: 1 - t is neither 0 nor a unit
+    assert calls == [a, b]
+    # t = 4 and 7 mod 9 make the other class: 1 - t is neither 0 nor a unit
     calls.clear()
     compare(a, b, (9,), t_policy="all-units")
-    assert calls == [a, b, a, b, a, b]
+    assert calls == [a, b, a, b]
 
 
 def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
@@ -730,6 +732,20 @@ def test_trivial_cells_in_closed_form_match_the_histogram(monkeypatch):
             (n, count, PhiPolynomial.from_counts(sizes)) for n, count, sizes in cells
         ]
     assert eliminations == []
+
+
+def test_trivial_counts_from_the_component_count(monkeypatch):
+    # at t = 1 (and t = 4 mod 3) the count is n**components, read off the
+    # diagram's union-find: no plan is compiled, run or eliminated
+    import quandlecolor.solver as solver
+
+    for name in ("_compile", "_run_forms", "_eliminate"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    for d in _trivial_cell_diagrams():
+        p, c = extract(d), d.component_count()
+        for n in (2, 3, 7, 23, 10**30 + 57):
+            assert counting_invariant(p, alexander(n, 1)) == n**c, (d.arc_count, n)
+        assert counting_invariant(p, alexander(3, 4)) == 3**c
 
 
 def test_trivial_cells_at_the_cap_boundary():
