@@ -4,15 +4,17 @@ Subcommands: ``catalog``, ``relations``, ``validate-quandle``, ``colorings``,
 ``phi``, ``compare``, and ``matrix``.  Default output is human-readable;
 ``--format json`` emits a machine-readable document (command echo, inputs,
 results, exit status) whose numbers round-trip exactly.  Exit codes: 0 on
-success (compare verdicts are data, never exit codes), 2 for parse or
-validation errors, 3 when an enumeration cap is exceeded, 4 for a non-unit
-multiplier.
+success (compare verdicts are data, never exit codes), 1 when the reader
+closes stdout early, 2 for parse or validation errors, 3 when an
+enumeration cap is exceeded, 4 for a non-unit multiplier.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -402,7 +404,18 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not in the exit flush
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`), which is no bad input: as the
+        # "Note on SIGPIPE" in Python's signal docs advises, point stdout's fd,
+        # if it has one, at devnull so the exit flush is quiet, and exit 1
+        with contextlib.suppress(AttributeError, ValueError):  # no real fd
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 1
     except (QuandleColorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, NotAUnitError) else 3 if isinstance(exc, CapExceededError) else 2

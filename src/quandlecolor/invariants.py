@@ -7,35 +7,33 @@ refines it by recording how many distinct colors each coloring uses,
 invariants across a grid of Alexander quandles and reports whether two
 links are distinguished anywhere on the grid.
 
-For an Alexander quandle every query takes one reduction: the brute-force
-search's plan runs over linear forms in its branch values (see
-solver._forced_system), and leaves check rows over the branches and one
-form per arc.  ``counting_invariant`` eliminates the checks;
+For an Alexander quandle every query goes to one place, solver.Forcing,
+which answers each (n, t).  At t = 1 the quandle is trivial: each of the
+c components is free, so the answer has a closed form, n**c colorings
+and sizes in Stirling numbers, with no plan compiled and nothing
+eliminated.  Otherwise the brute-force search's plan runs over linear
+forms in its branch values and leaves check rows over the branches and
+one form per arc.  ``counting_invariant`` eliminates the checks;
 ``all_colorings`` enumerates their solutions and lifts each by the forms;
 ``phi_polynomial`` and ``compare`` take the exact count and, within the
-cap, the image sizes.  At t = 1 the quandle is trivial: each of the c
-components is free, so every query reads c off the diagram's union-find
-(solver._components) and answers in closed form, n**c colorings and sizes
-in Stirling numbers (solver._trivial_cell), with no plan compiled and
-nothing eliminated.  Otherwise they hand checks and forms to
-``image_size_counts``, which searches one coloring per class of
-x -> x + c*1, with no coloring listed, over one column per group of forms
-whose lifted columns agree, answers a single class (the constant
-colorings) from its count alone, counts a histogram of at most
-SMALL_HISTOGRAM entries in Python and only a larger one in numpy.  So
-``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1`` and the paper's
-whole grid load no numpy, and ``phi allen_swenberg --n 24 --t 13`` (144
-colorings of 9 columns) does.  ``compare`` compiles each link's plan once
-per call and class of t (1 - t a unit or not) and runs it at each grid
-point; a cell past the cap keeps the exact counts alone.  Its cells come
-from one generator (``compare_cells``), walked lazily in (n, t) order, so
-the CLI writes each cell as it is made and holds one cell at a time.
+cap, the image sizes from ``image_size_counts``, which searches one
+coloring per class of x -> x + c*1, with no coloring listed, over one
+column per group of forms whose lifted columns agree, answers a single
+class (the constant colorings) from its count alone, counts a histogram
+of at most SMALL_HISTOGRAM entries in Python and only a larger one in
+numpy.  So ``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1`` and
+the paper's whole grid load no numpy, and ``phi allen_swenberg --n 24
+--t 13`` (144 colorings of 9 columns) does.  ``compare`` holds one
+Forcing per link and call, so each link's plan is compiled once per
+class of t (1 - t a unit or not) and run at each grid point; a cell past
+the cap keeps the exact counts alone.  Its cells come from one generator
+(``compare_cells``), walked lazily in (n, t) order, so the CLI writes
+each cell as it is made and holds one cell at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -44,20 +42,10 @@ from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
     DEFAULT_CAP,
-    _components,
-    _forced_system,
-    _forcing_class,
-    _forcing_steps,
-    _frontier,
-    _image_sizes,
-    _plan,
-    _run_forms,
-    _trivial_cell,
+    Forcing,
     brute_force_colorings,
     brute_force_count,
-    count_solutions,
-    enumerate_solutions,
-    image_size_counts,
+    brute_force_image_sizes,
 )
 
 
@@ -94,8 +82,7 @@ def all_colorings(
     A coloring is a tuple of arc colors, arc 1 first.
     """
     if q.alexander is not None:
-        checks, forms = _forced_system(p, q.alexander)
-        return enumerate_solutions(checks, q.alexander.n, cap, forms)
+        return Forcing(p).colorings(q.alexander, cap)
     return brute_force_colorings(p, q, cap)
 
 
@@ -104,21 +91,15 @@ def counting_invariant(
 ) -> int:
     """Number of homomorphisms from the fundamental quandle into q.
 
-    Alexander quandles are counted exactly, with no cap, by forcing: the
-    search plan runs once over linear forms in the branch values, and the
-    checks it leaves over the branches are counted through the sparse Smith
-    form over Z_n (see solver._forced_system); at t = 1, where the quandle
-    is trivial, the count is n**components, with no plan compiled.  Other
-    quandles fall back to the brute-force search, where ``cap`` bounds the
-    enumeration.
+    Alexander quandles are counted exactly, with no cap (solver.Forcing):
+    at t = 1, where the quandle is trivial, the count is n**components;
+    otherwise the checks the forcing search leaves over its branches are
+    counted through the sparse Smith form over Z_n.  Other quandles fall
+    back to the brute-force search, where ``cap`` bounds the enumeration.
     """
-    params = q.alexander
-    if params is None:
+    if q.alexander is None:
         return brute_force_count(p, q, cap)
-    if params.t == 1:
-        return params.n ** _components(p)
-    system, _ = _forced_system(p, params)
-    return count_solutions(system, params.n)
+    return Forcing(p).count(q.alexander)
 
 
 def phi_polynomial(
@@ -127,19 +108,12 @@ def phi_polynomial(
     """The enhanced polynomial; requires enumerating colorings, so the cap applies.
 
     An Alexander quandle's image sizes are counted from the forcing search
-    (in closed form at t = 1, see solver._trivial_cell, else from its
-    checks and forms by image_size_counts); another quandle's,
-    by the same histogram, from the brute-force search's blocks, whose
-    columns (classes of alike arcs) take as many distinct colors as the arcs.
+    (solver.Forcing, in closed form at t = 1); another quandle's, by the
+    same histogram, from the brute-force search's blocks.
     """
     if q.alexander is None:
-        plan = _plan(p, q)
-        return PhiPolynomial.from_counts(_image_sizes(_frontier(plan, cap), plan.width))
-    params = q.alexander
-    if params.t == 1:
-        count, sizes = _trivial_cell(_components(p), params.n, cap)
-    else:
-        count, sizes = image_size_counts(*_forced_system(p, params), params.n, cap)
+        return PhiPolynomial.from_counts(brute_force_image_sizes(p, q, cap))
+    count, sizes = Forcing(p).image_sizes(q.alexander, cap)
     if sizes is None:
         raise CapExceededError(cap, count)
     return PhiPolynomial.from_counts(sizes)
@@ -290,8 +264,8 @@ def compare_cells(
     first in the grid.  The t values of each n are walked lazily, and no
     cell is kept, so a caller that writes each cell as it comes holds one.
 
-    Each link's forcing plan is compiled once per call and class of t (see
-    solver._forcing_class), and a t = 1 cell is answered from each link's
+    Each link has one solver.Forcing per call, so its plan is compiled
+    once per class of t, and a t = 1 cell is answered from each link's
     component count in closed form.  Any other runs the two plans' forms at
     (n, t) and eliminates each link's checks once (see image_size_counts),
     which gives its exact count whatever the cap.  A cell where either link has
@@ -305,22 +279,13 @@ def compare_cells(
 
 def _cells(links, grid, cap: int) -> Iterator[ComparisonCell]:
     """The generator of :func:`compare_cells`, over its resolved (n, t values) pairs."""
-    components = cache(lambda link: _components(links[link]))
-    steps = cache(lambda link, kind: _forcing_steps(links[link], kind))
-
-    def sizes(link: int, params: AlexanderParams, cap: int) -> tuple[int, dict[int, int] | None]:
-        if params.t == 1:
-            return _trivial_cell(components(link), params.n, cap)
-        system, forms = _run_forms(steps(link, _forcing_class(params)), links[link].arc_count,
-                                   params)
-        return image_size_counts(system, forms, params.n, cap)
-
+    a, b = map(Forcing, links)
     for n, t_values in grid:
         for t in t_values:
             params = AlexanderParams(n, t)
-            count_a, sizes_a = sizes(0, params, cap)
+            count_a, sizes_a = a.image_sizes(params, cap)
             # past the cap on a, the cell keeps no polynomial: b needs only its count
-            count_b, sizes_b = sizes(1, params, 0 if sizes_a is None else cap)
+            count_b, sizes_b = b.image_sizes(params, 0 if sizes_a is None else cap)
             phi_a = phi_b = None
             if sizes_a is not None and sizes_b is not None:
                 phi_a, phi_b = map(PhiPolynomial.from_counts, (sizes_a, sizes_b))

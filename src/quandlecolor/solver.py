@@ -4,8 +4,8 @@ Two independent routes:
 
 * an exact linear-algebra path for Alexander quandles.  Every query takes
   one reduction: the search plan of the second route, one column per arc,
-  runs over linear forms in the branch values (:func:`_forced_system`),
-  and only the relations it does not meet by construction, a few check
+  runs over linear forms in the branch values (:class:`Forcing`), and
+  only the relations it does not meet by construction, a few check
   rows over the branches, go to the Smith-form kernel over Z_n itself
   (``smith._eliminate`` with modulus n; no dense matrix is built), so no
   coefficient exceeds n/2.  This is sound for composite n, where naive
@@ -35,17 +35,17 @@ Two independent routes:
   relation reads ``out = in``): otherwise they force a value for some rows
   and not others, which no plan, the same for every row, can say.
 
-A plan reads of (n, t) only its class (:func:`_forcing_class`: t = 1,
-1 - t a unit, or neither), so a sweep over many (n, t) compiles it once
-per class and runs the forms at each point (:func:`_run_forms`).  Both
-routes share one lexicographic sort (``enumerate_solutions``,
-``brute_force_colorings``), which lists each coloring as a tuple of arc
-colors, arc 1 first, and one histogram of image sizes
-(``image_size_counts``, and ``phi`` by a table), with no coloring listed
-for the histogram; a small one is counted in Python, others in numpy.  At
-t = 1 the quandle is trivial: the count and the histogram have a closed
-form in the number of components, with no plan compiled
-(:func:`_trivial_cell`).
+A plan reads of (n, t) only its class (t = 1, 1 - t a unit, or neither),
+so a sweep over many (n, t) holds one :class:`Forcing` per link, which
+compiles the plan once per class and runs the forms at each point
+(:func:`_run_forms`).  Both routes share one lexicographic sort
+(``enumerate_solutions``, ``brute_force_colorings``), which lists each
+coloring as a tuple of arc colors, arc 1 first, and one histogram of
+image sizes (``image_size_counts``, and ``brute_force_image_sizes`` by a
+table), with no coloring listed for the histogram; a small one is
+counted in Python, others in numpy.  At t = 1 the quandle is trivial:
+:class:`Forcing` gives the count and the histogram in closed form in the
+number of components, with no plan compiled.
 
 numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, nor
@@ -458,27 +458,12 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     ])
 
 
-def _forcing_class(params: AlexanderParams) -> tuple[bool, bool]:
-    """All a forcing plan reads of (Z_n, t): t = 1 (trivial), 1 - t a unit (over-arcs solve)."""
-    return params.t == 1, gcd(1 - params.t, params.n) == 1
-
-
-def _forcing_steps(p: QuandlePresentation, kind: tuple[bool, bool]) -> list[_Step]:
-    """The search of :func:`_compile` for a class of t, with one column per arc.
-
-    ``kind`` is a :func:`_forcing_class`.  No alike arcs are merged: that
-    costs a count more than it saves.
-    """
-    trivial, solvable = kind
-    return _compile(p, range(-1, p.arc_count), p.arc_count, trivial, (solvable, solvable))
-
-
 def _run_forms(
     steps: list[_Step], arc_count: int, params: AlexanderParams
 ) -> tuple[ColoringSystem, Lift]:
     """The colorings by (Z_n, t): checks over the search's branches, and each arc's form.
 
-    The steps (from :func:`_forcing_steps`, for params' class) run once
+    The steps (:class:`Forcing`'s plan for params' class) run once
     with each arc's color held as a linear form over the branch values, a
     {branch: coefficient mod n} dict.  A branch is a new unit vector; with
     s = t^e, a ``set`` is ``s*a + (1-s)*b``, a ``solve`` is
@@ -523,30 +508,59 @@ def _run_forms(
     return ColoringSystem(len(checks), branches, tuple(checks)), forms
 
 
-def _forced_system(p: QuandlePresentation, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
-    """p's colorings by (Z_n, t) as checks over branches and forms (see :func:`_run_forms`)."""
-    return _run_forms(_forcing_steps(p, _forcing_class(params)), p.arc_count, params)
+class Forcing:
+    """p's colorings by the Alexander quandles (Z_n, t), answered one (n, t) at a time.
 
-
-def _components(p: QuandlePresentation) -> int:
-    """The number of p's components: classes of arcs joined through an under-strand.
-
-    These are the branches of the trivial plan (:func:`_forcing_steps` at
-    t = 1, where a branch's copies reach its whole component before the next
-    branch), counted by the package's one union-find with no plan compiled.
+    At t = 1 the quandle is trivial: each of p's ``components`` (classes of
+    arcs joined through an under-strand, from the package's one union-find)
+    takes any color, so the count is n**components and the image sizes are
+    :func:`trivial_image_sizes`, with no plan compiled.  Otherwise the
+    search of :func:`_compile`, one column per arc (merging alike arcs costs
+    a count more than it saves), runs over linear forms at (n, t)
+    (:func:`_run_forms`) and its checks are eliminated.  A plan reads of
+    (n, t) only its class, t = 1 (trivial) and 1 - t a unit (over-arcs
+    solve), so it is compiled once per class and kept: a sweep over many
+    (n, t) holds one Forcing per link.
     """
-    return len(_merged_classes(range(1, p.arc_count + 1),
-                               ((r.under_in, r.under_out) for r in p.relations)))
 
+    def __init__(self, p: QuandlePresentation):
+        self.p = p
+        self._steps: dict[tuple[bool, bool], list[_Step]] = {}
 
-def _trivial_cell(components: int, n: int, cap: int) -> tuple[int, dict[int, int] | None]:
-    """:func:`image_size_counts` at t = 1, where the quandle is trivial and each component free.
+    @cached_property
+    def components(self) -> int:
+        """The number of p's components, the branches of the trivial plan."""
+        return len(_merged_classes(range(1, self.p.arc_count + 1),
+                                   ((r.under_in, r.under_out) for r in self.p.relations)))
 
-    The count is n**components and the histogram is
-    :func:`trivial_image_sizes`, with nothing compiled, eliminated or lifted.
-    """
-    count = n**components
-    return count, None if count > cap else trivial_image_sizes(components, n)
+    def system(self, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
+        """The checks over the branches at (n, t), and each arc's form (see :func:`_run_forms`)."""
+        arcs, kind = self.p.arc_count, (params.t == 1, gcd(1 - params.t, params.n) == 1)
+        if kind not in self._steps:
+            trivial, solvable = kind
+            self._steps[kind] = _compile(self.p, range(-1, arcs), arcs, trivial, (solvable, solvable))
+        return _run_forms(self._steps[kind], arcs, params)
+
+    def count(self, params: AlexanderParams) -> int:
+        """The exact number of colorings, with no cap."""
+        if params.t == 1:
+            return params.n**self.components
+        return count_solutions(self.system(params)[0], params.n)
+
+    def image_sizes(self, params: AlexanderParams, cap: int) -> tuple[int, dict[int, int] | None]:
+        """The exact count and, unless it passes the cap, the colorings per image size.
+
+        The pair of :func:`image_size_counts`, in closed form at t = 1.
+        """
+        if params.t == 1:
+            count = params.n**self.components
+            return count, None if count > cap else trivial_image_sizes(self.components, params.n)
+        return image_size_counts(*self.system(params), params.n, cap)
+
+    def colorings(self, params: AlexanderParams, cap: int) -> list[tuple[int, ...]]:
+        """Every coloring, sorted; CapExceededError past the cap (see enumerate_solutions)."""
+        checks, forms = self.system(params)
+        return enumerate_solutions(checks, params.n, cap, forms)
 
 
 def _frontier(plan: _Plan, cap: int):
@@ -611,6 +625,16 @@ def _frontier(plan: _Plan, cap: int):
 def brute_force_count(p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP) -> int:
     """``len(brute_force_colorings(p, q, cap))``, summed over the search's blocks with no list built."""
     return sum(len(block) for block in _frontier(_plan(p, q), cap))
+
+
+def brute_force_image_sizes(p: QuandlePresentation, q: FiniteQuandle, cap: int) -> dict[int, int]:
+    """The colorings by an arbitrary finite quandle per image size, from the search's blocks.
+
+    A block's columns, classes of alike arcs, take as many distinct colors
+    as the arcs.  CapExceededError as soon as the colorings pass the cap.
+    """
+    plan = _plan(p, q)
+    return _image_sizes(_frontier(plan, cap), plan.width)
 
 
 def brute_force_colorings(

@@ -401,6 +401,18 @@ def run_python_limited(*args: str) -> subprocess.CompletedProcess:
     ends that child (with a MemoryError and exit 1) instead of using up the
     memory of the test run.
     """
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, **_limited_child())
+
+
+def start_cli_limited(*argv: str) -> subprocess.Popen:
+    """Start ``python -m quandlecolor.cli`` as :func:`run_python_limited` runs it, stdout and stderr piped."""
+    return subprocess.Popen([sys.executable, "-m", "quandlecolor.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, **_limited_child())
+
+
+def _limited_child() -> dict:
+    """The environment and address-space limit of a child process that runs the CLI."""
     src = str(Path(quandlecolor.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
@@ -409,14 +421,7 @@ def run_python_limited(*args: str) -> subprocess.CompletedProcess:
         soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        preexec_fn=limit,
-        timeout=120,
-    )
+    return {"env": dict(os.environ, PYTHONPATH=path), "preexec_fn": limit}
 
 
 def report_dict(report) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from conftest import (
     grown,
     run_cli_limited,
     run_python_limited,
+    start_cli_limited,
     table_text,
     transpositions,
     trivial,
@@ -446,6 +448,31 @@ def test_compare_writes_nothing_before_a_late_error(capsys):
         assert run(capsys, "compare", "hopf_sum", "trefoil", "--n", "3,4", "--t", "2",
                    "--format", fmt) == (4, "", "error: t=2 is not a unit modulo n=4\n")
 
+
+
+@pytest.mark.parametrize("fmt, first", [("text", "compare hopf_sum vs allen_swenberg"), ("json", "{")])
+def test_a_closed_stdout_exits_1_quietly(fmt, first):
+    # the reader takes one line and closes the pipe, as `| head -n 1` does,
+    # while the grid is still being written: a closed pipe is no bad input
+    # (exit 2), so the CLI exits 1 with nothing on stderr, as Python's
+    # recipe for SIGPIPE does
+    with start_cli_limited("compare", "hopf_sum", "allen_swenberg", "--n", "2003",
+                           "--format", fmt) as child:
+        assert child.stdout.readline() == first + "\n"
+        child.stdout.close()
+        assert (child.wait(timeout=60), child.stderr.read()) == (1, "")
+
+
+
+def test_a_closed_stdout_with_no_fd_exits_1_quietly(capsys, monkeypatch):
+    # a library caller's stdout may be no file: nothing is pointed at devnull
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["compare", "hopf_sum", "allen_swenberg", "--n", "5"]) == 1
+    assert capsys.readouterr().err == ""
 
 def test_compare_holds_one_cell_at_a_time():
     # the output of a 210-cell grid goes to os.devnull; the CLI keeps no

@@ -38,7 +38,7 @@ from quandlecolor import (
     reidemeister_r2,
     units,
 )
-from quandlecolor.solver import _forced_system, image_size_counts, trivial_image_sizes
+from quandlecolor.solver import Forcing, image_size_counts, trivial_image_sizes
 
 from conftest import (
     FORCING_QUANDLES,
@@ -592,7 +592,7 @@ def test_image_size_counts_match_enumeration(name):
             expected = _counts_or_cap(
                 lambda: Counter(map(image_size, enumerate_solutions(full, n, cap)))
             )
-            checks, forms = _forced_system(p, params)
+            checks, forms = Forcing(p).system(params)
             assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
             assert all(sum(form.values()) % n == 1 for form in forms), (n, t)
             assert _sizes_or_count(image_size_counts(checks, forms, n, cap)) == expected
@@ -666,7 +666,7 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
     # x -> x + c: the first arc is fixed at 0, and the elimination of the
     # other branches alone finds that class
     p = extract(catalog("allen_swenberg"))
-    branches = _forced_system(p, AlexanderParams(1000003, 2))[0].cols
+    branches = Forcing(p).system(AlexanderParams(1000003, 2))[0].cols
     widths.clear()
     assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
     assert widths == [branches - 1]
@@ -676,7 +676,7 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
     # the same cells counted all in Python, then all in numpy
     import quandlecolor.solver as solver
 
-    cells = [_forced_system(extract(catalog(name)), AlexanderParams(n, t)) + (n,)
+    cells = [Forcing(extract(catalog(name))).system(AlexanderParams(n, t)) + (n,)
              for name in ("hopf_sum", "allen_swenberg", "trefoil")
              for n in (4, 9, 12, 16, 20, 23) for t in units(n)]
     routes = []
@@ -711,7 +711,7 @@ def test_trivial_cells_in_closed_form_match_the_histogram(monkeypatch):
     for d in _trivial_cell_diagrams():
         p, cells = extract(d), []
         for n in range(2, 24):
-            checks, forms = _forced_system(p, AlexanderParams(n, 1))
+            checks, forms = Forcing(p).system(AlexanderParams(n, 1))
             assert (checks.rows, checks.cols) == (0, d.component_count())
             count, sizes = image_size_counts(checks, forms, n, 10**9)
             assert count == n**checks.cols

@@ -19,7 +19,7 @@ from quandlecolor import (
     units,
 )
 from quandlecolor.smith import _eliminate
-from quandlecolor.solver import _forced_system
+from quandlecolor.solver import Forcing
 
 from conftest import (
     check_against_oracle,
@@ -218,7 +218,7 @@ def _kernel_digests() -> dict[str, str]:
                     for modulus in moduli(n):
                         yield system.entries, system.cols, modulus
 
-    digest("forced", catalog_systems(lambda p, params: _forced_system(p, params)[0], lambda n: (n,)))
+    digest("forced", catalog_systems(lambda p, params: Forcing(p).system(params)[0], lambda n: (n,)))
     digest("build_system", catalog_systems(build_system, lambda n: (n, 0)))
     rng = random.Random(24)
     values = (0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 5, 6, 9, -12, 16, 30, -45)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from math import gcd, prod
 
 import pytest
@@ -41,6 +42,7 @@ from conftest import (
     exact_det,
     forcing_diagrams,
     grown,
+    image_size,
     matmul,
     modular_solutions,
     smith_columns,
@@ -592,7 +594,7 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
         p = extract(d)
         for n, t in FORCING_QUANDLES:
             params = AlexanderParams(n, t)
-            system, lift = solver._forced_system(p, params)
+            system, lift = solver.Forcing(p).system(params)
             assert len(lift) == p.arc_count
             assert all(sum(form.values()) % n == 1 for form in lift)
             assert all(sum(x for _, x in row) % n == 0 for row in system.entries)
@@ -603,6 +605,24 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
             expected = enumerate_solutions(build_system(p, params), n)
             assert lifted == expected, (d.arc_count, n, t)
 
+
+
+def test_one_forcing_answers_every_class_of_t_in_turn():
+    # a Forcing keeps one plan per class of t: t = 1 (trivial), 1 - t a unit
+    # (t = 2 mod 9), or neither (t = 4 and 7 mod 9).  Walked in turn on one
+    # object, every answer must be the full system's: a plan kept by whether
+    # 1 - t is a unit alone, where t = 1 and t = 4 agree, would color (9, 4)
+    # as the trivial quandle does, 729 ways instead of 81 on allen_swenberg
+    for name in ("allen_swenberg", "hopf_sum"):
+        p = extract(catalog(name))
+        forcing = solver.Forcing(p)
+        for t in (1, 4, 2, 7, 1):
+            params = AlexanderParams(9, t)
+            expected = enumerate_solutions(build_system(p, params), 9)
+            assert forcing.colorings(params, 10**6) == expected, (name, t)
+            assert forcing.count(params) == len(expected), (name, t)
+            sizes = dict(Counter(map(image_size, expected)))
+            assert forcing.image_sizes(params, 10**6) == (len(expected), sizes), (name, t)
 
 def test_forcing_steps_follow_the_two_facts():
     # solve steps exist only when 1 - t is a unit, and a trivial quandle's
