@@ -25,7 +25,8 @@ calls; a line that match rejects is read again, token by token, only to name
 its first bad token and that token's line and column.  A PD code is one match
 over the whole text, whose end is the offset of the first malformed
 quadruple, and one scan that collects its labels; its quadruples are read one
-at a time again only to name an error.
+at a time again only to name an error.  Its strand directions are read by
+walking each component once.
 """
 
 from __future__ import annotations
@@ -350,10 +351,10 @@ def parse_pd_code(text: str) -> LinkDiagram:
     Edges are listed counterclockwise starting at the incoming under-edge
     ``a``; the under-strand exits at ``c``.  A crossing is positive when its
     over-strand runs from ``d`` to ``b`` and negative the other way; which
-    of the two holds is inferred by propagating edge directions globally
-    (every edge must arrive at one of its two crossing slots and depart from
-    the other).  Components that never pass under have a free direction and
-    default to positive crossings.
+    of the two holds is read by walking each component once: its
+    under-passages fix its direction, and must agree.  A component that
+    never passes under runs so that the lowest-index crossing it passes over
+    is positive; its other crossings follow from that direction.
 
     Diagram arcs are the over-strand-maximal runs of edges, numbered by
     smallest edge label.  Rendering the extracted relations and re-parsing
@@ -386,64 +387,57 @@ def parse_pd_code(text: str) -> LinkDiagram:
             "must appear exactly twice"
         )
 
-    # Orientation of each crossing: True when the over-strand runs d -> b
-    # (positive).  In slot terms, 'a' arrives, 'c' departs, 'b' departs iff
-    # positive, 'd' departs iff negative.
-    quads = size // 4
-    orientation: list[bool | None] = [None] * quads
-    forced: list[tuple[int, bool]] = []
-    linked: list[list[tuple[int, bool]]] = [[] for _ in range(quads)]
+    # other[p]: the other position of p's label.  An edge arrives at one of
+    # its ends and departs from the other, so it cannot join two a slots
+    # (where the under-strand arrives) or two c slots (where it departs).
+    other = [0] * size
     for edge, p in last.items():
-        (i, s1), (j, s2) = divmod(first[edge], 4), divmod(p, 4)
-        under1, under2 = s1 % 2 == 0, s2 % 2 == 0  # slots a and c
-        if under1 and under2:
-            if s1 == s2:
-                kind = "incoming" if s1 == 0 else "outgoing"
-                raise PDCodeError(
-                    f"inconsistent orientation: edge {edge} is the {kind} "
-                    "under-edge of two crossings"
-                )
-        elif under1 or under2:
-            us, oc, os = (s1, j, s2) if under1 else (s2, i, s1)
-            must_depart = us == 0  # arrived at the under slot, so departs here
-            forced.append((oc, must_depart if os == 1 else not must_depart))
-        else:
-            if i == j:
-                continue  # b and d of one crossing: satisfied either way
-            same = s1 != s2  # b/d mix ties orientations; b/b and d/d oppose
-            linked[i].append((j, same))
-            linked[j].append((i, same))
-
-    def assign(i: int, value: bool, queue: list[int]) -> None:
-        if orientation[i] is None:
-            orientation[i] = value
-            queue.append(i)
-        elif orientation[i] != value:
+        q = first[edge]
+        other[p], other[q] = q, p
+        if p % 4 == q % 4 and p % 2 == 0:
+            kind = "incoming" if p % 4 == 0 else "outgoing"
             raise PDCodeError(
-                "inconsistent orientation: no assignment of strand directions "
-                "satisfies all quadruples"
+                f"inconsistent orientation: edge {edge} is the {kind} "
+                "under-edge of two crossings"
             )
 
-    def propagate(queue: list[int]) -> None:
-        while queue:
-            i = queue.pop()
-            for j, same in linked[i]:
-                assign(j, orientation[i] if same else not orientation[i], queue)
-
-    queue: list[int] = []
-    for i, value in forced:
-        assign(i, value, queue)
-    propagate(queue)
-    for i in range(quads):
-        if orientation[i] is None:
-            assign(i, True, queue)
-            propagate(queue)
+    # One walk per component: from position p the strand runs along its edge
+    # to arrive = other[p], then through that crossing to the opposite slot
+    # arrive ^ 2.  At an under-passage, arriving at a means the walk runs
+    # forward; a component without one runs so that its lowest-index
+    # crossing is positive.  A crossing is positive when its over-strand
+    # arrives at d.
+    signs = [0] * (size // 4)
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        forward = None
+        overs = []  # (crossing, whether the walk arrives at its d)
+        p = start
+        while not seen[p]:
+            arrive = other[p]
+            seen[p] = seen[arrive] = True
+            slot = arrive % 4
+            if slot % 2:
+                overs.append((arrive // 4, slot == 3))
+            elif forward is None:
+                forward = slot == 0
+            elif forward != (slot == 0):
+                raise PDCodeError(
+                    "inconsistent orientation: no assignment of strand directions "
+                    "satisfies all quadruples"
+                )
+            p = arrive ^ 2
+        if forward is None:
+            forward = min(overs)[1]
+        for i, at_d in overs:
+            signs[i] = 1 if at_d == forward else -1
 
     # Arcs: edges merged across over-passages, numbered by smallest edge.
     classes = _merged_classes(last, zip(labels[1::4], labels[3::4]))
     arc_of = {e: arc_id for arc_id, members in enumerate(classes, start=1) for e in members}
     arcs = [arc_of[e] for e in labels]
-    signs = [1 if o else -1 for o in orientation]
     crossings = tuple(map(Crossing, signs, arcs[0::4], arcs[2::4], arcs[1::4]))
     return LinkDiagram(arc_count=len(classes), crossings=crossings, free_circles=0)
 

@@ -178,7 +178,20 @@ def test_braid_closures_count_alike_by_every_route(strands_word):
     # over the quandle's table, and the kernel against the dense oracle
     strands, word = strands_word
     assume(every_strand_passes_under(strands, word))
-    p = extract(parse_pd_code(braid_pd(strands, word)))
+    code = braid_pd(strands, word)
+    d = parse_pd_code(code)
+    # every component passes under, so the braid's directions are the only
+    # ones: each crossing's sign is its letter's
+    signs = [1 if g > 0 else -1 for g in word]
+    assert [c.sign for c in d.crossings] == signs
+    # the signs do not depend on the labels or the order of the crossings:
+    # permute the labels (seeded) and rotate the list, and they rotate with it
+    quads = [[int(e) for e in q.strip("X()").split(",")] for q in code.split()]
+    edges, k = 2 * len(quads), len(quads) // 2
+    perm = random.Random(edges).sample(range(1, edges + 1), edges)
+    moved = " ".join("X({},{},{},{})".format(*(perm[e - 1] for e in q)) for q in quads[k:] + quads[:k])
+    assert [c.sign for c in parse_pd_code(moved).crossings] == signs[k:] + signs[:k]
+    p = extract(d)
     for n, t in ((8, 3), (9, 2), (15, 2)):
         q = alexander(n, t)
         count = counting_invariant(p, q)
