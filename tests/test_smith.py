@@ -25,6 +25,7 @@ from conftest import (
     check_against_oracle,
     dense_smith,
     exact_det,
+    grown,
     minors_gcd,
     modular_solutions,
     smith_columns,
@@ -196,9 +197,11 @@ def _kernel_digests() -> dict[str, str]:
     """sha256 of repr((diagonal, column_ops, column_order)) for every system of a fixed set.
 
     The forced checks of every catalog link for n = 2..23 and every unit t,
-    mod n; the same links' build_system rows, mod n and over Z; and 300
-    seeded random matrices of at most 7 x 7 with many zeros, over Z and mod
-    each n in 2..30.
+    mod n; the same links' build_system rows, mod n and over Z; 300 seeded
+    random matrices of at most 7 x 7 with many zeros, over Z and mod each n
+    in 2..30; and the forced checks and build_system rows of three diagrams
+    grown to 150-250 arcs, mod n at four cells and over Z at one, where fill
+    spreads the row lengths as no smaller system does.
     """
     digests = {}
 
@@ -232,15 +235,31 @@ def _kernel_digests() -> dict[str, str]:
                 yield entries, cols, modulus
 
     digest("random", random_systems())
+
+    def grown_systems():
+        for p in (extract(grown("trefoil", 200, 7)), extract(grown("hopf_sum", 150, 8)),
+                  extract(grown("allen_swenberg", 250, 9))):
+            forcing = Forcing(p)
+            for params in (AlexanderParams(9, 2), AlexanderParams(8, 3),
+                           AlexanderParams(16, 5), AlexanderParams(15, 2)):
+                checks, full = forcing.system(params)[0], build_system(p, params)
+                yield checks.entries, checks.cols, params.n
+                yield full.entries, full.cols, params.n
+            full = build_system(p, AlexanderParams(9, 2))
+            yield full.entries, full.cols, 0
+
+    digest("grown", grown_systems())
     return digests
 
 
 def test_kernel_pivots_and_operation_log_are_pinned():
     # the pivots, the diagonal and the column operations of the kernel, on
-    # every system the paper's grid and the catalog make and on random ones:
-    # a change to how _eliminate runs must leave all three digests as they are
+    # every system the paper's grid and the catalog make, on random ones and
+    # on grown diagrams: a change to how _eliminate runs must leave all four
+    # digests as they are
     assert _kernel_digests() == {
         "forced": "1bf01250a12e08b11e206f372f90c0d7c253e8e5399a0d1d5ecd6a7b91d6e1fb",
         "build_system": "2ebf0b46ba10344bc20c2987de147b5f12bd247cfd61c9f9175e55bfa151bdd5",
         "random": "40175ac4c1f7692c52ac31b0d360819d6375b5fa0fa165adf4fc8dd267df9f64",
+        "grown": "6b657f978b480f2fcb490bcf43e16581983a3272c16bb30c40a673b6a0509092",
     }
