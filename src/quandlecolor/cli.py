@@ -214,11 +214,12 @@ def _compare_text(cells: Iterable[ComparisonCell], name_a: str, name_b: str) -> 
 
 
 def _json_phi(phi: PhiPolynomial | None) -> str:
-    """A cell's polynomial as json.dumps(indent=2) lays out its [exponent, coefficient] pairs."""
+    """A cell's polynomial as json.dumps(indent=2) lays out its [exponent, coefficient] pairs.
+
+    It is never empty: a cell's n constant colorings give it a q^1 term.
+    """
     if phi is None:
         return "null"
-    if not phi.terms:
-        return "[]"
     pairs = ",".join(f"\n          [\n            {e},\n            {c}\n          ]"
                      for e, c in phi.terms)
     return f"[{pairs}\n        ]"

@@ -20,25 +20,26 @@ D = U * A * V.  The ``modulus`` argument picks the ring:
   any diagonal.
 
 Storage is sparse, because a coloring system has at most 3 nonzeros per
-row: each live row is a {col: value} dict, and each column keeps the set of
-live rows that hold it.  :func:`_eliminate` works on rows given as
-(column, value) pairs, which is how the solver holds them;
-:func:`smith_normal_form` reads a dense matrix into such pairs.  V is not
-stored: each column operation is logged, and :meth:`SmithForm.column`
-replays the log for the one column asked for (the product form of Dantzig
-and Orchard-Hays, MTAC 1954).
+row: each live row is a nonzero {col: value} dict, and each column keeps the
+set of live rows that hold it; a row that a row operation empties leaves.
+:func:`_eliminate` works on rows given as (column, value) pairs, which is
+how the solver holds them; :func:`smith_normal_form` reads a dense matrix
+into such pairs.  V is not stored: each column operation is logged, and
+:meth:`SmithForm.column` replays the log for the one column asked for (the
+product form of Dantzig and Orchard-Hays, MTAC 1954).
 
 The pivot row is the live row with the fewest nonzeros (Markowitz,
 Management Science 1957) whose best entry ranks least, ties to the lowest
-row; a heap of (nonzeros, row) finds those rows without scanning the rest
-of the matrix.  An entry ranks by its absolute value, and over Z_n every
-unit ranks as 1, so the first such row with a unit is taken.  Within the
-row the pivot is the entry of least rank, ties to the column held by the
-fewest live rows (the fill a pivot can make grows with that count), then
-the lowest column.  The pivot's column is cleared by row operations and its
-row by column operations, Euclidean as ever: floor division leaves
-remainders in [0, pivot), and a nonzero remainder becomes the next pivot.
-Once its row and column are clear, the pivot leaves the live matrix.
+row: each pivot takes one scan of the live rows, kept in index order, over
+those of the fewest nonzeros.  An entry ranks by its absolute value, and
+over Z_n every unit ranks as 1, so the scan stops at the first such row
+with a unit.  Within the row the pivot is the entry of least rank, ties to
+the column held by the fewest live rows (the fill a pivot can make grows
+with that count), then the lowest column.  The pivot's column is cleared by
+row operations and its row by column operations, Euclidean as ever: floor
+division leaves remainders in [0, pivot), and a nonzero remainder becomes
+the next pivot.  Once its row and column are clear, the pivot leaves the
+live matrix.
 
 The diagonal gives exact solution counts of homogeneous systems over Z_n:
 A*x = 0 (mod n) has n**(cols - k) * prod(gcd(d_i, n)) solutions, and
@@ -49,7 +50,6 @@ and a count builds no column of V.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -149,7 +149,7 @@ def _eliminate(
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
     half = modulus // 2
-    rows: dict[int, dict[int, int]] = {}  # live rows, maybe empty; no stored zeros
+    rows: dict[int, dict[int, int]] = {}  # the nonzero live rows, in index order; no stored zeros
     holders: dict[int, set[int]] = {}  # column -> live rows that hold it
     for i, pairs in enumerate(entries):
         row = {}
@@ -163,40 +163,25 @@ def _eliminate(
                 holders.setdefault(j, set()).add(i)
         if row:
             rows[i] = row
-    queue = [(len(row), i) for i, row in rows.items()]  # stale entries are skipped
-    heapq.heapify(queue)
 
     d: list[int] = []  # the pivots, in order
     pivot_cols: list[int] = []
     ops: list[tuple[int, int, int]] = []  # V's column operations, over Z_n only
-    while True:
-        # the next pivot (row, col); an entry ranks by |x|, a unit mod n as 1
-        popped: list[tuple[int, int]] = []
-        best = None  # (nonzeros, rank, row, col)
-        while queue:
-            k, i = queue[0]
-            row = rows.get(i)
-            if not row or len(row) != k or (popped and popped[-1][1] == i):
-                heapq.heappop(queue)
-                continue
-            if best is not None and k > best[0]:
-                break
-            popped.append(heapq.heappop(queue))
-            least = None
-            for j, x in row.items():
-                entry = (1 if modulus and gcd(x, modulus) == 1 else abs(x), len(holders[j]), j)
-                if least is None or entry < least:
-                    least = entry
-            a, _, j = least
-            if best is None or a < best[1]:
-                best = (k, a, i, j)
-                if a == 1:  # rows come in index order, so nothing later beats it
-                    break
-        for entry in popped:
-            heapq.heappush(queue, entry)
-        if best is None:  # every live row is zero
-            break
-        _, _, pi, pj = best
+    while rows:
+        # the next pivot (row, col): in index order, the first row of the
+        # fewest nonzeros whose best entry ranks least; an entry ranks by
+        # |x|, a unit mod n as 1, and nothing ranks below 1
+        k = min(map(len, rows.values()))
+        best = None  # (rank, row, col)
+        for i, row in rows.items():
+            if len(row) == k:
+                a, _, j = min((1 if modulus and gcd(x, modulus) == 1 else abs(x), len(holders[j]), j)
+                              for j, x in row.items())
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        break
+        _, pi, pj = best
         while True:
             prow = rows[pi]
             p = prow[pj]
@@ -231,7 +216,8 @@ def _eliminate(
                         elif j in row:
                             del row[j]
                             holders[j].discard(i)
-                    heapq.heappush(queue, (len(row), i))
+                    if not row:
+                        del rows[i]
                     r = row.get(pj)
                     if r and (left is None or r < left[0]):
                         left = (r, i)

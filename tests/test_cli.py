@@ -106,11 +106,22 @@ def test_colorings_quandle_file(tmp_path, capsys):
     assert out.splitlines()[0] == "count: 9"
 
 
-def test_colorings_flag_conflicts(capsys):
+def test_colorings_flag_conflicts(capsys, tmp_path):
     code, _, err = run(capsys, "colorings", "trefoil")
     assert code == 2 and "need both" in err
     code, _, err = run(capsys, "colorings", "trefoil", "--n", "3")
     assert code == 2
+    table = tmp_path / "trivial1.txt"
+    table.write_text("order: 1\n0\n")
+    for argv, message in (
+        (("colorings", "trefoil", "--n", "3", "--t", "2", "--quandle-file", str(table)),
+         "give either --n/--t or --quandle-file, not both"),
+        (("phi", "trefoil", "--n", "3"), "phi needs both --n and --t"),
+        (("matrix", "trefoil", "--n", "3"), "matrix needs both --n and --t"),
+        (("compare", "trefoil", "hopf", "--n", " , "), "--n expects at least one modulus"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_modulus_below_2_is_a_usage_error(capsys):

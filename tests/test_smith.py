@@ -177,6 +177,16 @@ def test_modular_form_answers_only_its_modulus():
         solution_count_mod(snf, 8)
     with pytest.raises(ValueError):
         smith_normal_form([[1]], modulus=-3)
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        solution_count_mod(smith_normal_form([[1]]), 0)
+    # the dense reader's checks of its input's shape
+    for matrix, cols, message in (
+        ([[1, 2], [3]], None, "matrix rows have differing lengths"),
+        ([[1, 2]], 3, "cols=3 disagrees with row length 2"),
+        ([], None, "cols is required for a matrix with no rows"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            smith_normal_form(matrix, cols=cols)
 
 
 def test_column_of_v_only_over_z_n_and_in_range():
