@@ -12,18 +12,20 @@ which answers each (n, t).  At t = 1 the quandle is trivial: each of the
 c components is free, so the answer has a closed form, n**c colorings
 and sizes in Stirling numbers, with no plan compiled and nothing
 eliminated.  Otherwise the brute-force search's plan runs over linear
-forms in its branch values and leaves check rows over the branches and
-one form per arc.  ``counting_invariant`` eliminates the checks;
-``all_colorings`` enumerates their solutions and lifts each by the forms;
-``phi_polynomial`` and ``compare`` take the exact count and, within the
-cap, the image sizes from ``image_size_counts``, which searches one
-coloring per class of x -> x + c*1, with no coloring listed, over one
-column per group of forms whose lifted columns agree, answers a single
-class (the constant colorings) from its count alone, counts a histogram
-of at most SMALL_HISTOGRAM entries in Python and only a larger one in
-numpy.  So ``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1`` and
-the paper's whole grid load no numpy, and ``phi allen_swenberg --n 24
---t 13`` (144 colorings of 9 columns) does.  ``compare`` holds one
+forms in its branch values and leaves check rows over the branches.
+``counting_invariant`` eliminates the checks; ``all_colorings``
+enumerates their solutions as sums of multiples of the generators, each
+lifted to every arc by running the plan once on ints; ``phi_polynomial``
+and ``compare`` take the exact count and, within the cap, the image
+sizes from ``image_size_counts``, which searches one coloring per class
+of x -> x + c*1, with no coloring listed, over one column per group of
+arcs whose lifted generator columns agree, answers a single class (the
+constant colorings) from its count alone, counts a histogram of at most
+SMALL_HISTOGRAM entries in Python and only a larger one in numpy.  So
+``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1``, ``phi
+allen_swenberg --n 24 --t 13`` (144 colorings of 3 columns) and the
+paper's whole grid load no numpy, and ``phi allen_swenberg --n 40 --t
+21`` (400 colorings of 3 columns) does.  ``compare`` holds one
 Forcing per link and call, so each link's plan is compiled once per
 class of t (1 - t a unit or not) and run at each grid point; a cell past
 the cap keeps the exact counts alone.  Its cells come from one generator
@@ -34,10 +36,11 @@ each cell as it is made and holds one cell at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, groupby
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import CapExceededError
+from .errors import CapExceededError, QuandleColorError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
 from .solver import (
@@ -128,10 +131,23 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(_walk_units(n))
 
 
+_TRIAL = 1024  # n is divided by 2 and the odd numbers below this before rho takes the rest
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least odd composite that passes Miller-Rabin to every witness (Sorenson and Webster,
+# Math. Comp. 86, 2017): below it the test is exact
+_PROVEN_BELOW = 3317044064679887385961981
+
+
 def _prime_powers(n: int):
-    """(p, p**k) for each prime p dividing n, k its multiplicity, by trial division."""
+    """(p, p**k) for each prime p dividing n, k its multiplicity, p increasing.
+
+    Trial division below _TRIAL, which factors every n < _TRIAL**2 alone,
+    so a small n costs what it did by trial division alone; each part left
+    is a prime when it is below the square of the first divisor not tried
+    or passes Miller-Rabin, and is split by rho otherwise.
+    """
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL:
         if n % p == 0:
             q = 1
             while n % p == 0:
@@ -139,8 +155,59 @@ def _prime_powers(n: int):
                 q *= p
             yield p, q
         p += 1 if p == 2 else 2
-    if n > 1:
-        yield n, n
+    if n < p * p:  # no factor below p: 1 or a prime
+        if n > 1:
+            yield n, n
+        return
+    primes, parts = [], [n]
+    while parts:
+        m = parts.pop()
+        if m < p * p or _is_prime(m):  # m has no factor below p
+            primes.append(m)
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    for prime, copies in groupby(sorted(primes)):
+        yield prime, prime ** len(list(copies))
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to _WITNESSES for an odd m > 41, m - 1 = d * 2**s with d odd.
+
+    QuandleColorError for an m of at least _PROVEN_BELOW that passes: the
+    test proves nothing there, and a factor taken as prime would lose roots.
+    """
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    if not all(pow(a, d, m) == 1 or m - 1 in {pow(a, d << i, m) for i in range(s)}
+               for a in _WITNESSES):
+        return False
+    if m >= _PROVEN_BELOW:
+        raise QuandleColorError(f"cannot factor n: its factor {m} passes Miller-Rabin to the "
+                                f"prime bases up to 41, which proves primes only below "
+                                f"{_PROVEN_BELOW}")
+    return True
+
+
+def _rho(m: int) -> int:
+    """A factor 1 < f < m of an odd composite m.
+
+    Pollard's rho (BIT 15, 1975) on x -> x**2 + c with Brent's cycle
+    search (BIT 20, 1980): x waits while y takes 1, 2, 4, ... steps, then
+    moves up to y, until gcd(x - y, m) > 1.  A walk that finds only m
+    itself starts over with the next c.
+    """
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+                if (g := gcd(x - y, m)) != 1:
+                    break
+            r *= 2
+        if g != m:
+            return g
 
 
 def involutory_units(n: int) -> tuple[int, ...]:
@@ -150,7 +217,7 @@ def involutory_units(n: int) -> tuple[int, ...]:
     The square roots of 1 modulo a prime power q = p**k are +-1 for odd p,
     1 mod 2, 1 and 3 mod 4, and +-1 and q/2 +- 1 for q >= 8; the Chinese
     remainder theorem combines them over the prime powers of n, so the
-    cost is the trial division, not a scan of Z_n.
+    cost is factoring n (:func:`_prime_powers`), not a scan of Z_n.
     """
     if n < 2:
         return ()
@@ -266,7 +333,7 @@ def compare_cells(
 
     Each link has one solver.Forcing per call, so its plan is compiled
     once per class of t, and a t = 1 cell is answered from each link's
-    component count in closed form.  Any other runs the two plans' forms at
+    component count in closed form.  Any other runs the two plans at
     (n, t) and eliminates each link's checks once (see image_size_counts),
     which gives its exact count whatever the cap.  A cell where either link has
     more than ``cap`` colorings keeps both exact counts and drops both

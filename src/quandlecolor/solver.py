@@ -14,9 +14,11 @@ Two independent routes:
   invertible mod n, so U*A*V = D (mod n) and the count
   n**(cols - rank) * prod(gcd(d_i, n)) and the parameterization x = V*y
   still hold.  A count builds no column of V; :func:`_solutions` builds
-  the columns it reads and lifts each to every arc by the forms.
-  ``build_system``, one sparse row of at most 3 coefficients per relation,
-  serves the ``matrix`` command and, as their oracle, the tests;
+  the columns it reads, each times its step a generator of the
+  solutions, and :meth:`Forcing.lift` lifts each generator to every arc
+  by running the plan once on plain ints.  ``build_system``, one sparse
+  row of at most 3 coefficients per relation, serves the ``matrix``
+  command and, as their oracle, the tests;
 * a brute-force search over arc assignments that works for any finite
   quandle and serves as the oracle for the first.  A plan is compiled once
   from the relations (:func:`_compile`, which reads only whether the
@@ -37,13 +39,14 @@ Two independent routes:
 
 A plan reads of (n, t) only its class (t = 1, 1 - t a unit, or neither),
 so a sweep over many (n, t) holds one :class:`Forcing` per link, which
-compiles the plan once per class and runs the forms at each point
-(:func:`_run_forms`).  Both routes share one lexicographic sort
-(``enumerate_solutions``, ``brute_force_colorings``), which lists each
-coloring as a tuple of arc colors, arc 1 first, and one histogram of
-image sizes (``image_size_counts``, and ``brute_force_image_sizes`` by a
-table), with no coloring listed for the histogram; a small one is
-counted in Python, others in numpy.  At t = 1 the quandle is trivial:
+compiles the plan once per class and runs it at each point, over linear
+forms for the checks (:func:`_run_forms`) and over ints for the lift.
+Both routes share one lexicographic sort (``enumerate_solutions``,
+``brute_force_colorings``), which lists each coloring as a tuple of arc
+colors, arc 1 first, and one histogram of image sizes
+(``image_size_counts``, and ``brute_force_image_sizes`` by a table),
+with no coloring listed for the histogram; a small one is counted in
+Python, others in numpy.  At t = 1 the quandle is trivial:
 :class:`Forcing` gives the count and the histogram in closed form in the
 number of components, with no plan compiled.
 
@@ -51,9 +54,9 @@ numpy is imported inside the functions that build arrays, and not when
 the module loads: a count by (n, t) and the Smith form never use it, nor
 does an image-size histogram at t = 1 (a closed form), one whose
 colorings are all constant, or one of at most SMALL_HISTOGRAM entries
-once forms with equal lifted columns are merged, so such a query (``phi
-hopf_sum --n 23 --t 1``, and every cell of the paper's ``compare`` grid)
-does not pay its import (most of a fresh process's start-up time).
+once arcs with equal lifted generator columns are merged, so such a query
+(``phi hopf_sum --n 23 --t 1``, and every cell of the paper's ``compare``
+grid) does not pay its import (most of a fresh process's start-up time).
 The brute-force search builds arrays too; a quandle read from a table file
 has loaded numpy for its validation by then.
 """
@@ -64,8 +67,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
-from math import gcd, prod
+from typing import Callable, NamedTuple, Sequence
+from math import gcd
 
 from .diagram import _find, _merged_classes
 from .errors import CapExceededError
@@ -76,11 +79,11 @@ from .smith import _eliminate, solution_count_mod
 DEFAULT_CAP = 1_000_000
 # entries (searched rows x kept lifted columns) up to which image_size_counts
 # counts in Python, so that a query whose histograms are all this small never
-# imports numpy (the paper's grid peaks at 900); a loaded numpy is faster at
+# imports numpy (the paper's grid peaks at 300); a loaded numpy is faster at
 # any size, 24 against 62 us at 900 entries
 SMALL_HISTOGRAM = 1024
 
-Lift = Sequence[dict[int, int]]  # per lifted arc: {position: coefficient mod n}
+Lift = Callable[[list[int]], list[int]]  # a solution of a system -> every arc's color
 
 
 @dataclass(frozen=True)
@@ -136,50 +139,55 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(_eliminate(system.entries, system.cols, n), n)
 
 
-def _solutions(entries, cols: int, n: int, forms: Lift, held: int):
+def _solutions(entries, cols: int, n: int, held: int):
     """The number of solutions of A*x = 0 (mod n), A's rows sparse, and how to list them.
 
     One elimination gives x = V*y (mod n) with V invertible mod n, so no
     two y give the same x; y ranges over the solutions of D*y = 0, torsion
     coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
     exact and returned whatever its size: a caller compares it with its
-    cap.  The second value, called, returns the step of each coordinate
-    that varies and, per form in order, its value at the matching columns
-    of V, reduced mod n: the form's lifted column.  Nothing is built until
-    it is called.  x opens with ``held`` zeros, for columns a caller
-    held at 0 and left out of A, which the forms still name.
+    cap.  The second value, called with a lift (x itself when None), lifts
+    the lattice's generators: for each coordinate k that varies, the
+    vector of its step times column k of V, reduced mod n, of order
+    gcd(d_k, n) (n when free), so that every solution is one sum of
+    multiples m_k < order_k of them.  It returns the orders and, per
+    lifted arc, its column: the arc's entry in each lifted generator.
+    Nothing is built until it is called.  x opens with ``held`` zeros, for
+    columns a caller held at 0 and left out of A.
     """
     snf = _eliminate(entries, cols, n)
 
-    def lattice() -> tuple[list[int], list[tuple[int, ...]]]:
+    def lattice(lift: Lift | None) -> tuple[list[int], list[tuple[int, ...]]]:
+        lift = lift or list
         steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
         varying = [k for k, step in enumerate(steps) if step < n]
-        basis = [[0] * held + [x % n for x in snf.column(k)] for k in varying]
-        return [steps[k] for k in varying], [
-            tuple(sum(c * v[j] for j, c in form.items()) % n for v in basis) for form in forms
-        ]
+        vectors = [[0] * held + [steps[k] * x % n for x in snf.column(k)] for k in varying]
+        # with no generator, the one solution x = 0 still has its width
+        columns = list(zip(*map(lift, vectors))) or [()] * len(lift([0] * (held + cols)))
+        return [n // steps[k] for k in varying], columns
 
     return solution_count_mod(snf, n), lattice
 
 
-def _chunks(count: int, steps: list[int], columns: list[tuple[int, ...]], n: int):
-    """Every y*columns mod n, y over the steps' multiples below n, as 4096-row arrays.
+def _chunks(count: int, orders: list[int], columns: list[tuple[int, ...]], n: int):
+    """Every sum of m_k times lifted generator k mod n, m_k < orders[k], as 4096-row arrays.
 
-    A row has one entry per lifted column; a chunk's y are its row indices
-    in mixed radix.
+    A column holds one lifted arc's entry in each generator, and a row one
+    entry per column; a chunk's multipliers are its row indices in mixed
+    radix.
     """
     import numpy as np
 
-    # each entry of a row is a sum of len(steps) products below n**2; n itself must fit too
-    dtype = np.int64 if max(len(steps), 1) * (n - 1) ** 2 < 2**63 else object
-    basis = np.array(columns, dtype=dtype).reshape(len(columns), len(steps)).T
+    # each entry of a row is a sum of len(orders) products below n**2; n itself must fit too
+    dtype = np.int64 if max(len(orders), 1) * (n - 1) ** 2 < 2**63 else object
+    basis = np.array(columns, dtype=dtype).reshape(len(columns), len(orders)).T
     for start in range(0, count, 4096):
         index = np.arange(start, min(start + 4096, count)).astype(dtype)
-        ys = np.empty((len(index), len(steps)), dtype=dtype)
-        for col, step in enumerate(steps):
-            ys[:, col] = index % (n // step) * step
-            index //= n // step
-        yield ys.dot(basis) % n  # np.dot, not matmul: works for object dtype too
+        ms = np.empty((len(index), len(orders)), dtype=dtype)
+        for k, order in enumerate(orders):
+            ms[:, k] = index % order
+            index //= order
+        yield ms.dot(basis) % n  # np.dot, not matmul: works for object dtype too
 
 
 def _sorted_colorings(blocks: list) -> list[tuple[int, ...]]:
@@ -208,71 +216,69 @@ def _image_sizes(blocks, width: int) -> dict[int, int]:
     return {size: int(c) for size, c in enumerate(sizes.tolist()) if c}
 
 
-def _small_image_sizes(steps: list[int], columns: list[tuple[int, ...]], n: int) -> dict:
+def _small_image_sizes(orders: list[int], columns: list[tuple[int, ...]], n: int) -> dict:
     """Rows of :func:`_chunks` per count of distinct entries, counted in Python.
 
-    Each lifted column becomes the list of its entries over the rows: each
-    varying coordinate appends its nonzero multiples, added to every row so far.
+    Each lifted column becomes the list of its entries over the rows, one
+    generator's multipliers at a time.
     """
-    if not columns:
-        return {0: prod(n // step for step in steps)}
     entries = []
     for xs in columns:
         col = [0]
-        for step, x in zip(steps, xs):
-            col += [(a + m * x) % n for m in range(step, n, step) for a in col]
+        for order, x in zip(orders, xs):
+            col = [(a + m * x) % n for m in range(order) for a in col]
         entries.append(col)
     return dict(Counter(map(len, map(set, zip(*entries)))))
 
 
 def enumerate_solutions(
-    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, forms: Lift | None = None
+    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, lift: Lift | None = None
 ) -> list[tuple[int, ...]]:
-    """All solutions of the system over Z_n, lifted by the forms (x itself without), sorted.
+    """All solutions of the system over Z_n, each lifted (see image_size_counts), sorted.
 
     CapExceededError, with the exact count, when there are more than ``cap``.
     """
-    if forms is None:
-        forms = [{j: 1} for j in range(system.cols)]
-    count, lattice = _solutions(system.entries, system.cols, n, forms, 0)
+    count, lattice = _solutions(system.entries, system.cols, n, 0)
     if count > cap:
         raise CapExceededError(cap, count)
-    return _sorted_colorings(list(_chunks(count, *lattice(), n)))
+    return _sorted_colorings(list(_chunks(count, *lattice(lift), n)))
 
 
 def image_size_counts(
-    system: ColoringSystem, forms: Lift, n: int, cap: int
+    system: ColoringSystem, lift: Lift | None, n: int, cap: int
 ) -> tuple[int, dict[int, int] | None]:
     """The exact number of solutions over Z_n and, unless it passes the cap, their image sizes.
 
     Returns ``(count, sizes)``, sizes mapping image size to number of
-    solutions, or None when count > cap.  A solution is lifted by the forms
-    (see :func:`_run_forms`).  Each row sums to zero and each form's
-    coefficients sum to 1, so x -> x + c*1 maps solutions to solutions with
+    solutions, or None when count > cap.  A solution is lifted to every
+    arc by ``lift`` (x itself when None; :meth:`Forcing.lift` runs the
+    plan), which is linear mod n and maps the all-ones vector to itself.
+    Each row sums to zero, so x -> x + c*1 maps solutions to solutions with
     the same image size and fixes none: the search takes only those whose
     first column is 0, n times fewer, and multiplies by n; the cap is
     compared with the full count.  When the search has one solution, x = 0,
     every coloring is constant, and the answer follows from the count with
-    nothing lifted.  Otherwise forms whose lifted columns agree color alike
+    nothing lifted.  Otherwise each generator of the search's solutions is
+    lifted once, and arcs whose lifted generator columns agree color alike
     in every solution, so one of each is kept; a histogram of at most
     SMALL_HISTOGRAM entries, searched solutions times kept columns, is
     counted in Python, a larger one in numpy.
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
-    count, lattice = _solutions(entries, system.cols - fixed, n, forms, fixed)
+    count, lattice = _solutions(entries, system.cols - fixed, n, fixed)
     scale = n**fixed
     if count * scale > cap:
         return count * scale, None
     if count == 1:
-        sizes = {min(len(forms), 1): 1}
+        sizes = {fixed: 1}
     else:
-        steps, columns = lattice()
+        orders, columns = lattice(lift)
         columns = list(dict.fromkeys(columns))
         if count * len(columns) <= SMALL_HISTOGRAM:
-            sizes = _small_image_sizes(steps, columns, n)
+            sizes = _small_image_sizes(orders, columns, n)
         else:
-            sizes = _image_sizes(_chunks(count, steps, columns, n), len(columns))
+            sizes = _image_sizes(_chunks(count, orders, columns, n), len(columns))
     return count * scale, {size: c * scale for size, c in sizes.items()}
 
 
@@ -458,27 +464,52 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     ])
 
 
+def _run(steps: list[_Step], arc_count: int, params: AlexanderParams, branch, mix=None):
+    """The steps run at (n, t) over one kind of value: each arc's, each check's, and the branches.
+
+    The k-th ``branch`` step sets its arc to ``branch(k)``, and every other
+    value is ``mix(u, cu, v, cv)``, cu*u + cv*v mod n with cu a unit (on
+    plain ints when ``mix`` is None): with s = t^e, a ``set`` is
+    ``s*a + (1-s)*b``, a ``solve`` is ``(1-s)^-1 * (b - s*a)`` (there when
+    1 - t is a unit), and a ``check`` has the value ``s*a + (1-s)*b -
+    target``, 0 in every coloring.
+    """
+    n, power = params.n, {1: params.t, -1: params.t_inverse, 0: 1}
+    mix = mix or (lambda u, cu, v, cv: (cu * u + cv * v) % n)
+    values, checks, branches = [None] * arc_count, [], 0  # each value is set by a step
+    for kind, target, a, b, e in steps:
+        s = power[e]
+        if kind == "branch":
+            values[target] = branch(branches)
+            branches += 1
+        elif kind == "solve":
+            u = pow(1 - s, -1, n)
+            values[target] = mix(values[b], u, values[a], -u * s)
+        else:
+            value = values[a] if e == 0 else mix(values[a], s, values[b], 1 - s)
+            if kind == "set":
+                values[target] = value
+            else:
+                checks.append(mix(value, 1, values[target], -1))
+    return values, checks, branches
+
+
 def _run_forms(
     steps: list[_Step], arc_count: int, params: AlexanderParams
-) -> tuple[ColoringSystem, Lift]:
+) -> tuple[ColoringSystem, list[dict[int, int]]]:
     """The colorings by (Z_n, t): checks over the search's branches, and each arc's form.
 
     The steps (:class:`Forcing`'s plan for params' class) run once
-    with each arc's color held as a linear form over the branch values, a
-    {branch: coefficient mod n} dict.  A branch is a new unit vector; with
-    s = t^e, a ``set`` is ``s*a + (1-s)*b``, a ``solve`` is
-    ``(1-s)^-1 * (b - s*a)`` (there when 1 - t is a unit), and a ``check``
-    is the row ``s*a + (1-s)*b - target``.  Every arc is a fixed affine
-    function of the branch values, and every relation holds by
-    construction or is a check, so the colorings are exactly the solutions
-    of the checks over the branches, each lifted by the forms.  Returns the
-    checks and, per arc, its form as it is held (arcs a copy sets share
-    one dict), each form's coefficients summing to 1 and each check's to 0.
+    (:func:`_run`) with each arc's color held as a linear form over the
+    branch values, a {branch: coefficient mod n} dict, a branch being a
+    new unit vector.  Every arc is a fixed affine function of the branch
+    values, and every relation holds by construction or is a check, so the
+    colorings are exactly the solutions of the checks over the branches,
+    each lifted by the forms.  Returns the nonzero checks as rows and, per
+    arc, its form as it is held (arcs a copy sets share one dict), each
+    form's coefficients summing to 1 and each check's to 0.
     """
-    n, t = params.n, params.t
-    power = {1: t, -1: params.t_inverse, 0: 1}
-    forms: list[dict[int, int] | None] = [None] * arc_count  # each is set by a step
-    checks, branches = [], 0
+    n = params.n
 
     def mix(u: dict[int, int], cu: int, v: dict[int, int], cv: int) -> dict[int, int]:
         """cu*u + cv*v, for a unit cu: no coefficient of cu*u is 0 mod n."""
@@ -490,22 +521,9 @@ def _run_forms(
                 w.pop(k, None)
         return w
 
-    for kind, target, a, b, e in steps:
-        if kind == "branch":
-            forms[target] = {branches: 1}
-            branches += 1
-        elif kind == "solve":
-            s = power[e]
-            u = pow(1 - s, -1, n)
-            forms[target] = mix(forms[b], u, forms[a], -u * s)
-        else:
-            s = power[e]
-            form = forms[a] if e == 0 else mix(forms[a], s, forms[b], 1 - s)
-            if kind == "set":
-                forms[target] = form
-            elif row := mix(form, 1, forms[target], -1):
-                checks.append(tuple(row.items()))
-    return ColoringSystem(len(checks), branches, tuple(checks)), forms
+    forms, checks, branches = _run(steps, arc_count, params, lambda k: {k: 1}, mix)
+    rows = tuple(tuple(row.items()) for row in checks if row)
+    return ColoringSystem(len(rows), branches, rows), forms
 
 
 class Forcing:
@@ -533,13 +551,21 @@ class Forcing:
         return len(_merged_classes(range(1, self.p.arc_count + 1),
                                    ((r.under_in, r.under_out) for r in self.p.relations)))
 
-    def system(self, params: AlexanderParams) -> tuple[ColoringSystem, Lift]:
-        """The checks over the branches at (n, t), and each arc's form (see :func:`_run_forms`)."""
+    def _steps_at(self, params: AlexanderParams) -> list[_Step]:
+        """The plan of params' class, compiled on first use."""
         arcs, kind = self.p.arc_count, (params.t == 1, gcd(1 - params.t, params.n) == 1)
         if kind not in self._steps:
             trivial, solvable = kind
             self._steps[kind] = _compile(self.p, range(-1, arcs), arcs, trivial, (solvable, solvable))
-        return _run_forms(self._steps[kind], arcs, params)
+        return self._steps[kind]
+
+    def system(self, params: AlexanderParams) -> tuple[ColoringSystem, list[dict[int, int]]]:
+        """The checks over the branches at (n, t), and each arc's form (see :func:`_run_forms`)."""
+        return _run_forms(self._steps_at(params), self.p.arc_count, params)
+
+    def lift(self, params: AlexanderParams) -> Lift:
+        """Branch values at (n, t) -> every arc's color: the plan run once on ints (:func:`_run`)."""
+        return lambda x: _run(self._steps_at(params), self.p.arc_count, params, x.__getitem__)[0]
 
     def count(self, params: AlexanderParams) -> int:
         """The exact number of colorings, with no cap."""
@@ -555,12 +581,11 @@ class Forcing:
         if params.t == 1:
             count = params.n**self.components
             return count, None if count > cap else trivial_image_sizes(self.components, params.n)
-        return image_size_counts(*self.system(params), params.n, cap)
+        return image_size_counts(self.system(params)[0], self.lift(params), params.n, cap)
 
     def colorings(self, params: AlexanderParams, cap: int) -> list[tuple[int, ...]]:
         """Every coloring, sorted; CapExceededError past the cap (see enumerate_solutions)."""
-        checks, forms = self.system(params)
-        return enumerate_solutions(checks, params.n, cap, forms)
+        return enumerate_solutions(self.system(params)[0], params.n, cap, self.lift(params))
 
 
 def _frontier(plan: _Plan, cap: int):

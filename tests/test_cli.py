@@ -351,6 +351,26 @@ def test_compare_verdicts_and_exit_codes(capsys):
     assert out.splitlines()[-1] == "verdict: not distinguished"
 
 
+@pytest.mark.parametrize("n, roots", [
+    (1000000000000000003, [1, 1000000000000000002]),  # a prime
+    # (10**9 + 7) * (10**9 + 9): +-1 modulo each prime, combined
+    (1000000016000000063, [1, 1000000008, 1000000015000000055, 1000000016000000062]),
+])
+def test_involutory_compare_at_n_near_10_to_18(n, roots):
+    # n is factored by Miller-Rabin and rho past trial division, so each
+    # answers within 5 s, where trial division up to sqrt(n) took about 70 s
+    with start_cli_limited("compare", "hopf_sum", "allen_swenberg", "--n", str(n),
+                           "--t", "involutory", "--format", "json") as child:
+        try:
+            out, err = child.communicate(timeout=5)
+        finally:
+            child.kill()
+    assert (child.returncode, err) == (0, "")
+    assert [(cell["n"], cell["t"]) for cell in json.loads(out)["results"]["grid"]] == [
+        (n, t) for t in roots
+    ]
+
+
 def test_compare_json_document(capsys):
     code, out, _ = run(
         capsys,
@@ -772,10 +792,10 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # commands that build no array, never load it (a count by (n, t) of a
     # grown file, or at t = 1, included, phi or an enumeration past the
     # cap, which exit 3, phi at t = 1, which has a closed form, and phi
-    # whose histogram is small enough to count in Python); phi past
-    # SMALL_HISTOGRAM entries (144 searched colorings of 9 distinct lifted
-    # columns here), enumeration and table validation import it where they
-    # build arrays
+    # whose histogram is small enough to count in Python, 144 searched
+    # colorings of 3 distinct lifted columns at n = 24); phi past
+    # SMALL_HISTOGRAM entries (400 searched colorings of 3 columns here),
+    # enumeration and table validation import it where they build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
     link = tmp_path / "grown.rel"
@@ -791,9 +811,10 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
         ["matrix", "trefoil", "--n", "5", "--t", "2"],
         ["phi", "trefoil", "--n", "3", "--t", "2"],
         ["phi", "hopf_sum", "--n", "23", "--t", "1"],
+        ["phi", "allen_swenberg", "--n", "24", "--t", "13"],
     ]
     needs_numpy = [
-        ["phi", "allen_swenberg", "--n", "24", "--t", "13"],
+        ["phi", "allen_swenberg", "--n", "40", "--t", "21"],
         ["colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate"],
         ["colorings", "trefoil", "--quandle-file", str(table)],
     ]
@@ -804,7 +825,7 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     for argv, result in zip(lean, results[1:]):
         assert result == (*run(capsys, *argv), False)
     assert results[len(lean) + 1:] == [
-        (0, "24*q^1 + 792*q^2 + 2640*q^3\n", "", True),
+        (0, "40*q^1 + 2280*q^2 + 13680*q^3\n", "", True),
         (0, TREFOIL_3_LISTING, "", True),
         (0, "count: 9\n", "", True),
     ]

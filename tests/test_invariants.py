@@ -17,6 +17,7 @@ from quandlecolor import (
     CapExceededError,
     Crossing,
     PhiPolynomial,
+    QuandleColorError,
     QuandlePresentation,
     alexander,
     all_colorings,
@@ -363,6 +364,67 @@ def test_units_and_involutory_units():
     assert peak < 2**20
 
 
+def _trial_division_prime_powers(n: int):
+    """(p, p**k) per prime p dividing n, by trial division up to sqrt(n): the factoring oracle."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            yield p, q
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, n
+
+
+def test_involutory_units_agree_with_trial_division(monkeypatch):
+    import quandlecolor.invariants as invariants
+
+    fast = [involutory_units(n) for n in range(20001)]
+    monkeypatch.setattr(invariants, "_prime_powers", _trial_division_prime_powers)
+    assert [involutory_units(n) for n in range(20001)] == fast
+    monkeypatch.undo()
+    # with trial division only below 8, Miller-Rabin and rho factor every
+    # part of n above 7 (prime powers such as 7**5 and 9973**2 included)
+    monkeypatch.setattr(invariants, "_TRIAL", 8)
+    for n in range(20001):
+        assert list(invariants._prime_powers(n)) == list(_trial_division_prime_powers(n)), n
+
+
+def test_factoring_past_trial_division():
+    from quandlecolor.invariants import _is_prime, _prime_powers
+
+    # strong pseudoprimes to the prime bases up to 23 and up to 37: the
+    # witnesses 29 and 41 expose them
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    cases = {
+        3825123056546413051: [149491, 747451, 34233211],
+        318665857834031151167461: [399165290221, 798330580441],
+        1000000000000000003: [1000000000000000003],
+        (10**9 + 7) * (10**9 + 9): [10**9 + 7, 10**9 + 9],
+        (10**9 + 7) ** 2: [10**9 + 7] * 2,
+        (2**31 - 1) * (2**61 - 1): [2**31 - 1, 2**61 - 1],
+        2**3 * 67**2 * 1031 * (10**6 + 3) ** 3: [2] * 3 + [67] * 2 + [1031] + [10**6 + 3] * 3,
+        # past the witnesses' bound, but trial division leaves nothing
+        2**100 * 3**50: [2] * 100 + [3] * 50,
+    }
+    for n, primes in cases.items():
+        expected = [(p, p ** primes.count(p)) for p in sorted(set(primes))]
+        assert list(_prime_powers(n)) == expected, n
+    roots = involutory_units((10**9 + 7) * (10**9 + 9))
+    assert len(roots) == 4 and all(t * t % ((10**9 + 7) * (10**9 + 9)) == 1 for t in roots)
+    # from the least composite that passes every witness on (1287836182261 *
+    # 2575672364521), a part that passes proves nothing, prime (2**89 - 1) or
+    # not: an error, where taking it as prime would lose roots
+    psi = 3317044064679887385961981
+    for n, part in ((psi, psi), (2**89 - 1, 2**89 - 1), (3 * (2**89 - 1), 2**89 - 1)):
+        with pytest.raises(QuandleColorError, match=f"cannot factor n: its factor {part} "):
+            involutory_units(n)
+
+
 def _involutory_counts(p, n):
     """(t, count) for every involutory Alexander quandle over Z_n, by compare's sweep."""
     return tuple((cell.t, cell.count_a) for cell in compare(p, p, (n,), "involutory").grid)
@@ -591,8 +653,8 @@ def _sizes_or_count(result):
 
 @pytest.mark.parametrize("name", sorted(HISTOGRAM_CASES))
 def test_image_size_counts_match_enumeration(name):
-    # the histogram, from the forcing search's checks and forms and from the
-    # full rows with identity forms, equals enumerate_solutions + Counter in
+    # the histogram, from the forcing search's checks lifted by its plan and
+    # from the full rows with the identity lift, equals enumerate_solutions + Counter in
     # counts, histograms and cap decisions
     p = HISTOGRAM_CASES[name]
     cap = 3000
@@ -608,8 +670,9 @@ def test_image_size_counts_match_enumeration(name):
             checks, forms = Forcing(p).system(params)
             assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
             assert all(sum(form.values()) % n == 1 for form in forms), (n, t)
-            assert _sizes_or_count(image_size_counts(checks, forms, n, cap)) == expected
-            identity = [{j: 1} for j in range(full.cols)]
+            lift = Forcing(p).lift(params)
+            assert _sizes_or_count(image_size_counts(checks, lift, n, cap)) == expected
+            identity = None  # x itself: column j is arc j+1
             assert _sizes_or_count(image_size_counts(full, identity, n, cap)) == expected
             assert (cell.n, cell.t, cell.count_a) == (n, t, counting_invariant(p, alexander(n, t)))
             if isinstance(expected, dict):
@@ -617,8 +680,8 @@ def test_image_size_counts_match_enumeration(name):
                 assert sum(expected.values()) == cell.count_a
                 # the cap compares the full count, not the n-times-smaller search
                 count = cell.count_a
-                assert image_size_counts(checks, forms, n, count - 1) == (count, None)
-                assert _sizes_or_count(image_size_counts(checks, forms, n, count)) == expected
+                assert image_size_counts(checks, lift, n, count - 1) == (count, None)
+                assert _sizes_or_count(image_size_counts(checks, lift, n, count)) == expected
             else:
                 assert cell.phi_a is None and cell.count_a == expected, (n, t)
 
@@ -689,13 +752,15 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
     # the same cells counted all in Python, then all in numpy
     import quandlecolor.solver as solver
 
-    cells = [Forcing(extract(catalog(name))).system(AlexanderParams(n, t)) + (n,)
-             for name in ("hopf_sum", "allen_swenberg", "trefoil")
-             for n in (4, 9, 12, 16, 20, 23) for t in units(n)]
+    cells = [(forcing.system(params)[0], forcing.lift(params), params.n)
+             for forcing in (Forcing(extract(catalog(name)))
+                             for name in ("hopf_sum", "allen_swenberg", "trefoil"))
+             for params in (AlexanderParams(n, t)
+                            for n in (4, 9, 12, 16, 20, 23) for t in units(n))]
     routes = []
     for limit in (10**9, 0):
         monkeypatch.setattr(solver, "SMALL_HISTOGRAM", limit)
-        routes.append([image_size_counts(checks, forms, n, 10**6) for checks, forms, n in cells])
+        routes.append([image_size_counts(checks, lift, n, 10**6) for checks, lift, n in cells])
     assert routes[0] == routes[1]
     assert sum(len(sizes) > 1 for _, sizes in routes[0]) > 20
 
@@ -726,7 +791,8 @@ def test_trivial_cells_in_closed_form_match_the_histogram(monkeypatch):
         for n in range(2, 24):
             checks, forms = Forcing(p).system(AlexanderParams(n, 1))
             assert (checks.rows, checks.cols) == (0, d.component_count())
-            count, sizes = image_size_counts(checks, forms, n, 10**9)
+            lift = Forcing(p).lift(AlexanderParams(n, 1))
+            count, sizes = image_size_counts(checks, lift, n, 10**9)
             assert count == n**checks.cols
             assert trivial_image_sizes(checks.cols, n) == sizes, (d.arc_count, n)
             cells.append((n, count, sizes))

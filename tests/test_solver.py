@@ -607,6 +607,34 @@ def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
 
 
 
+def test_the_generator_lift_equals_the_full_system(monkeypatch):
+    # Forcing lifts each generator of its checks' solutions by running the
+    # plan on ints; the full system's solutions need no lift.  Histograms,
+    # cap decisions and listings agree at every unit of n = 2..29, on the
+    # Python histogram and, past SMALL_HISTOGRAM entries, on numpy's
+    by_numpy = []
+    histogram = solver._image_sizes
+    monkeypatch.setattr(solver, "_image_sizes",
+                        lambda blocks, width: by_numpy.append(width) or histogram(blocks, width))
+    diagrams = forcing_diagrams() + [grown("trefoil", 40, 1), grown("hopf_sum", 30, 2),
+                                     grown("allen_swenberg", 70, 3)]
+    cap = 20_000
+    for d in diagrams:
+        p = extract(d)
+        forcing = solver.Forcing(p)
+        for n in range(2, 30):
+            for t in (t for t in range(1, n) if gcd(t, n) == 1):
+                params = AlexanderParams(n, t)
+                full = build_system(p, params)
+                count, sizes = forcing.image_sizes(params, cap)
+                assert (count, sizes) == solver.image_size_counts(full, None, n, cap), (
+                    d.arc_count, n, t)
+                if count <= 2000:
+                    assert forcing.colorings(params, 2000) == enumerate_solutions(full, n, 2000), (
+                        d.arc_count, n, t)
+    assert by_numpy
+
+
 def test_one_forcing_answers_every_class_of_t_in_turn():
     # a Forcing keeps one plan per class of t: t = 1 (trivial), 1 - t a unit
     # (t = 2 mod 9), or neither (t = 4 and 7 mod 9).  Walked in turn on one
