@@ -33,7 +33,7 @@ from .invariants import (
     phi_polynomial,
 )
 from .presentation import extract
-from .quandle import AlexanderParams, FiniteQuandle, alexander, parse_quandle_file
+from .quandle import FiniteQuandle, alexander, parse_quandle_file
 from .smith import smith_normal_form
 from .solver import DEFAULT_CAP, build_system
 
@@ -66,6 +66,14 @@ def _check_cap(cap: int) -> None:
         raise UsageError("--cap must be >= 0")
 
 
+def _alexander_flags(args, missing: str) -> FiniteQuandle:
+    """alexander(--n, --t): UsageError(missing) unless both are given, then n >= 2."""
+    if args.n is None or args.t is None:
+        raise UsageError(missing)
+    _check_modulus(args.n)
+    return alexander(args.n, args.t)
+
+
 def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
     has_params = args.n is not None or args.t is not None
     if args.quandle_file is not None:
@@ -73,10 +81,8 @@ def _resolve_quandle(args) -> tuple[FiniteQuandle, dict]:
             raise UsageError("give either --n/--t or --quandle-file, not both")
         text = Path(args.quandle_file).read_text(encoding="utf-8-sig")
         return parse_quandle_file(text), {"quandle_file": args.quandle_file}
-    if args.n is None or args.t is None:
-        raise UsageError("need both --n and --t (or a --quandle-file)")
-    _check_modulus(args.n)
-    return alexander(args.n, args.t), {"n": args.n, "t": args.t}
+    q = _alexander_flags(args, "need both --n and --t (or a --quandle-file)")
+    return q, {"n": args.n, "t": args.t}
 
 
 def _emit(args, doc: Callable[[], dict], human: Callable[[], Iterable[str]]) -> None:
@@ -165,10 +171,7 @@ def cmd_phi(args) -> int:
     _check_cap(args.cap)
     name, diagram = _resolve_link(args.link)
     p = extract(diagram)
-    if args.n is None or args.t is None:
-        raise UsageError("phi needs both --n and --t")
-    _check_modulus(args.n)
-    q = alexander(args.n, args.t)
+    q = _alexander_flags(args, "phi needs both --n and --t")
     poly = phi_polynomial(p, q, args.cap)
     inputs = {"link": name, "n": args.n, "t": args.t, "cap": args.cap}
     results = {"terms": [list(term) for term in poly.terms], "count": poly.total()}
@@ -276,10 +279,7 @@ def cmd_compare(args) -> int:
 
 def cmd_matrix(args) -> int:
     name, diagram = _resolve_link(args.link)
-    if args.n is None or args.t is None:
-        raise UsageError("matrix needs both --n and --t")
-    _check_modulus(args.n)
-    params = AlexanderParams(args.n, args.t)
+    params = _alexander_flags(args, "matrix needs both --n and --t").alexander
     system = build_system(extract(diagram), params)
     snf = smith_normal_form(system.matrix, cols=system.cols)
     reduced = snf.diagonal_matrix()

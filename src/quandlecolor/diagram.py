@@ -61,6 +61,11 @@ def _merged_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> l
     return sorted(classes.values(), key=min)
 
 
+def _components(arc_count: int, crossings: Iterable[Crossing]) -> list[list[int]]:
+    """Arcs 1..arc_count in link components, classes of arcs joined through an under-strand."""
+    return _merged_classes(range(1, arc_count + 1), ((c.under_in, c.under_out) for c in crossings))
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One crossing: ``under_out = under_in > over`` (or ``>^-1`` when sign is -1).
@@ -153,11 +158,7 @@ class LinkDiagram:
         component; arcs never passing under (over-only circles and free
         circles) are singleton components.  Sorted by smallest member.
         """
-        classes = _merged_classes(
-            range(1, self.arc_count + 1),
-            ((c.under_in, c.under_out) for c in self.crossings),
-        )
-        return tuple(frozenset(g) for g in classes)
+        return tuple(frozenset(g) for g in _components(self.arc_count, self.crossings))
 
     def component_count(self) -> int:
         return len(self.components())

@@ -108,9 +108,10 @@ def counting_invariant(
 def phi_polynomial(
     p: QuandlePresentation, q: FiniteQuandle, cap: int = DEFAULT_CAP
 ) -> PhiPolynomial:
-    """The enhanced polynomial; requires enumerating colorings, so the cap applies.
+    """The enhanced polynomial, from a histogram of the colorings by image size.
 
-    An Alexander quandle's image sizes are counted from the forcing search
+    No coloring is listed, but the cap applies to their count.  An
+    Alexander quandle's image sizes are counted from the forcing search
     (solver.Forcing, in closed form at t = 1); another quandle's, by the
     same histogram, from the brute-force search's blocks.
     """

@@ -70,7 +70,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 from math import gcd
 
-from .diagram import _find, _merged_classes
+from .diagram import _components, _find
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
@@ -494,10 +494,8 @@ def _run(steps: list[_Step], arc_count: int, params: AlexanderParams, branch, mi
     return values, checks, branches
 
 
-def _run_forms(
-    steps: list[_Step], arc_count: int, params: AlexanderParams
-) -> tuple[ColoringSystem, list[dict[int, int]]]:
-    """The colorings by (Z_n, t): checks over the search's branches, and each arc's form.
+def _run_forms(steps: list[_Step], arc_count: int, params: AlexanderParams) -> ColoringSystem:
+    """The colorings by (Z_n, t) as the checks over the search's branches.
 
     The steps (:class:`Forcing`'s plan for params' class) run once
     (:func:`_run`) with each arc's color held as a linear form over the
@@ -505,9 +503,9 @@ def _run_forms(
     new unit vector.  Every arc is a fixed affine function of the branch
     values, and every relation holds by construction or is a check, so the
     colorings are exactly the solutions of the checks over the branches,
-    each lifted by the forms.  Returns the nonzero checks as rows and, per
-    arc, its form as it is held (arcs a copy sets share one dict), each
-    form's coefficients summing to 1 and each check's to 0.
+    each lifted to every arc by running the plan on ints
+    (:meth:`Forcing.lift`).  Returns the nonzero checks as rows, each
+    row's coefficients summing to 0; the arcs' forms are dropped.
     """
     n = params.n
 
@@ -521,9 +519,9 @@ def _run_forms(
                 w.pop(k, None)
         return w
 
-    forms, checks, branches = _run(steps, arc_count, params, lambda k: {k: 1}, mix)
+    _, checks, branches = _run(steps, arc_count, params, lambda k: {k: 1}, mix)
     rows = tuple(tuple(row.items()) for row in checks if row)
-    return ColoringSystem(len(rows), branches, rows), forms
+    return ColoringSystem(len(rows), branches, rows)
 
 
 class Forcing:
@@ -534,8 +532,9 @@ class Forcing:
     takes any color, so the count is n**components and the image sizes are
     :func:`trivial_image_sizes`, with no plan compiled.  Otherwise the
     search of :func:`_compile`, one column per arc (merging alike arcs costs
-    a count more than it saves), runs over linear forms at (n, t)
-    (:func:`_run_forms`) and its checks are eliminated.  A plan reads of
+    a count more than it saves), runs over linear forms at (n, t) for its
+    checks alone (:meth:`system`), which are eliminated, and on ints to
+    lift each solution to every arc (:meth:`lift`).  A plan reads of
     (n, t) only its class, t = 1 (trivial) and 1 - t a unit (over-arcs
     solve), so it is compiled once per class and kept: a sweep over many
     (n, t) holds one Forcing per link.
@@ -548,8 +547,7 @@ class Forcing:
     @cached_property
     def components(self) -> int:
         """The number of p's components, the branches of the trivial plan."""
-        return len(_merged_classes(range(1, self.p.arc_count + 1),
-                                   ((r.under_in, r.under_out) for r in self.p.relations)))
+        return len(_components(self.p.arc_count, self.p.relations))
 
     def _steps_at(self, params: AlexanderParams) -> list[_Step]:
         """The plan of params' class, compiled on first use."""
@@ -559,19 +557,20 @@ class Forcing:
             self._steps[kind] = _compile(self.p, range(-1, arcs), arcs, trivial, (solvable, solvable))
         return self._steps[kind]
 
-    def system(self, params: AlexanderParams) -> tuple[ColoringSystem, list[dict[int, int]]]:
-        """The checks over the branches at (n, t), and each arc's form (see :func:`_run_forms`)."""
+    def system(self, params: AlexanderParams) -> ColoringSystem:
+        """The checks alone over the branches at (n, t), no forms (see :func:`_run_forms`)."""
         return _run_forms(self._steps_at(params), self.p.arc_count, params)
 
     def lift(self, params: AlexanderParams) -> Lift:
         """Branch values at (n, t) -> every arc's color: the plan run once on ints (:func:`_run`)."""
-        return lambda x: _run(self._steps_at(params), self.p.arc_count, params, x.__getitem__)[0]
+        steps = self._steps_at(params)
+        return lambda x: _run(steps, self.p.arc_count, params, x.__getitem__)[0]
 
     def count(self, params: AlexanderParams) -> int:
         """The exact number of colorings, with no cap."""
         if params.t == 1:
             return params.n**self.components
-        return count_solutions(self.system(params)[0], params.n)
+        return count_solutions(self.system(params), params.n)
 
     def image_sizes(self, params: AlexanderParams, cap: int) -> tuple[int, dict[int, int] | None]:
         """The exact count and, unless it passes the cap, the colorings per image size.
@@ -581,11 +580,11 @@ class Forcing:
         if params.t == 1:
             count = params.n**self.components
             return count, None if count > cap else trivial_image_sizes(self.components, params.n)
-        return image_size_counts(self.system(params)[0], self.lift(params), params.n, cap)
+        return image_size_counts(self.system(params), self.lift(params), params.n, cap)
 
     def colorings(self, params: AlexanderParams, cap: int) -> list[tuple[int, ...]]:
         """Every coloring, sorted; CapExceededError past the cap (see enumerate_solutions)."""
-        return enumerate_solutions(self.system(params)[0], params.n, cap, self.lift(params))
+        return enumerate_solutions(self.system(params), params.n, cap, self.lift(params))
 
 
 def _frontier(plan: _Plan, cap: int):

@@ -136,6 +136,29 @@ def test_modulus_below_2_is_a_usage_error(capsys):
         assert err == "error: moduli must be >= 2\n"
 
 
+def test_n_t_checks_run_in_one_order(capsys, monkeypatch, tmp_path):
+    # for each command that reads --n and --t: the cap, then the link, then
+    # a missing flag, then the modulus, then whether t is a unit
+    monkeypatch.chdir(tmp_path)  # no file named nosuch
+    unknown = "'nosuch' is neither a catalog name nor a readable file"
+    for command, missing in (
+        ("colorings", "need both --n and --t (or a --quandle-file)"),
+        ("phi", "phi needs both --n and --t"),
+        ("matrix", "matrix needs both --n and --t"),
+    ):
+        cases = [
+            (("nosuch", "--n", "3"), 2, unknown),
+            (("trefoil", "--n", "1"), 2, missing),
+            (("trefoil", "--n", "1", "--t", "2"), 2, "moduli must be >= 2"),
+            (("trefoil", "--n", "4", "--t", "2"), 4, "t=2 is not a unit modulo n=4"),
+        ]
+        if command != "matrix":  # matrix takes no --cap
+            cases.append((("nosuch", "--n", "1", "--t", "2", "--cap", "-1"), 2,
+                          "--cap must be >= 0"))
+        for argv, status, message in cases:
+            assert run(capsys, command, *argv) == (status, "", f"error: {message}\n"), argv
+
+
 def test_negative_cap_is_a_usage_error(capsys):
     for argv in (
         ("colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate", "--cap", "-1"),
@@ -304,6 +327,14 @@ def test_validate_quandle_good_and_bad(tmp_path, capsys):
     assert code == 0
     assert "valid quandle of order 3" in out
     assert "involutory: yes" in out
+    code, out, _ = run(capsys, "validate-quandle", str(good), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "validate-quandle",
+        "inputs": {"file": str(good)},
+        "results": {"valid": True, "order": 3, "involutory": True},
+        "exit_status": 0,
+    }
 
     bad = tmp_path / "bad.txt"
     bad.write_text("order: 2\n0 1\n1 1\n")  # column 1 repeats

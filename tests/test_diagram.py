@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlecolor import (
+    CatalogEntry,
     Crossing,
     DiagramError,
     LinkDiagram,
@@ -350,6 +351,10 @@ def _rejection(arc_count, crossings, free_circles=0):
 def test_diagram_rejects_out_of_range_arc():
     with pytest.raises(DiagramError, match="out of range"):
         LinkDiagram(arc_count=1, crossings=(Crossing(1, 1, 1, 2),))
+    with pytest.raises(DiagramError, match=r"^a diagram needs at least one arc$"):
+        LinkDiagram(0, ())
+    with pytest.raises(DiagramError, match=r"^free_circles must be >= 0$"):
+        LinkDiagram(1, (), free_circles=-1)
     # with several faults the first out-of-range arc in crossing order is
     # named (under-in, under-out, over within a crossing), not the extreme one,
     # and before any contiguity or endpoint fault
@@ -372,6 +377,8 @@ def test_diagram_rejects_non_contiguous_referenced_arcs():
 def test_diagram_rejects_bad_sign():
     with pytest.raises(DiagramError):
         Crossing(0, 1, 1, 1)
+    with pytest.raises(DiagramError, match=r"^sign must be \+1 or -1, got 0$"):
+        reidemeister_r1(catalog("trefoil"), 1, sign=0)
 
 
 def test_arc_count_equals_crossings_when_all_components_pass_under():
@@ -403,6 +410,8 @@ def test_catalog_entries():
             components,
         ), name
         assert entry.expected_components == components
+    with pytest.raises(DiagramError, match=r"^catalog entry x: derived component count 1 != 2$"):
+        CatalogEntry("x", catalog("trefoil"), 2)
 
 
 def test_catalog_unknown_name():
@@ -789,6 +798,8 @@ def test_r1_r2_arc_out_of_range():
         reidemeister_r1(catalog("unknot"), 2)
     with pytest.raises(DiagramError):
         reidemeister_r2(catalog("unknot"), 1, 2)
+    with pytest.raises(DiagramError, match=r"^arc x99 out of range 1\.\.3$"):
+        reidemeister_r2(catalog("trefoil"), 99, 1)
 
 
 def _last_under_slot(d, arc):

@@ -39,6 +39,7 @@ from quandlecolor import (
     reidemeister_r2,
     units,
 )
+from quandlecolor.invariants import resolve_t_values
 from quandlecolor.solver import Forcing, image_size_counts, trivial_image_sizes
 
 from conftest import (
@@ -505,6 +506,8 @@ def test_compare_involutory_policy():
     )
     assert [(c.n, c.t) for c in report.grid] == [(3, 1), (3, 2), (5, 1), (5, 4)]
     assert not report.distinguished
+    with pytest.raises(ValueError, match=r"^unknown t policy 'bogus'$"):
+        resolve_t_values("bogus", 5)
 
 
 def test_compare_cap_exceeded_cells_keep_counts():
@@ -667,10 +670,10 @@ def test_image_size_counts_match_enumeration(name):
             expected = _counts_or_cap(
                 lambda: Counter(map(image_size, enumerate_solutions(full, n, cap)))
             )
-            checks, forms = Forcing(p).system(params)
+            checks = Forcing(p).system(params)
             assert all(sum(row) % n == 0 for row in checks.matrix), (n, t)
-            assert all(sum(form.values()) % n == 1 for form in forms), (n, t)
             lift = Forcing(p).lift(params)
+            assert lift([1] * checks.cols) == [1] * p.arc_count, (n, t)
             assert _sizes_or_count(image_size_counts(checks, lift, n, cap)) == expected
             identity = None  # x itself: column j is arc j+1
             assert _sizes_or_count(image_size_counts(full, identity, n, cap)) == expected
@@ -742,7 +745,7 @@ def test_phi_searches_one_coloring_per_translation_class(monkeypatch):
     # x -> x + c: the first arc is fixed at 0, and the elimination of the
     # other branches alone finds that class
     p = extract(catalog("allen_swenberg"))
-    branches = Forcing(p).system(AlexanderParams(1000003, 2))[0].cols
+    branches = Forcing(p).system(AlexanderParams(1000003, 2)).cols
     widths.clear()
     assert phi_polynomial(p, alexander(1000003, 2), cap=2_000_000).terms == ((1, 1000003),)
     assert widths == [branches - 1]
@@ -752,7 +755,7 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
     # the same cells counted all in Python, then all in numpy
     import quandlecolor.solver as solver
 
-    cells = [(forcing.system(params)[0], forcing.lift(params), params.n)
+    cells = [(forcing.system(params), forcing.lift(params), params.n)
              for forcing in (Forcing(extract(catalog(name)))
                              for name in ("hopf_sum", "allen_swenberg", "trefoil"))
              for params in (AlexanderParams(n, t)
@@ -789,7 +792,7 @@ def test_trivial_cells_in_closed_form_match_the_histogram(monkeypatch):
     for d in _trivial_cell_diagrams():
         p, cells = extract(d), []
         for n in range(2, 24):
-            checks, forms = Forcing(p).system(AlexanderParams(n, 1))
+            checks = Forcing(p).system(AlexanderParams(n, 1))
             assert (checks.rows, checks.cols) == (0, d.component_count())
             lift = Forcing(p).lift(AlexanderParams(n, 1))
             count, sizes = image_size_counts(checks, lift, n, 10**9)

@@ -70,6 +70,8 @@ def test_alexander_rejects_non_unit():
         AlexanderParams(6, 3)
     with pytest.raises(NotAUnitError):
         AlexanderParams(5, 0)
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        AlexanderParams(1, 0)
 
 
 def test_params_normalize_t():
@@ -116,6 +118,13 @@ def test_validate_shape_and_range_errors():
     for ragged in ([[0], [0, 1]], [[0, 0], [1]], [[0, 1, 1], [1, 1], [2, 2, 2]]):
         with pytest.raises(QuandleTableError, match="unequal length"):
             validate(ragged)
+    # past the range and ragged-row checks, a table that is not square
+    with pytest.raises(QuandleTableError,
+                       match=r"^expected a nonempty square table, got shape \(2, 1\)$"):
+        validate([[0], [0]])
+    with pytest.raises(QuandleTableError,
+                       match=r"^expected a nonempty square table, got shape \(0,\)$"):
+        validate([])
 
 
 def test_dual_consistency():

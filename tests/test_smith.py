@@ -231,7 +231,7 @@ def _kernel_digests() -> dict[str, str]:
                     for modulus in moduli(n):
                         yield system.entries, system.cols, modulus
 
-    digest("forced", catalog_systems(lambda p, params: Forcing(p).system(params)[0], lambda n: (n,)))
+    digest("forced", catalog_systems(lambda p, params: Forcing(p).system(params), lambda n: (n,)))
     digest("build_system", catalog_systems(build_system, lambda n: (n, 0)))
     rng = random.Random(24)
     values = (0, 0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 5, 6, 9, -12, 16, 30, -45)
@@ -252,7 +252,7 @@ def _kernel_digests() -> dict[str, str]:
             forcing = Forcing(p)
             for params in (AlexanderParams(9, 2), AlexanderParams(8, 3),
                            AlexanderParams(16, 5), AlexanderParams(15, 2)):
-                checks, full = forcing.system(params)[0], build_system(p, params)
+                checks, full = forcing.system(params), build_system(p, params)
                 yield checks.entries, checks.cols, params.n
                 yield full.entries, full.cols, params.n
             full = build_system(p, AlexanderParams(9, 2))

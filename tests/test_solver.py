@@ -587,21 +587,21 @@ def test_forcing_counts_match_brute_force_by_the_table(small_catalog):
 
 
 def test_forcing_lifts_the_solutions_of_its_checks_to_every_coloring():
-    # each arc's form over the branches sums to 1 and each check to 0; the
-    # solutions of the checks, lifted by the forms, are exactly the colorings
-    # (enumerated up to 2000 of them)
+    # each check's coefficients over the branches sum to 0, and the lift
+    # takes all branches at 1 to all arcs at 1; the solutions of the checks,
+    # each lifted to every arc by the plan run on ints, are exactly the
+    # colorings (enumerated up to 2000 of them)
     for d in forcing_diagrams():
         p = extract(d)
         for n, t in FORCING_QUANDLES:
             params = AlexanderParams(n, t)
-            system, lift = solver.Forcing(p).system(params)
-            assert len(lift) == p.arc_count
-            assert all(sum(form.values()) % n == 1 for form in lift)
+            forcing = solver.Forcing(p)
+            system, lift = forcing.system(params), forcing.lift(params)
+            assert lift([1] * system.cols) == [1] * p.arc_count
             assert all(sum(x for _, x in row) % n == 0 for row in system.entries)
             if count_solutions(system, n) > 2000:
                 continue
-            lifted = sorted(tuple(sum(c * y[k] for k, c in form.items()) % n for form in lift)
-                            for y in enumerate_solutions(system, n))
+            lifted = sorted(tuple(lift(y)) for y in enumerate_solutions(system, n))
             expected = enumerate_solutions(build_system(p, params), n)
             assert lifted == expected, (d.arc_count, n, t)
 
