@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import DiagramError, PDCodeError, RelationSyntaxError
@@ -454,23 +454,23 @@ def parse_pd_code(text: str) -> LinkDiagram:
 
 
 def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
-    """(crossing index, 'in'|'out') under-strand occurrences of ``arc``, in order."""
+    """(crossing index, field) under-strand occurrences of ``arc``, in order.
+
+    A slot names its ``Crossing`` field, 'under_in' or 'under_out', so
+    :func:`_replace_slot` renames it by that name.
+    """
     slots = []
     for i, c in enumerate(crossings):
         if c.under_in == arc:
-            slots.append((i, "in"))
+            slots.append((i, "under_in"))
         if c.under_out == arc:
-            slots.append((i, "out"))
+            slots.append((i, "under_out"))
     return slots
 
 
 def _replace_slot(crossings: list[Crossing], slot: tuple[int, str], new: int) -> None:
-    i, which = slot
-    c = crossings[i]
-    if which == "in":
-        crossings[i] = Crossing(c.sign, new, c.under_out, c.over)
-    else:
-        crossings[i] = Crossing(c.sign, c.under_in, new, c.over)
+    i, field = slot
+    crossings[i] = replace(crossings[i], **{field: new})
 
 
 def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDiagram:
@@ -503,8 +503,8 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
         # Band between two under-strand arcs: the new arc takes the
         # downstream endpoint of a1 and the upstream endpoint of a2.
         arcs += 1
-        _replace_slot(cross1, next((s for s in occ1 if s[1] == "in"), occ1[-1]), arcs)
-        _replace_slot(cross2, next((s for s in occ2 if s[1] == "out"), occ2[-1]), arcs)
+        _replace_slot(cross1, next((s for s in occ1 if s[1] == "under_in"), occ1[-1]), arcs)
+        _replace_slot(cross2, next((s for s in occ2 if s[1] == "under_out"), occ2[-1]), arcs)
     elif a1 > r1 or a2 > r2:
         free -= 1  # no band: a free circle merges into the other spliced arc
     return LinkDiagram(arcs + free, cross1 + cross2, free)
@@ -515,9 +515,9 @@ def _last_under_slot(crossings, arc: int) -> tuple[int, str] | None:
     for i in range(len(crossings) - 1, -1, -1):
         c = crossings[i]
         if c.under_out == arc:
-            return i, "out"
+            return i, "under_out"
         if c.under_in == arc:
-            return i, "in"
+            return i, "under_in"
     return None
 
 
@@ -552,10 +552,9 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
     Adds two crossings of opposite operation and two arcs (one when ``arc``
     is a closed circle, which the poke cuts twice into two arcs).
     """
-    if not 1 <= arc <= d.arc_count:
-        raise DiagramError(f"arc x{arc} out of range 1..{d.arc_count}")
-    if not 1 <= over_arc <= d.arc_count:
-        raise DiagramError(f"arc x{over_arc} out of range 1..{d.arc_count}")
+    for a in (arc, over_arc):
+        if not 1 <= a <= d.arc_count:
+            raise DiagramError(f"arc x{a} out of range 1..{d.arc_count}")
     r = d.arc_count - d.free_circles
     cut = sorted({a for a in (arc, over_arc) if a > r})
     label = {a: k for k, a in enumerate(cut, start=r + 1)}

@@ -139,31 +139,30 @@ def count_solutions(system: ColoringSystem, n: int) -> int:
     return solution_count_mod(_eliminate(system.entries, system.cols, n), n)
 
 
-def _solutions(entries, cols: int, n: int, held: int):
+def _solutions(entries, cols: int, n: int):
     """The number of solutions of A*x = 0 (mod n), A's rows sparse, and how to list them.
 
     One elimination gives x = V*y (mod n) with V invertible mod n, so no
     two y give the same x; y ranges over the solutions of D*y = 0, torsion
     coordinates by steps of n/gcd(d_i, n) and free ones by 1.  The count is
     exact and returned whatever its size: a caller compares it with its
-    cap.  The second value, called with a lift (x itself when None), lifts
-    the lattice's generators: for each coordinate k that varies, the
-    vector of its step times column k of V, reduced mod n, of order
-    gcd(d_k, n) (n when free), so that every solution is one sum of
+    cap.  The second value, called with a lift (``list`` to take x
+    itself), lifts the lattice's generators: for each coordinate k that
+    varies, the vector of its step times column k of V, reduced mod n, of
+    order gcd(d_k, n) (n when free), so that every solution is one sum of
     multiples m_k < order_k of them.  It returns the orders and, per
     lifted arc, its column: the arc's entry in each lifted generator.
-    Nothing is built until it is called.  x opens with ``held`` zeros, for
-    columns a caller held at 0 and left out of A.
+    Nothing is built until it is called, and nothing is added to x: a
+    column a caller held out of A is the lift's to put back.
     """
     snf = _eliminate(entries, cols, n)
 
-    def lattice(lift: Lift | None) -> tuple[list[int], list[tuple[int, ...]]]:
-        lift = lift or list
+    def lattice(lift: Lift) -> tuple[list[int], list[tuple[int, ...]]]:
         steps = [n // gcd(d, n) for d in snf.diagonal] + [1] * (cols - snf.rank)
         varying = [k for k, step in enumerate(steps) if step < n]
-        vectors = [[0] * held + [steps[k] * x % n for x in snf.column(k)] for k in varying]
+        vectors = [[steps[k] * x % n for x in snf.column(k)] for k in varying]
         # with no generator, the one solution x = 0 still has its width
-        columns = list(zip(*map(lift, vectors))) or [()] * len(lift([0] * (held + cols)))
+        columns = list(zip(*map(lift, vectors))) or [()] * len(lift([0] * cols))
         return [n // steps[k] for k in varying], columns
 
     return solution_count_mod(snf, n), lattice
@@ -232,33 +231,35 @@ def _small_image_sizes(orders: list[int], columns: list[tuple[int, ...]], n: int
 
 
 def enumerate_solutions(
-    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, lift: Lift | None = None
+    system: ColoringSystem, n: int, cap: int = DEFAULT_CAP, lift: Lift = list
 ) -> list[tuple[int, ...]]:
     """All solutions of the system over Z_n, each lifted (see image_size_counts), sorted.
 
+    The default lift, ``list``, lists each solution x as itself.
     CapExceededError, with the exact count, when there are more than ``cap``.
     """
-    count, lattice = _solutions(system.entries, system.cols, n, 0)
+    count, lattice = _solutions(system.entries, system.cols, n)
     if count > cap:
         raise CapExceededError(cap, count)
     return _sorted_colorings(list(_chunks(count, *lattice(lift), n)))
 
 
 def image_size_counts(
-    system: ColoringSystem, lift: Lift | None, n: int, cap: int
+    system: ColoringSystem, lift: Lift, n: int, cap: int
 ) -> tuple[int, dict[int, int] | None]:
     """The exact number of solutions over Z_n and, unless it passes the cap, their image sizes.
 
     Returns ``(count, sizes)``, sizes mapping image size to number of
     solutions, or None when count > cap.  A solution is lifted to every
-    arc by ``lift`` (x itself when None; :meth:`Forcing.lift` runs the
+    arc by ``lift`` (``list`` for x itself; :meth:`Forcing.lift` runs the
     plan), which is linear mod n and maps the all-ones vector to itself.
     Each row sums to zero, so x -> x + c*1 maps solutions to solutions with
-    the same image size and fixes none: the search takes only those whose
-    first column is 0, n times fewer, and multiplies by n; the cap is
-    compared with the full count.  When the search has one solution, x = 0,
-    every coloring is constant, and the answer follows from the count with
-    nothing lifted.  Otherwise each generator of the search's solutions is
+    the same image size and fixes none: the search drops column 0 (when
+    there is one), holding it at 0, so it finds n times fewer solutions y,
+    lifts each as ``lift([0] + y)`` and multiplies by n; the cap is
+    compared with the full count.  When the search has one solution, y = 0, every coloring
+    is constant, and the answer follows from the count with nothing
+    lifted.  Otherwise each generator of the search's solutions is
     lifted once, and arcs whose lifted generator columns agree color alike
     in every solution, so one of each is kept; a histogram of at most
     SMALL_HISTOGRAM entries, searched solutions times kept columns, is
@@ -266,14 +267,14 @@ def image_size_counts(
     """
     fixed = min(system.cols, 1)
     entries = [[(j - fixed, x) for j, x in row if j >= fixed] for row in system.entries]
-    count, lattice = _solutions(entries, system.cols - fixed, n, fixed)
+    count, lattice = _solutions(entries, system.cols - fixed, n)
     scale = n**fixed
     if count * scale > cap:
         return count * scale, None
     if count == 1:
         sizes = {fixed: 1}
     else:
-        orders, columns = lattice(lift)
+        orders, columns = lattice(lambda y: lift([0] * fixed + y))
         columns = list(dict.fromkeys(columns))
         if count * len(columns) <= SMALL_HISTOGRAM:
             sizes = _small_image_sizes(orders, columns, n)
@@ -464,18 +465,18 @@ def _plan(p: QuandlePresentation, q: FiniteQuandle) -> _Plan:
     ])
 
 
-def _run(steps: list[_Step], arc_count: int, params: AlexanderParams, branch, mix=None):
-    """The steps run at (n, t) over one kind of value: each arc's, each check's, and the branches.
+def _run(steps: list[_Step], arc_count: int, params: AlexanderParams, branch, mix):
+    """The steps run at (n, t) over one kind of value: each arc's, the checks' pairs, the branches.
 
     The k-th ``branch`` step sets its arc to ``branch(k)``, and every other
-    value is ``mix(u, cu, v, cv)``, cu*u + cv*v mod n with cu a unit (on
-    plain ints when ``mix`` is None): with s = t^e, a ``set`` is
-    ``s*a + (1-s)*b``, a ``solve`` is ``(1-s)^-1 * (b - s*a)`` (there when
-    1 - t is a unit), and a ``check`` has the value ``s*a + (1-s)*b -
-    target``, 0 in every coloring.
+    value is ``mix(u, cu, v, cv)``, cu*u + cv*v mod n with cu a unit, in
+    the caller's kind of value: with s = t^e, a ``set`` is ``s*a +
+    (1-s)*b`` and a ``solve`` is ``(1-s)^-1 * (b - s*a)`` (there when 1 -
+    t is a unit).  A ``check`` is recorded as the pair of ``s*a +
+    (1-s)*b`` and the target's value, equal in every coloring; a caller
+    that reads the checks makes its rows from the pairs.
     """
     n, power = params.n, {1: params.t, -1: params.t_inverse, 0: 1}
-    mix = mix or (lambda u, cu, v, cv: (cu * u + cv * v) % n)
     values, checks, branches = [None] * arc_count, [], 0  # each value is set by a step
     for kind, target, a, b, e in steps:
         s = power[e]
@@ -490,7 +491,7 @@ def _run(steps: list[_Step], arc_count: int, params: AlexanderParams, branch, mi
             if kind == "set":
                 values[target] = value
             else:
-                checks.append(mix(value, 1, values[target], -1))
+                checks.append((value, values[target]))
     return values, checks, branches
 
 
@@ -504,8 +505,10 @@ def _run_forms(steps: list[_Step], arc_count: int, params: AlexanderParams) -> C
     values, and every relation holds by construction or is a check, so the
     colorings are exactly the solutions of the checks over the branches,
     each lifted to every arc by running the plan on ints
-    (:meth:`Forcing.lift`).  Returns the nonzero checks as rows, each
-    row's coefficients summing to 0; the arcs' forms are dropped.
+    (:meth:`Forcing.lift`).  Each check's pair (value, target) becomes
+    the row value - target through the dict ``mix``; the nonzero rows are
+    returned, each row's coefficients summing to 0, and the arcs' forms are
+    dropped.
     """
     n = params.n
 
@@ -520,7 +523,7 @@ def _run_forms(steps: list[_Step], arc_count: int, params: AlexanderParams) -> C
         return w
 
     _, checks, branches = _run(steps, arc_count, params, lambda k: {k: 1}, mix)
-    rows = tuple(tuple(row.items()) for row in checks if row)
+    rows = tuple(tuple(row.items()) for u, v in checks if (row := mix(u, 1, v, -1)))
     return ColoringSystem(len(rows), branches, rows)
 
 
@@ -562,9 +565,13 @@ class Forcing:
         return _run_forms(self._steps_at(params), self.p.arc_count, params)
 
     def lift(self, params: AlexanderParams) -> Lift:
-        """Branch values at (n, t) -> every arc's color: the plan run once on ints (:func:`_run`)."""
-        steps = self._steps_at(params)
-        return lambda x: _run(steps, self.p.arc_count, params, x.__getitem__)[0]
+        """Branch values at (n, t) -> every arc's color: the plan run once on ints (:func:`_run`).
+
+        Its ``mix`` is the int one, cu*u + cv*v mod n; the checks' pairs are not read.
+        """
+        steps, n = self._steps_at(params), params.n
+        mix = lambda u, cu, v, cv: (cu * u + cv * v) % n
+        return lambda x: _run(steps, self.p.arc_count, params, x.__getitem__, mix)[0]
 
     def count(self, params: AlexanderParams) -> int:
         """The exact number of colorings, with no cap."""

@@ -231,6 +231,42 @@ def braid_pd(strands: int, word) -> str:
     return " ".join("X({},{},{},{})".format(*(label[closing.get(e, e)] for e in q)) for q in quads)
 
 
+def equivalent_braid(strands: int, word, moves: int, seed: int) -> tuple[int, list[int]]:
+    """A braid whose closure is the closure of ``word``, by ``moves`` seeded moves.
+
+    Each move, drawn at random, is one of: the braid relation s_i s_j s_i =
+    s_j s_i s_j (|i - j| = 1, equal signs) at a random site; far
+    commutation of two neighbours s_i^+-1 s_j^+-1, |i - j| >= 2; inserting
+    g g^-1; conjugation, by rotating the word; stabilization, appending
+    s_n^+-1 on a new strand, up to 6 strands.  Equivalent words close to
+    the same link (Markov's theorem); a move with no site does nothing.
+    """
+    rng = random.Random(seed)
+    word = list(word)
+    for _ in range(moves):
+        move, k = rng.randrange(5), rng.randrange(len(word))
+        if move == 0:
+            sites = [i for i in range(len(word) - 2) if word[i] == word[i + 2]
+                     and abs(abs(word[i]) - abs(word[i + 1])) == 1 and word[i] * word[i + 1] > 0]
+            if sites:
+                i = rng.choice(sites)
+                word[i:i + 3] = [word[i + 1], word[i], word[i + 1]]
+        elif move == 1:
+            sites = [i for i in range(len(word) - 1) if abs(abs(word[i]) - abs(word[i + 1])) >= 2]
+            if sites:
+                i = rng.choice(sites)
+                word[i], word[i + 1] = word[i + 1], word[i]
+        elif move == 2:
+            g = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            word[k:k] = [g, -g]
+        elif move == 3:
+            word = word[k:] + word[:k]
+        elif strands < 6:
+            word.append(rng.choice((1, -1)) * strands)
+            strands += 1
+    return strands, word
+
+
 # (n, t) for the forcing route: at (8, 3) 1 - t is no unit, so no step
 # solves for an over-arc; t = 1, and n = 2, are trivial quandles, whose
 # steps only copy and compare

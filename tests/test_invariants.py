@@ -40,7 +40,13 @@ from quandlecolor import (
     units,
 )
 from quandlecolor.invariants import resolve_t_values
-from quandlecolor.solver import Forcing, image_size_counts, trivial_image_sizes
+from quandlecolor.solver import (
+    Forcing,
+    _alike_arcs,
+    brute_force_count,
+    image_size_counts,
+    trivial_image_sizes,
+)
 
 from conftest import (
     FORCING_QUANDLES,
@@ -48,6 +54,7 @@ from conftest import (
     braid_pd,
     check_against_oracle,
     dense_smith,
+    equivalent_braid,
     forcing_diagrams,
     grown,
     image_size,
@@ -169,6 +176,41 @@ def every_strand_passes_under(strands: int, word) -> bool:
         a, b = component[strand], component[pos]
         component = [b if c == a else c for c in component]
     return all(any(component[s] == c and s in under for s in range(strands)) for c in set(component))
+
+
+# braids closing to one link each: the figure-eight knot, a link of 3
+# components and one of 2; every strand of each passes under
+EQUIVALENT_BRAID_BASES = ((3, [1, -2, 1, -2]), (3, [1, 1, 2, 1, 1, 2]), (4, [1, -2, 3, 1, -2, 3]))
+
+
+def test_equivalent_braid_closures_count_alike():
+    # conftest.equivalent_braid's braid relations, commutations, g g^-1,
+    # rotations and stabilizations give diagrams of one link that R1/R2
+    # growth does not reach: some variant keeps more _alike_arcs classes than
+    # its base.  At n = 2..13 and every unit t (513 cells over 9 pairs), the
+    # count by the forcing route, by the braid's action and, for n <= 7, by
+    # brute force over the quandle's table agree within and across each pair
+    pairs = []
+    for strands, word in EQUIVALENT_BRAID_BASES:
+        for seed in range(3):
+            variant = equivalent_braid(strands, word, 30, seed)
+            if every_strand_passes_under(strands, word) and every_strand_passes_under(*variant):
+                pairs.append([(s, w, extract(parse_pd_code(braid_pd(s, w))))
+                              for s, w in ((strands, word), variant)])
+    assert len(pairs) == 9
+    classes = [[len(set(_alike_arcs(p)[1:])) for _, _, p in pair] for pair in pairs]
+    assert any(variant > base for base, variant in classes), classes
+    for n in range(2, 14):
+        for t in units(n):
+            q = alexander(n, t)
+            table = as_table_file(q) if n <= 7 else None
+            for pair in pairs:
+                counts = set()
+                for strands, word, p in pair:
+                    counts |= {counting_invariant(p, q), braid_action_count(strands, word, n, t)}
+                    if table is not None:
+                        counts.add(brute_force_count(p, table))
+                assert len(counts) == 1, ([word for _, word, _ in pair], n, t, counts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -675,7 +717,7 @@ def test_image_size_counts_match_enumeration(name):
             lift = Forcing(p).lift(params)
             assert lift([1] * checks.cols) == [1] * p.arc_count, (n, t)
             assert _sizes_or_count(image_size_counts(checks, lift, n, cap)) == expected
-            identity = None  # x itself: column j is arc j+1
+            identity = list  # x itself: column j is arc j+1
             assert _sizes_or_count(image_size_counts(full, identity, n, cap)) == expected
             assert (cell.n, cell.t, cell.count_a) == (n, t, counting_invariant(p, alexander(n, t)))
             if isinstance(expected, dict):
@@ -766,6 +808,18 @@ def test_small_histograms_in_python_match_numpy(monkeypatch):
         routes.append([image_size_counts(checks, lift, n, 10**6) for checks, lift, n in cells])
     assert routes[0] == routes[1]
     assert sum(len(sizes) > 1 for _, sizes in routes[0]) > 20
+
+
+def test_the_zero_arc_presentation_has_one_empty_coloring():
+    # no arcs, no relations: one coloring, the empty one, of image size 0, by
+    # the forcing route (whose search at t != 1 has no column to hold at 0),
+    # at t = 1 in closed form, and by brute force over a table
+    p0 = QuandlePresentation(0, ())
+    for q in (alexander(3, 2), alexander(3, 1), transpositions(4)):
+        assert counting_invariant(p0, q) == 1
+        assert str(phi_polynomial(p0, q)) == "1*q^0"
+        assert all_colorings(p0, q) == [()]
+    assert compare(p0, p0, (3,)).verdict == "not distinguished"
 
 
 def test_trivial_image_sizes_count_colorings_by_colors_used():

@@ -627,7 +627,7 @@ def test_the_generator_lift_equals_the_full_system(monkeypatch):
                 params = AlexanderParams(n, t)
                 full = build_system(p, params)
                 count, sizes = forcing.image_sizes(params, cap)
-                assert (count, sizes) == solver.image_size_counts(full, None, n, cap), (
+                assert (count, sizes) == solver.image_size_counts(full, list, n, cap), (
                     d.arc_count, n, t)
                 if count <= 2000:
                     assert forcing.colorings(params, 2000) == enumerate_solutions(full, n, 2000), (
