@@ -34,10 +34,10 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import DiagramError, PDCodeError, RelationSyntaxError
+from .record import Record, set_field
 
 
 def _find(parent, x: int) -> int:
@@ -66,8 +66,7 @@ def _components(arc_count: int, crossings: Iterable[Crossing]) -> list[list[int]
     return _merged_classes(range(1, arc_count + 1), ((c.under_in, c.under_out) for c in crossings))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """One crossing: ``under_out = under_in > over`` (or ``>^-1`` when sign is -1).
 
     ``under_in == under_out`` is allowed; it means the under-strand's arc
@@ -75,25 +74,25 @@ class Crossing:
     passes under exactly once).
     """
 
-    sign: int
-    under_in: int
-    under_out: int
-    over: int
+    __slots__ = ("sign", "under_in", "under_out", "over")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be +1 or -1, got {self.sign}")
+    def __init__(self, sign: int, under_in: int, under_out: int, over: int) -> None:
+        if sign not in (1, -1):
+            raise DiagramError(f"crossing sign must be +1 or -1, got {sign}")
+        set_field(self, "sign", sign)
+        set_field(self, "under_in", under_in)
+        set_field(self, "under_out", under_out)
+        set_field(self, "over", over)
 
     @property
     def positive(self) -> bool:
         return self.sign == 1
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(Record):
     """Immutable oriented link diagram.
 
-    Invariants enforced on construction:
+    ``crossings`` is held as a tuple.  Invariants enforced on construction:
 
     * every crossing index lies in [1, arc_count];
     * arcs referenced by crossings are exactly 1..(arc_count - free_circles),
@@ -101,13 +100,13 @@ class LinkDiagram:
     * every arc has 0 or 2 under-strand endpoints across all crossings.
     """
 
-    arc_count: int
-    crossings: tuple[Crossing, ...]
-    free_circles: int = 0
+    __slots__ = ("arc_count", "crossings", "free_circles")
 
-    def __post_init__(self) -> None:
-        crossings = tuple(self.crossings)
-        object.__setattr__(self, "crossings", crossings)
+    def __init__(self, arc_count: int, crossings: Iterable[Crossing], free_circles: int = 0) -> None:
+        crossings = tuple(crossings)
+        set_field(self, "arc_count", arc_count)
+        set_field(self, "crossings", crossings)
+        set_field(self, "free_circles", free_circles)
         if self.arc_count < 1:
             raise DiagramError("a diagram needs at least one arc")
         if self.free_circles < 0:
@@ -171,15 +170,15 @@ class LinkDiagram:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named built-in diagram with its expected component count."""
 
-    name: str
-    diagram: LinkDiagram
-    expected_components: int
+    __slots__ = ("name", "diagram", "expected_components")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, diagram: LinkDiagram, expected_components: int) -> None:
+        set_field(self, "name", name)
+        set_field(self, "diagram", diagram)
+        set_field(self, "expected_components", expected_components)
         if self.diagram.component_count() != self.expected_components:
             raise DiagramError(
                 f"catalog entry {self.name}: derived component count "
@@ -469,8 +468,9 @@ def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
 
 
 def _replace_slot(crossings: list[Crossing], slot: tuple[int, str], new: int) -> None:
+    """Rename one slot of :func:`_under_slots` to arc ``new``, through ``Crossing``'s constructor."""
     i, field = slot
-    crossings[i] = replace(crossings[i], **{field: new})
+    crossings[i] = crossings[i]._replace(**{field: new})
 
 
 def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDiagram:

@@ -35,7 +35,6 @@ each cell as it is made and holds one cell at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, groupby
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
@@ -43,6 +42,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from .errors import CapExceededError, QuandleColorError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
+from .record import Record, set_field
 from .solver import (
     DEFAULT_CAP,
     Forcing,
@@ -52,8 +52,7 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class PhiPolynomial:
+class PhiPolynomial(Record):
     """Sparse polynomial in q: terms maps image size to number of colorings.
 
     The coefficients sum to the counting invariant, exponents are bounded by
@@ -61,7 +60,10 @@ class PhiPolynomial:
     monochromatic colorings (at least the quandle's order, by idempotence).
     """
 
-    terms: tuple[tuple[int, int], ...]  # (exponent, coefficient), ascending
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "terms", terms)  # (exponent, coefficient), ascending
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "PhiPolynomial":
@@ -137,6 +139,10 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least odd composite that passes Miller-Rabin to every witness (Sorenson and Webster,
 # Math. Comp. 86, 2017): below it the test is exact
 _PROVEN_BELOW = 3317044064679887385961981
+# rho's steps on one part of n, about 1 s on a 2-vCPU host.  A walk takes steps of the order of
+# the square root of the part's least prime factor: 450455 for 399165290221, 2004479 for
+# 10**12 + 39; with no bound, (10**15 + 37) * (2 * 10**15 + 21) took 27 s
+_RHO_STEPS = 1 << 20
 
 
 def _prime_powers(n: int):
@@ -196,16 +202,22 @@ def _rho(m: int) -> int:
     Pollard's rho (BIT 15, 1975) on x -> x**2 + c with Brent's cycle
     search (BIT 20, 1980): x waits while y takes 1, 2, 4, ... steps, then
     moves up to y, until gcd(x - y, m) > 1.  A walk that finds only m
-    itself starts over with the next c.
+    itself starts over with the next c.  QuandleColorError once the walks
+    of m would pass _RHO_STEPS steps in all.
     """
+    steps = 0
     for c in count(1):
         y, r, g = 2, 1, 1
         while g == 1:
+            if steps + r > _RHO_STEPS:
+                raise QuandleColorError(f"cannot factor n: rho found no factor of its part {m} "
+                                        f"in {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % m
                 if (g := gcd(x - y, m)) != 1:
                     break
+            steps += r
             r *= 2
         if g != m:
             return g
@@ -254,16 +266,19 @@ def resolve_t_values(policy: TPolicy, n: int) -> Iterable[int]:
     raise ValueError(f"unknown t policy {policy!r}")
 
 
-@dataclass(frozen=True)
-class ComparisonCell:
+class ComparisonCell(Record):
     """One grid point: counts for both links, polynomials when enumerable."""
 
-    n: int
-    t: int
-    count_a: int
-    count_b: int
-    phi_a: PhiPolynomial | None
-    phi_b: PhiPolynomial | None
+    __slots__ = ("n", "t", "count_a", "count_b", "phi_a", "phi_b")
+
+    def __init__(self, n: int, t: int, count_a: int, count_b: int,
+                 phi_a: PhiPolynomial | None, phi_b: PhiPolynomial | None) -> None:
+        set_field(self, "n", n)
+        set_field(self, "t", t)
+        set_field(self, "count_a", count_a)
+        set_field(self, "count_b", count_b)
+        set_field(self, "phi_a", phi_a)
+        set_field(self, "phi_b", phi_b)
 
     @property
     def differs(self) -> bool:
@@ -279,14 +294,17 @@ class ComparisonCell:
 VERDICTS = ("not distinguished", "distinguished")  # by whether any cell differs
 
 
-@dataclass(frozen=True)
-class DistinguishabilityReport:
+class DistinguishabilityReport(Record):
     """Counting/polynomial grid for two links plus the resulting verdict."""
 
-    link_a: str
-    link_b: str
-    t_policy: str
-    grid: tuple[ComparisonCell, ...]
+    __slots__ = ("link_a", "link_b", "t_policy", "grid")
+
+    def __init__(self, link_a: str, link_b: str, t_policy: str,
+                 grid: tuple[ComparisonCell, ...]) -> None:
+        set_field(self, "link_a", link_a)
+        set_field(self, "link_b", link_b)
+        set_field(self, "t_policy", t_policy)
+        set_field(self, "grid", grid)
 
     @property
     def distinguished(self) -> bool:

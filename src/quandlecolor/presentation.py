@@ -9,20 +9,20 @@ reading a presentation off a diagram copies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .diagram import Crossing, LinkDiagram
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class QuandlePresentation:
-    """Arc generators 1..arc_count plus an ordered list of crossing relations."""
+class QuandlePresentation(Record):
+    """Arc generators 1..arc_count plus an ordered tuple of crossing relations."""
 
-    arc_count: int
-    relations: tuple[Crossing, ...]
+    __slots__ = ("arc_count", "relations")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(self, arc_count: int, relations: Iterable[Crossing]) -> None:
+        set_field(self, "arc_count", arc_count)
+        set_field(self, "relations", tuple(relations))
         for r in self.relations:
             for arc in (r.under_out, r.under_in, r.over):
                 if not 1 <= arc <= self.arc_count:

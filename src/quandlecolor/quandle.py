@@ -17,7 +17,6 @@ process's start-up time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -28,25 +27,25 @@ from .errors import (
     RightInvertibilityError,
     SelfDistributivityError,
 )
+from .record import Record, set_field
 
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AlexanderParams:
+class AlexanderParams(Record):
     """Modulus n and unit multiplier t of an Alexander quandle over Z_n.
 
     t is stored as its canonical residue; gcd(n, t) must be 1 so that the
     dual operation (which needs 1/t mod n) exists.
     """
 
-    n: int
-    t: int
+    __slots__ = ("n", "t")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
-        object.__setattr__(self, "t", self.t % self.n)
+    def __init__(self, n: int, t: int) -> None:
+        if n < 2:
+            raise ValueError(f"modulus must be >= 2, got {n}")
+        set_field(self, "n", n)
+        set_field(self, "t", t % n)
         if gcd(self.n, self.t) != 1:
             raise NotAUnitError(self.t, self.n)
 
@@ -55,8 +54,7 @@ class AlexanderParams:
         return pow(self.t, -1, self.n)
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(Record):
     """Quandle on {0, ..., order-1}.
 
     ``op[x][y]`` is x > y and ``dual[x][y]`` is x >^-1 y, so
@@ -64,14 +62,19 @@ class FiniteQuandle:
     ``tables`` is the (op, dual) pair of a quandle built from tables.  An
     Alexander quandle has None there: ``alexander`` holds its (n, t), which
     lets solvers pick the exact linear-algebra route, and each table is built
-    from the closed form on first read, kept outside ``==`` and hash.  Build
-    instances through :func:`validate` (tables from outside, checked against
-    the axioms) or :func:`alexander` (the closed form).
+    from the closed form on first read and kept in ``__dict__``, outside
+    ``==``, hash and repr.  Build instances through :func:`validate` (tables
+    from outside, checked against the axioms) or :func:`alexander` (the
+    closed form).
     """
 
-    order: int
-    tables: tuple[Table, Table] | None
-    alexander: AlexanderParams | None = None
+    __slots__ = ("order", "tables", "alexander", "__dict__")
+
+    def __init__(self, order: int, tables: tuple[Table, Table] | None,
+                 alexander: AlexanderParams | None = None) -> None:
+        set_field(self, "order", order)
+        set_field(self, "tables", tables)
+        set_field(self, "alexander", alexander)
 
     @cached_property
     def op(self) -> Table:

@@ -50,16 +50,16 @@ and a count builds no column of V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
+from .record import Record, set_field
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Result of :func:`smith_normal_form`: U * A * V = diag(diagonal).
 
     With ``modulus`` 0, ``diagonal`` is the Smith chain d1 | d2 | ... | dk > 0
@@ -72,12 +72,17 @@ class SmithForm:
     the rest.  U is never kept.
     """
 
-    rows: int
-    cols: int
-    diagonal: tuple[int, ...]
-    modulus: int = 0
-    column_ops: tuple[tuple[int, int, int], ...] = ()  # (j, pj, q): column j -= q * column pj
-    column_order: tuple[int, ...] = ()
+    __slots__ = ("rows", "cols", "diagonal", "modulus", "column_ops", "column_order")
+
+    def __init__(self, rows: int, cols: int, diagonal: tuple[int, ...], modulus: int = 0,
+                 column_ops: tuple[tuple[int, int, int], ...] = (),  # (j, pj, q): column j -= q * column pj
+                 column_order: tuple[int, ...] = ()) -> None:
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "diagonal", diagonal)
+        set_field(self, "modulus", modulus)
+        set_field(self, "column_ops", column_ops)
+        set_field(self, "column_order", column_order)
 
     @property
     def rank(self) -> int:

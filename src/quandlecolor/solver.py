@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 from math import gcd
@@ -74,6 +73,7 @@ from .diagram import _components, _find
 from .errors import CapExceededError
 from .presentation import QuandlePresentation
 from .quandle import AlexanderParams, FiniteQuandle
+from .record import Record, set_field
 from .smith import _eliminate, solution_count_mod
 
 DEFAULT_CAP = 1_000_000
@@ -86,8 +86,7 @@ SMALL_HISTOGRAM = 1024
 Lift = Callable[[list[int]], list[int]]  # a solution of a system -> every arc's color
 
 
-@dataclass(frozen=True)
-class ColoringSystem:
+class ColoringSystem(Record):
     """Integer coefficient matrix of the homogeneous system over Z_n, held sparse.
 
     ``entries[i]`` lists row i's nonzero coefficients as (column, value)
@@ -98,12 +97,16 @@ class ColoringSystem:
     over, -1 at under_out (entries combined when arcs coincide); negative
     crossings use 1/t mod n in place of t.  Every row sums to zero, so the
     all-equal coloring is always a solution.  The elimination reads
-    ``entries`` as they are; the dense ``matrix`` is built only when read.
+    ``entries`` as they are; the dense ``matrix`` is built only when read and
+    kept in ``__dict__``, outside ``==``, hash and repr.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("rows", "cols", "entries", "__dict__")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[tuple[int, int], ...], ...]) -> None:
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:

@@ -402,6 +402,20 @@ def test_involutory_compare_at_n_near_10_to_18(n, roots):
     ]
 
 
+def test_involutory_compare_past_the_rho_bound_exits_2():
+    # (10**15 + 37) * (2 * 10**15 + 21): rho would need tens of millions of
+    # steps (27 s with no bound), so it stops at _RHO_STEPS, about 1 s
+    n = (10**15 + 37) * (2 * 10**15 + 21)
+    with start_cli_limited("compare", "hopf_sum", "allen_swenberg", "--n", str(n),
+                           "--t", "involutory") as child:
+        try:
+            out, err = child.communicate(timeout=5)
+        finally:
+            child.kill()
+    assert (child.returncode, out) == (2, "")
+    assert err == f"error: cannot factor n: rho found no factor of its part {n} in 1048576 steps\n"
+
+
 def test_compare_json_document(capsys):
     code, out, _ = run(
         capsys,
@@ -804,18 +818,39 @@ TAKASAKI_3 = "order: 3\n0 2 1\n2 1 0\n1 0 2\n"
 TREFOIL_3_LISTING = "count: 9\n0 0 0\n0 1 2\n0 2 1\n1 0 2\n1 1 1\n1 2 0\n2 0 1\n2 1 0\n2 2 2\n"
 
 # in a fresh interpreter: import the CLI, run each argv of argv[1] (JSON),
-# and after each record (exit code, stdout, stderr, whether numpy is loaded)
+# and after each record (exit code, stdout, stderr, whether numpy,
+# dataclasses and inspect are loaded); the first row is the import alone
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import quandlecolor.cli
-results = [[None, None, None, "numpy" in sys.modules]]
+loaded = lambda: [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
+results = [[None, None, None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = quandlecolor.cli.main(argv)
-    results.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+    results.append([code, out.getvalue(), err.getvalue(), *loaded()])
 print(json.dumps(results))
 """
+
+
+def _lean_commands(tmp_path):
+    """Commands that build no array, one a count of a grown file written to tmp_path."""
+    link = tmp_path / "grown.rel"
+    link.write_text(grown("trefoil", 300, 1).render_relations())
+    return [
+        ["catalog"],
+        ["relations", "hopf_sum"],
+        ["colorings", "allen_swenberg", "--n", "101", "--t", "3"],
+        ["colorings", str(link), "--n", "9", "--t", "2"],
+        ["colorings", "allen_swenberg", "--n", "9", "--t", "1"],
+        ["colorings", "allen_swenberg", "--n", "101", "--t", "1", "--enumerate"],
+        ["phi", "allen_swenberg", "--n", "101", "--t", "1"],
+        ["matrix", "trefoil", "--n", "5", "--t", "2"],
+        ["phi", "trefoil", "--n", "3", "--t", "2"],
+        ["phi", "hopf_sum", "--n", "23", "--t", "1"],
+        ["phi", "allen_swenberg", "--n", "24", "--t", "13"],
+    ]
 
 
 def test_numpy_loads_only_when_needed(tmp_path, capsys):
@@ -829,21 +864,7 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     # enumeration and table validation import it where they build arrays
     table = tmp_path / "q.txt"
     table.write_text(TAKASAKI_3)
-    link = tmp_path / "grown.rel"
-    link.write_text(grown("trefoil", 300, 1).render_relations())
-    lean = [
-        ["catalog"],
-        ["relations", "hopf_sum"],
-        ["colorings", "allen_swenberg", "--n", "101", "--t", "3"],
-        ["colorings", str(link), "--n", "9", "--t", "2"],
-        ["colorings", "allen_swenberg", "--n", "9", "--t", "1"],
-        ["colorings", "allen_swenberg", "--n", "101", "--t", "1", "--enumerate"],
-        ["phi", "allen_swenberg", "--n", "101", "--t", "1"],
-        ["matrix", "trefoil", "--n", "5", "--t", "2"],
-        ["phi", "trefoil", "--n", "3", "--t", "2"],
-        ["phi", "hopf_sum", "--n", "23", "--t", "1"],
-        ["phi", "allen_swenberg", "--n", "24", "--t", "13"],
-    ]
+    lean = _lean_commands(tmp_path)
     needs_numpy = [
         ["phi", "allen_swenberg", "--n", "40", "--t", "21"],
         ["colorings", "trefoil", "--n", "3", "--t", "2", "--enumerate"],
@@ -851,7 +872,7 @@ def test_numpy_loads_only_when_needed(tmp_path, capsys):
     ]
     done = run_python_limited("-c", NUMPY_PROBE, json.dumps(lean + needs_numpy))
     assert (done.returncode, done.stderr) == (0, "")
-    results = [tuple(r) for r in json.loads(done.stdout)]
+    results = [tuple(r[:4]) for r in json.loads(done.stdout)]
     assert results[0] == (None, None, None, False)
     for argv, result in zip(lean, results[1:]):
         assert result == (*run(capsys, *argv), False)
@@ -873,11 +894,23 @@ def test_the_paper_grid_loads_no_numpy():
     done = run_python_limited("-c", NUMPY_PROBE, json.dumps(argvs))
     assert (done.returncode, done.stderr) == (0, "")
     results = json.loads(done.stdout)
-    assert results[0] == [None, None, None, False]
+    assert results[0][:4] == [None, None, None, False]
     assert [(code, hashlib.sha256(out.encode()).hexdigest(), err, numpy)
-            for code, out, err, numpy in results[1:]] == [
+            for code, out, err, numpy, *_ in results[1:]] == [
         (0, HEADLINE_GRID_SHA256[policy], "", False) for policy in policies
     ]
+
+
+def test_start_up_loads_no_dataclasses_or_inspect(tmp_path):
+    # dataclasses imports inspect (and with it ast, dis and tokenize), and
+    # each decorated class execs its generated methods, on every start, so
+    # the package's records are plain classes: neither the CLI's import nor
+    # a command that builds no array loads either module
+    lean = _lean_commands(tmp_path)
+    done = run_python_limited("-c", NUMPY_PROBE, json.dumps(lean))
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)
+    assert [r[4:] for r in results] == [[False, False]] * (1 + len(lean))
 
 
 def run_to_exit(capsys, argv):

@@ -1,6 +1,5 @@
 """Diagram model, parsers, catalog, and diagram surgery."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -823,7 +822,7 @@ def _check_move(d, moved, added, new_arcs, cut, split):
     earlier = list(d.crossings)
     if split is not None:
         (i, field), arc = split
-        earlier[i] = dataclasses.replace(earlier[i], **{field: arc})
+        earlier[i] = earlier[i]._replace(**{field: arc})
     assert moved.crossing_count == d.crossing_count + len(added)
     assert moved.arc_count == d.arc_count + new_arcs
     assert moved.free_circles == d.free_circles - cut
