@@ -31,6 +31,7 @@ walking each component once.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections import Counter
@@ -92,7 +93,9 @@ class Crossing(Record):
 class LinkDiagram(Record):
     """Immutable oriented link diagram.
 
-    ``crossings`` is held as a tuple.  Invariants enforced on construction:
+    ``crossings`` is held as a tuple.  Invariants, checked whole by the
+    constructor (and so by the parsers, ``_replace``, pickling and ``copy``)
+    and kept by construction in the results of diagram surgery:
 
     * every crossing index lies in [1, arc_count];
     * arcs referenced by crossings are exactly 1..(arc_count - free_circles),
@@ -145,6 +148,34 @@ class LinkDiagram(Record):
                 f"arc x{arc} has {k} under-strand endpoints, expected 2 "
                 "(dangling under-strand)"
             )
+
+    @classmethod
+    def _moved(cls, arc_count: int, crossings: Iterable[Crossing], free_circles: int) -> LinkDiagram:
+        """The result of diagram surgery, its three fields set with no check.
+
+        Surgery builds a valid diagram, so the constructor's whole check would
+        only repeat, at O(crossings) per result, what built its inputs:
+
+        * each input is a ``LinkDiagram``, checked when it was built and
+          immutable since, and each arc argument an int in range, checked
+          before any crossing is built;
+        * a Reidemeister move renames one under-slot to a fresh arc and
+          appends crossings that give every new arc exactly two under-strand
+          endpoints, and the arc that lost the slot its second one back;
+        * a connected sum relabels the second diagram's arcs above the
+          first's, in order, merges the spliced arcs into one, and when both
+          pass under, its band takes one under-strand endpoint from each;
+        * a free circle that is cut takes the next label above x1..xr, and
+          the counts passed here grow by exactly the arcs added.
+
+        So every arc still has 0 or 2 under-strand endpoints, and the
+        referenced arcs are exactly x1..xr with the free circles above.
+        """
+        d = object.__new__(cls)
+        set_field(d, "arc_count", arc_count)
+        set_field(d, "crossings", tuple(crossings))
+        set_field(d, "free_circles", free_circles)
+        return d
 
     @property
     def crossing_count(self) -> int:
@@ -449,7 +480,17 @@ def parse_pd_code(text: str) -> LinkDiagram:
 # keep their labels, a free circle the move cuts takes the next label above r
 # (two cut circles in index order), then come the new arcs.  So a move copies
 # the crossing tuple once, renames one under-slot and appends its crossings;
-# this is the order-preserving relabelling connected_sum gives too.
+# this is the order-preserving relabelling connected_sum gives too.  A result
+# is built by LinkDiagram._moved, with no whole-diagram check, so each arc
+# argument passes operator.index first: no float arc such as 1.5 gets in.
+
+
+def _arc_index(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``, or a DiagramError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DiagramError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
@@ -484,6 +525,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
     their labels, a free a1 that a2's crossings now name comes next, then
     d2's arcs but a2 in order, then the band.
     """
+    a1, a2 = _arc_index("a1", a1), _arc_index("a2", a2)
     if not 1 <= a1 <= d1.arc_count:
         raise DiagramError(f"arc x{a1} out of range for the first diagram")
     if not 1 <= a2 <= d2.arc_count:
@@ -507,7 +549,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
         _replace_slot(cross2, next((s for s in occ2 if s[1] == "under_out"), occ2[-1]), arcs)
     elif a1 > r1 or a2 > r2:
         free -= 1  # no band: a free circle merges into the other spliced arc
-    return LinkDiagram(arcs + free, cross1 + cross2, free)
+    return LinkDiagram._moved(arcs + free, cross1 + cross2, free)
 
 
 def _last_under_slot(crossings, arc: int) -> tuple[int, str] | None:
@@ -528,6 +570,7 @@ def reidemeister_r1(d: LinkDiagram, arc: int, sign: int = 1) -> LinkDiagram:
     circle (free or over-only) the kink cuts it once, so the arc count is
     unchanged and the circle stops being free.
     """
+    arc = _arc_index("arc", arc)
     if not 1 <= arc <= d.arc_count:
         raise DiagramError(f"arc x{arc} out of range 1..{d.arc_count}")
     if sign not in (1, -1):
@@ -538,12 +581,12 @@ def reidemeister_r1(d: LinkDiagram, arc: int, sign: int = 1) -> LinkDiagram:
     if slot is not None:
         _replace_slot(cross, slot, r + 1)
         cross.append(Crossing(sign, under_in=arc, under_out=r + 1, over=arc))
-        return LinkDiagram(d.arc_count + 1, cross, d.free_circles)
+        return LinkDiagram._moved(d.arc_count + 1, cross, d.free_circles)
     cut = arc > r
     if cut:
         arc = r + 1
     cross.append(Crossing(sign, under_in=arc, under_out=arc, over=arc))
-    return LinkDiagram(d.arc_count, cross, d.free_circles - cut)
+    return LinkDiagram._moved(d.arc_count, cross, d.free_circles - cut)
 
 
 def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
@@ -552,6 +595,7 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
     Adds two crossings of opposite operation and two arcs (one when ``arc``
     is a closed circle, which the poke cuts twice into two arcs).
     """
+    arc, over_arc = _arc_index("arc", arc), _arc_index("over_arc", over_arc)
     for a in (arc, over_arc):
         if not 1 <= a <= d.arc_count:
             raise DiagramError(f"arc x{a} out of range 1..{d.arc_count}")
@@ -569,4 +613,4 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
         _replace_slot(cross, slot, tail)
     cross.append(Crossing(1, under_in=a, under_out=middle, over=b))
     cross.append(Crossing(-1, under_in=middle, under_out=tail, over=b))
-    return LinkDiagram(d.arc_count + new_arcs, cross, d.free_circles - len(cut))
+    return LinkDiagram._moved(d.arc_count + new_arcs, cross, d.free_circles - len(cut))

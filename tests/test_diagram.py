@@ -885,17 +885,25 @@ def test_r2_round_trip():
                 _check_poke(d, arc, over, reidemeister_r2(d, arc, over))
 
 
-def test_seeded_move_sequences_keep_labels():
-    # about 300 moves from each catalog diagram and from the trefoil with
-    # three free circles above its arcs, each move read off directly.  A
-    # free circle is picked now and then while any is left, so most are cut
-    # late, with x1..xr grown to tens of arcs below them; a tenth of the
-    # pokes go under their own arc
+def _move_bases():
+    """Each catalog diagram, then the trefoil with three free circles above its arcs."""
     bases = [catalog(name) for name in catalog_names()]
     bases.append(parse_relations_file("circles: 3\n" + catalog("trefoil").render_relations()))
-    on_circles = self_pokes = 0
+    return bases
+
+
+def _seeded_move_sequences(bases):
+    """About 300 seeded moves from each base, a list of (d, move, arc, arg,
+    moved) per base, ``arg`` the kink's sign or the poke's over-arc.
+
+    A free circle is picked now and then while any is left, so most are cut
+    late, with x1..xr grown to tens of arcs below them; a tenth of the pokes
+    go under their own arc.
+    """
+    sequences = []
     for seed, d in enumerate(bases):
         rng = random.Random(seed)
+        moves = []
         for _ in range(300):
             r = d.arc_count - d.free_circles
 
@@ -906,18 +914,92 @@ def test_seeded_move_sequences_keep_labels():
 
             arc = pick()
             if rng.random() < 0.5:
-                sign = rng.choice((1, -1))
-                moved = reidemeister_r1(d, arc, sign)
-                _check_kink(d, arc, sign, moved)
+                move, arg = reidemeister_r1, rng.choice((1, -1))
             else:
-                over = arc if rng.random() < 0.1 else pick()
-                self_pokes += over == arc
-                moved = reidemeister_r2(d, arc, over)
-                _check_poke(d, arc, over, moved)
-            on_circles += moved.free_circles < d.free_circles
+                move, arg = reidemeister_r2, arc if rng.random() < 0.1 else pick()
+            moved = move(d, arc, arg)
+            moves.append((d, move, arc, arg, moved))
             d = moved
-        assert d.free_circles == 0, seed
+        sequences.append(moves)
+    return sequences
+
+
+def test_seeded_move_sequences_keep_labels():
+    # each move of _seeded_move_sequences read off directly
+    on_circles = self_pokes = 0
+    for seed, moves in enumerate(_seeded_move_sequences(_move_bases())):
+        for d, move, arc, arg, moved in moves:
+            if move is reidemeister_r1:
+                _check_kink(d, arc, arg, moved)
+            else:
+                self_pokes += arg == arc
+                _check_poke(d, arc, arg, moved)
+            on_circles += moved.free_circles < d.free_circles
+        assert moved.free_circles == 0, seed
     assert on_circles == 6 and self_pokes >= 50
+
+
+def _surgery_results(cases, bases):
+    """The connected sum of each of ``cases``, each sum of a chain over the
+    second diagrams of the first 100, and every move of
+    ``_seeded_move_sequences(bases)``."""
+    results = [connected_sum(*case) for case in cases]
+    rng = random.Random(35)
+    chain = cases[0][0]
+    for _, d2, _, a2 in cases[:100]:
+        chain = connected_sum(chain, d2, rng.randint(1, chain.arc_count), a2)
+        results.append(chain)
+    results += [moved for moves in _seeded_move_sequences(bases) for *_, moved in moves]
+    return results
+
+
+def test_every_surgery_result_passes_the_whole_check():
+    # surgery builds its results with no check: each must be one the
+    # constructor, and a parse of its rendering, accepts as it is
+    results = _surgery_results(_sum_cases(), _move_bases())
+    results += [grown(name, 300, seed) for name in catalog_names() for seed in (1, 2)]
+    for d in results:
+        assert LinkDiagram(d.arc_count, d.crossings, d.free_circles) == d
+        assert parse_relations_file(d.render_relations()) == d
+
+
+def test_surgery_runs_no_whole_diagram_check(monkeypatch):
+    # the inputs are built, and checked, before the constructor is patched
+    cases, bases = _sum_cases(), _move_bases()
+
+    def whole_check(self, *args, **kwargs):
+        raise AssertionError("LinkDiagram.__init__ called by surgery")
+
+    monkeypatch.setattr(LinkDiagram, "__init__", whole_check)
+    assert len(_surgery_results(cases, bases)) == len(cases) + 100 + 300 * len(bases)
+
+
+def test_surgery_takes_integer_arcs_only():
+    trefoil = catalog("trefoil")
+    for move, message in (
+        (lambda: reidemeister_r1(trefoil, 2.0), "arc must be an integer, got 2.0"),
+        (lambda: reidemeister_r1(trefoil, 1.5, -1), "arc must be an integer, got 1.5"),
+        (lambda: reidemeister_r1(trefoil, None), "arc must be an integer, got None"),
+        (lambda: reidemeister_r2(trefoil, 1.5, 1), "arc must be an integer, got 1.5"),
+        (lambda: reidemeister_r2(trefoil, 1, "2"), "over_arc must be an integer, got '2'"),
+        (lambda: connected_sum(trefoil, trefoil, 1.5, 1), "a1 must be an integer, got 1.5"),
+        (lambda: connected_sum(trefoil, trefoil, 1, 2.5), "a2 must be an integer, got 2.5"),
+    ):
+        with pytest.raises(DiagramError) as exc:
+            move()
+        assert str(exc.value) == message
+    # what operator.index takes is an arc, as its int: a bool, or an integer
+    # type of another library (numpy's, say)
+    class Two:
+        def __index__(self):
+            return 2
+
+    for arc, same in ((True, 1), (Two(), 2)):
+        kinked = reidemeister_r1(trefoil, arc)
+        assert kinked == reidemeister_r1(trefoil, same)
+        assert parse_relations_file(kinked.render_relations()) == kinked
+        assert reidemeister_r2(trefoil, arc, arc) == reidemeister_r2(trefoil, same, same)
+        assert connected_sum(trefoil, trefoil, arc, arc) == connected_sum(trefoil, trefoil, same, same)
 
 
 # sha256 of render_relations() of conftest.grown(name, 1100, 1), recorded
