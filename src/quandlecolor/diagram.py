@@ -62,6 +62,14 @@ def _merged_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> l
     return sorted(classes.values(), key=min)
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``, or a DiagramError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DiagramError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _components(arc_count: int, crossings: Iterable[Crossing]) -> list[list[int]]:
     """Arcs 1..arc_count in link components, classes of arcs joined through an under-strand."""
     return _merged_classes(range(1, arc_count + 1), ((c.under_in, c.under_out) for c in crossings))
@@ -72,12 +80,17 @@ class Crossing(Record):
 
     ``under_in == under_out`` is allowed; it means the under-strand's arc
     closes into itself through this crossing (a kink, or a component that
-    passes under exactly once).
+    passes under exactly once).  ``sign`` is held as the int 1 or -1: any
+    other integer type (``True``, a numpy integer) is taken by
+    ``operator.index`` (``True`` is held as 1), and a float raises
+    DiagramError, as an arc argument of diagram surgery does.
     """
 
     __slots__ = ("sign", "under_in", "under_out", "over")
 
     def __init__(self, sign: int, under_in: int, under_out: int, over: int) -> None:
+        if sign.__class__ is not int:  # the parsers pass ints, which skip this call
+            sign = _index("crossing sign", sign)
         if sign not in (1, -1):
             raise DiagramError(f"crossing sign must be +1 or -1, got {sign}")
         set_field(self, "sign", sign)
@@ -101,9 +114,12 @@ class LinkDiagram(Record):
     * arcs referenced by crossings are exactly 1..(arc_count - free_circles),
       the remaining top indices being the free circles;
     * every arc has 0 or 2 under-strand endpoints across all crossings.
+
+    The diagram's presentation, once :func:`presentation.extract` has read
+    it, is kept in ``__dict__``, outside the fields.
     """
 
-    __slots__ = ("arc_count", "crossings", "free_circles")
+    __slots__ = ("arc_count", "crossings", "free_circles", "__dict__")
 
     def __init__(self, arc_count: int, crossings: Iterable[Crossing], free_circles: int = 0) -> None:
         crossings = tuple(crossings)
@@ -485,14 +501,6 @@ def parse_pd_code(text: str) -> LinkDiagram:
 # argument passes operator.index first: no float arc such as 1.5 gets in.
 
 
-def _arc_index(name: str, value) -> int:
-    """``value`` as an int by ``operator.index``, or a DiagramError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DiagramError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _under_slots(crossings, arc: int) -> list[tuple[int, str]]:
     """(crossing index, field) under-strand occurrences of ``arc``, in order.
 
@@ -525,7 +533,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram, a1: int, a2: int) -> LinkDia
     their labels, a free a1 that a2's crossings now name comes next, then
     d2's arcs but a2 in order, then the band.
     """
-    a1, a2 = _arc_index("a1", a1), _arc_index("a2", a2)
+    a1, a2 = _index("a1", a1), _index("a2", a2)
     if not 1 <= a1 <= d1.arc_count:
         raise DiagramError(f"arc x{a1} out of range for the first diagram")
     if not 1 <= a2 <= d2.arc_count:
@@ -570,7 +578,7 @@ def reidemeister_r1(d: LinkDiagram, arc: int, sign: int = 1) -> LinkDiagram:
     circle (free or over-only) the kink cuts it once, so the arc count is
     unchanged and the circle stops being free.
     """
-    arc = _arc_index("arc", arc)
+    arc, sign = _index("arc", arc), _index("sign", sign)
     if not 1 <= arc <= d.arc_count:
         raise DiagramError(f"arc x{arc} out of range 1..{d.arc_count}")
     if sign not in (1, -1):
@@ -595,7 +603,7 @@ def reidemeister_r2(d: LinkDiagram, arc: int, over_arc: int) -> LinkDiagram:
     Adds two crossings of opposite operation and two arcs (one when ``arc``
     is a closed circle, which the poke cuts twice into two arcs).
     """
-    arc, over_arc = _arc_index("arc", arc), _arc_index("over_arc", over_arc)
+    arc, over_arc = _index("arc", arc), _index("over_arc", over_arc)
     for a in (arc, over_arc):
         if not 1 <= a <= d.arc_count:
             raise DiagramError(f"arc x{a} out of range 1..{d.arc_count}")

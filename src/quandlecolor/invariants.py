@@ -25,12 +25,14 @@ SMALL_HISTOGRAM entries in Python and only a larger one in numpy.  So
 ``phi trefoil --n 3 --t 2``, ``phi hopf_sum --n 23 --t 1``, ``phi
 allen_swenberg --n 24 --t 13`` (144 colorings of 3 columns) and the
 paper's whole grid load no numpy, and ``phi allen_swenberg --n 40 --t
-21`` (400 colorings of 3 columns) does.  ``compare`` holds one
-Forcing per link and call, so each link's plan is compiled once per
-class of t (1 - t a unit or not) and run at each grid point; a cell past
-the cap keeps the exact counts alone.  Its cells come from one generator
-(``compare_cells``), walked lazily in (n, t) order, so the CLI writes
-each cell as it is made and holds one cell at a time.
+21`` (400 colorings of 3 columns) does.  A link's plan is compiled once
+per class of t (1 - t a unit or not) and kept on its presentation, which
+``extract`` keeps on its diagram, so ``compare`` runs it at each grid
+point, and a later call on the same diagram or presentation compiles
+nothing again; a cell past the cap keeps the exact counts alone.  Its
+cells come from one generator (``compare_cells``), walked lazily in (n,
+t) order, so the CLI writes each cell as it is made and holds one cell at
+a time.
 """
 
 from __future__ import annotations

@@ -16,9 +16,16 @@ from .record import Record, set_field
 
 
 class QuandlePresentation(Record):
-    """Arc generators 1..arc_count plus an ordered tuple of crossing relations."""
+    """Arc generators 1..arc_count plus an ordered tuple of crossing relations.
 
-    __slots__ = ("arc_count", "relations")
+    What :class:`solver.Forcing` compiles from the relations, the plan per
+    class of t and the component count, is kept in ``__dict__``, outside the
+    fields, for as long as the presentation lives.  Nothing kept there refers
+    back to the presentation, so one used once is freed with its last
+    reference, with no wait for the cyclic garbage collector.
+    """
+
+    __slots__ = ("arc_count", "relations", "__dict__")
 
     def __init__(self, arc_count: int, relations: Iterable[Crossing]) -> None:
         set_field(self, "arc_count", arc_count)
@@ -30,5 +37,13 @@ class QuandlePresentation(Record):
 
 
 def extract(d: LinkDiagram) -> QuandlePresentation:
-    """Read the fundamental-quandle presentation off a diagram, one relation per crossing."""
-    return QuandlePresentation(d.arc_count, d.crossings)
+    """Read the fundamental-quandle presentation off a diagram, one relation per crossing.
+
+    It is read once and kept on d: every call on d returns the same
+    presentation, with what has been compiled for it so far.
+    """
+    kept = d.__dict__
+    p = kept.get("_presentation")
+    if p is None:
+        p = kept["_presentation"] = QuandlePresentation(d.arc_count, d.crossings)
+    return p

@@ -7,12 +7,17 @@ rest: equality by class and fields, a hash of the fields, the repr
 ``Crossing(sign=1, under_in=2, under_out=3, over=1)``, an AttributeError on
 assigning or deleting any attribute, and :meth:`Record._replace`, which
 builds the changed copy through the class's own constructor, so that its
-checks run again (pickling and ``copy`` go through it too).  A class that caches values read from its fields
-(``functools.cached_property``) lists ``__dict__`` in its slots as well:
-what is kept there is no field, so ``==``, hash and repr never see it.
+checks run again (pickling and ``copy`` go through it too).  A class that
+keeps values worked out from its fields (``functools.cached_property``, or
+the plans :class:`solver.Forcing` compiles for a presentation) lists
+``__dict__`` in its slots as well: what is kept there is no field, so
+``==``, hash, repr, pickling, ``copy`` and ``_replace`` never see it, and a
+copy starts with nothing kept.
 """
 
 from __future__ import annotations
+
+import operator
 
 # sets one field in a record's own __init__, past Record.__setattr__
 set_field = object.__setattr__
@@ -26,17 +31,19 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        get = operator.attrgetter(*cls._fields)
+        # _values(record): the fields as a tuple, read in C; attrgetter of one
+        # name returns the bare value
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -49,8 +56,8 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def _replace(self, **changes):
         """A copy with ``changes`` to its fields, built by the class's own constructor."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))

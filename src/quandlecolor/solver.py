@@ -38,9 +38,9 @@ Two independent routes:
   and not others, which no plan, the same for every row, can say.
 
 A plan reads of (n, t) only its class (t = 1, 1 - t a unit, or neither),
-so a sweep over many (n, t) holds one :class:`Forcing` per link, which
-compiles the plan once per class and runs it at each point, over linear
-forms for the checks (:func:`_run_forms`) and over ints for the lift.
+so :class:`Forcing` compiles it once per class and presentation, keeps it
+on the presentation, and runs it at each point, over linear forms for the
+checks (:func:`_run_forms`) and over ints for the lift.
 Both routes share one lexicographic sort (``enumerate_solutions``,
 ``brute_force_colorings``), which lists each coloring as a tuple of arc
 colors, arc 1 first, and one histogram of image sizes
@@ -542,18 +542,24 @@ class Forcing:
     checks alone (:meth:`system`), which are eliminated, and on ints to
     lift each solution to every arc (:meth:`lift`).  A plan reads of
     (n, t) only its class, t = 1 (trivial) and 1 - t a unit (over-arcs
-    solve), so it is compiled once per class and kept: a sweep over many
-    (n, t) holds one Forcing per link.
+    solve), so it is compiled once per class.  The plans and the component
+    count are kept on p itself (see :class:`QuandlePresentation`), so a
+    Forcing is a cheap view: every Forcing of one p, in one call or in the
+    next, compiles only the classes no earlier one compiled.  Counts,
+    eliminations, lifts and histograms are made afresh on every call.
     """
 
     def __init__(self, p: QuandlePresentation):
         self.p = p
-        self._steps: dict[tuple[bool, bool], list[_Step]] = {}
+        self._steps: dict[tuple[bool, bool], list[_Step]] = p.__dict__.setdefault("_plans", {})
 
-    @cached_property
+    @property
     def components(self) -> int:
         """The number of p's components, the branches of the trivial plan."""
-        return len(_components(self.p.arc_count, self.p.relations))
+        kept = self.p.__dict__
+        if "_component_count" not in kept:
+            kept["_component_count"] = len(_components(self.p.arc_count, self.p.relations))
+        return kept["_component_count"]
 
     def _steps_at(self, params: AlexanderParams) -> list[_Step]:
         """The plan of params' class, compiled on first use."""

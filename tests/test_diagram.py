@@ -1002,6 +1002,31 @@ def test_surgery_takes_integer_arcs_only():
         assert connected_sum(trefoil, trefoil, arc, arc) == connected_sum(trefoil, trefoil, same, same)
 
 
+def test_a_crossing_holds_its_sign_as_the_int_1_or_minus_1():
+    trefoil = catalog("trefoil")
+    for build, message in (
+        (lambda: Crossing(1.0, 1, 1, 1), "crossing sign must be an integer, got 1.0"),
+        (lambda: Crossing(-1.0, 1, 1, 1), "crossing sign must be an integer, got -1.0"),
+        (lambda: trefoil.crossings[0]._replace(sign=1.0), "crossing sign must be an integer, got 1.0"),
+        (lambda: reidemeister_r1(trefoil, 1, 1.0), "sign must be an integer, got 1.0"),
+        (lambda: reidemeister_r1(trefoil, 1, "-1"), "sign must be an integer, got '-1'"),
+        (lambda: Crossing(False, 1, 1, 1), "crossing sign must be +1 or -1, got 0"),
+    ):
+        with pytest.raises(DiagramError) as exc:
+            build()
+        assert str(exc.value) == message
+    # what operator.index takes is a sign, held as its int: True as 1, or an
+    # integer type of another library (numpy's, say)
+    class MinusOne:
+        def __index__(self):
+            return -1
+
+    for sign, same in ((True, 1), (MinusOne(), -1)):
+        for c in (Crossing(sign, 1, 1, 1), reidemeister_r1(trefoil, 1, sign).crossings[-1]):
+            assert type(c.sign) is int and c.sign == same
+            assert repr(c).startswith(f"Crossing(sign={same}, ")
+
+
 # sha256 of render_relations() of conftest.grown(name, 1100, 1), recorded
 # while every move renormalized the whole diagram: labelling only the arcs a
 # move touches must give the same diagrams (unlink2 cuts its second circle

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -760,16 +761,74 @@ def test_compare_compiles_each_link_once_per_class_of_t(monkeypatch):
         return original(p, *args)
 
     monkeypatch.setattr(solver, "_compile", counting)
-    a, b = extract(catalog("hopf_sum")), extract(catalog("allen_swenberg"))
+    # the plans are kept on each presentation, so these are read from
+    # diagrams of their own, which no other test has compiled
+    a, b = (extract(parse_relations_file(catalog(name).render_relations()))
+            for name in ("hopf_sum", "allen_swenberg"))
     # every unit of a prime n but 1 leaves 1 - t a unit; t = 1 compiles no
     # plan, as it is answered from the component count
     report = compare(a, b, (2, 3, 5, 7), t_policy="all-units")
     assert len(report.grid) == 1 + 2 + 4 + 6
     assert calls == [a, b]
-    # t = 4 and 7 mod 9 make the other class: 1 - t is neither 0 nor a unit
+    # t = 4 and 7 mod 9 make the other class, 1 - t neither 0 nor a unit;
+    # the class of 1 - t a unit was compiled by the first grid
     calls.clear()
     compare(a, b, (9,), t_policy="all-units")
-    assert calls == [a, b, a, b]
+    assert calls == [a, b]
+    # and a third grid over both classes compiles nothing
+    calls.clear()
+    compare(a, b, (2, 3, 5, 7, 9), t_policy="all-units")
+    assert calls == []
+
+
+def _fresh(name: str) -> QuandlePresentation:
+    """The presentation of a new diagram of catalog link ``name``, with nothing compiled."""
+    return extract(parse_relations_file(catalog(name).render_relations()))
+
+
+def test_a_second_call_on_a_presentation_compiles_nothing(monkeypatch):
+    import quandlecolor.solver as solver
+
+    a, b = _fresh("hopf_sum"), _fresh("allen_swenberg")
+    # t = 1 reads the component count; t = 2 and 4 mod 9 make the two classes
+    # of plan, 1 - t a unit and not
+    calls = (
+        lambda: [counting_invariant(b, alexander(9, t)) for t in (1, 2, 4)],
+        lambda: [phi_polynomial(b, alexander(9, t)) for t in (1, 2, 4)],
+        lambda: [all_colorings(a, alexander(9, t)) for t in (1, 2, 4)],
+        lambda: compare(a, b, range(2, 10)),
+    )
+    first = [call() for call in calls]
+
+    def compiled(*args):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(solver, "_compile", compiled)
+    monkeypatch.setattr(solver, "_components", compiled)
+    assert [call() for call in calls] == first
+
+
+def test_answers_on_a_reused_presentation_equal_those_on_a_fresh_one():
+    # one presentation per link serves every cell, and each answer is checked
+    # against a new diagram's presentation, which compiles its plan afresh
+    for name in catalog_names():
+        reused = extract(catalog(name))
+        for n in range(2, 14):
+            for t in resolve_t_values("all-units", n):
+                q = alexander(n, t)
+                assert counting_invariant(reused, q) == counting_invariant(_fresh(name), q)
+                assert phi_polynomial(reused, q) == phi_polynomial(_fresh(name), q), (name, n, t)
+                if n <= 5:
+                    assert all_colorings(reused, q) == all_colorings(_fresh(name), q)
+
+
+def test_what_a_presentation_keeps_holds_no_reference_to_it():
+    # so a presentation used once is freed with its last reference, with no
+    # wait for the cyclic garbage collector
+    p = _fresh("allen_swenberg")
+    before = sys.getrefcount(p)
+    compare(p, p, (9,))  # t = 1 and both classes of plan
+    assert sys.getrefcount(p) == before
 
 
 def test_phi_searches_one_coloring_per_translation_class(monkeypatch):

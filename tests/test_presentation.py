@@ -78,6 +78,7 @@ def test_render_bit_exact_round_trip():
         p = extract(d)
         assert p.arc_count == d.arc_count
         assert p.relations is d.crossings
+        assert extract(d) is p
 
 
 def test_trivial_t_classes_hopf_sum():

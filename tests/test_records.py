@@ -22,7 +22,9 @@ from quandlecolor import (
     build_system,
     catalog,
     compare,
+    counting_invariant,
     extract,
+    parse_relations_file,
     smith_normal_form,
     validate,
 )
@@ -119,6 +121,35 @@ def test_tables_read_stay_outside_eq_hash_and_repr():
     table = validate(read.op)
     assert table != read and table.alexander is None
     assert table == validate(fresh.op) and hash(table) == hash(validate(fresh.op))
+
+
+def test_what_a_presentation_keeps_stays_outside_the_record(monkeypatch):
+    import quandlecolor.solver as solver
+
+    d = parse_relations_file(catalog("allen_swenberg").render_relations())
+    p, fresh = extract(d), QuandlePresentation(d.arc_count, d.crossings)
+    before = repr(p), hash(p), pickle.dumps(p), repr(d), hash(d), pickle.dumps(d)
+    # a plan of each class and the component count
+    assert [counting_invariant(p, alexander(9, t)) for t in (1, 2, 4)] == [729, 9, 81]
+    assert (repr(p), hash(p), pickle.dumps(p), repr(d), hash(d), pickle.dumps(d)) == before
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    # a copy keeps nothing: it compiles anew, and a copy of d reads a new presentation
+    calls = []
+    original = solver._compile
+
+    def counting(q, *args):
+        calls.append(q)
+        return original(q, *args)
+
+    monkeypatch.setattr(solver, "_compile", counting)
+    copies = [copy.copy(p), pickle.loads(pickle.dumps(p)), p._replace(), extract(copy.copy(d)),
+              extract(pickle.loads(pickle.dumps(d))), extract(d._replace())]
+    for twin in copies:
+        assert twin == p and twin is not p
+        assert counting_invariant(twin, alexander(9, 2)) == 9
+    assert len(calls) == len(copies)
+    calls.clear()
+    assert counting_invariant(p, alexander(9, 2)) == 9 and calls == []
 
 
 def test_construction_checks_and_normalizations():
