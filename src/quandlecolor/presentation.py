@@ -19,10 +19,12 @@ class QuandlePresentation(Record):
     """Arc generators 1..arc_count plus an ordered tuple of crossing relations.
 
     What :class:`solver.Forcing` compiles from the relations, the plan per
-    class of t and the component count, is kept in ``__dict__``, outside the
-    fields, for as long as the presentation lives.  Nothing kept there refers
-    back to the presentation, so one used once is freed with its last
-    reference, with no wait for the cyclic garbage collector.
+    class of t, the slot program of each class asked for more than once, and
+    the component count, is kept in ``__dict__``, outside the fields, for as
+    long as the presentation lives.  Nothing kept there refers back to the
+    presentation (plans and programs hold only strings and ints), so
+    one used once is freed with its last reference, with no wait for the
+    cyclic garbage collector.
     """
 
     __slots__ = ("arc_count", "relations", "__dict__")

@@ -39,8 +39,14 @@ Two independent routes:
 
 A plan reads of (n, t) only its class (t = 1, 1 - t a unit, or neither),
 so :class:`Forcing` compiles it once per class and presentation, keeps it
-on the presentation, and runs it at each point, over linear forms for the
-checks (:func:`_run_forms`) and over ints for the lift.
+on the presentation, and runs it at each point, over ints for the lift and
+over linear forms for the checks.  A class's first run holds each form as
+a {branch: coefficient} dict (:func:`_run_forms`).  Once the class runs
+again, its plan is compiled once more, into slot code with one
+instruction per (arc, branch) pair a form can hold (:func:`_program`),
+kept on the presentation too, and every later point runs that code over
+a flat list of residues (:func:`_run_program`); both runs give equal
+systems.
 Both routes share one lexicographic sort (``enumerate_solutions``,
 ``brute_force_colorings``), which lists each coloring as a tuple of arc
 colors, arc 1 first, and one histogram of image sizes
@@ -90,7 +96,7 @@ class ColoringSystem(Record):
     """Integer coefficient matrix of the homogeneous system over Z_n, held sparse.
 
     ``entries[i]`` lists row i's nonzero coefficients as (column, value)
-    pairs.  Every query solves the checks of :func:`_run_forms`, whose
+    pairs.  Every query solves the checks of :meth:`Forcing.system`, whose
     column j is the j-th branch.  From build_system, for ``matrix`` and
     the tests, column j is arc j+1 and a positive crossing
     ``under_out = under_in > over`` contributes +t at under_in, +(1-t) at
@@ -510,8 +516,9 @@ def _run_forms(steps: list[_Step], arc_count: int, params: AlexanderParams) -> C
     each lifted to every arc by running the plan on ints
     (:meth:`Forcing.lift`).  Each check's pair (value, target) becomes
     the row value - target through the dict ``mix``; the nonzero rows are
-    returned, each row's coefficients summing to 0, and the arcs' forms are
-    dropped.
+    returned, each listing its entries by ascending branch as
+    :func:`_run_program` does, with coefficients summing to 0, and the
+    arcs' forms are dropped.
     """
     n = params.n
 
@@ -526,8 +533,77 @@ def _run_forms(steps: list[_Step], arc_count: int, params: AlexanderParams) -> C
         return w
 
     _, checks, branches = _run(steps, arc_count, params, lambda k: {k: 1}, mix)
-    rows = tuple(tuple(row.items()) for u, v in checks if (row := mix(u, 1, v, -1)))
+    rows = tuple(tuple(sorted(row.items())) for u, v in checks if (row := mix(u, 1, v, -1)))
     return ColoringSystem(len(rows), branches, rows)
+
+
+_Program = tuple  # (code, slots, checks, branches): see _program
+
+
+def _program(steps: list[_Step], arc_count: int) -> _Program:
+    """The form run of :func:`_run_forms` compiled to slot code, for a plan that runs again.
+
+    Which branches a form can hold does not depend on (n, t): an arc's
+    form can hold a branch only when a form it is mixed from can.  So each (arc, branch)
+    pair that can be nonzero gets a slot, slot 0 holding 0 and slot 1
+    holding 1 (every branch's own coefficient), and each mixed slot one
+    instruction ``(dst, i, a, j, b)``: v[dst] = c[i]*v[a] + c[j]*v[b]
+    mod n, a or b slot 0 where that form cannot hold the branch.  c holds
+    eight residues at (n, t), as :func:`_run` mixes them: with s = t, a
+    ``set`` or ``check`` reads s and 1 - s at 0 and 1, a ``solve`` u =
+    (1 - s)^-1 and -u*s at 2 and 3 (0 there when 1 - t is no unit and no
+    step solves), and 4 to 7 the same with s = 1/t.  A copy (e = 0) shares
+    its source's slots.  A check lists, per branch in ascending order, the
+    slots of its value and of its target, whose difference is its row's
+    entry.  The support is the union of the mixed forms' supports, so a
+    slot may read 0 at some (n, t) where the dict run drops the key; the
+    rows are equal all the same.
+    """
+    forms: list = [None] * arc_count  # arc -> {branch: slot}; each set by a step
+    code: list[tuple[int, int, int, int, int]] = []
+    checks, branches = [], 0
+    for kind, target, a, b, e in steps:
+        if kind == "branch":
+            forms[target] = {branches: 1}
+            branches += 1
+            continue
+        if e == 0:
+            value = forms[a]
+        else:
+            u, v = (forms[b], forms[a]) if kind == "solve" else (forms[a], forms[b])
+            i = (2 if kind == "solve" else 0) + (4 if e < 0 else 0)
+            value = {}
+            for k in sorted(u.keys() | v.keys()):
+                value[k] = dst = len(code) + 2
+                code.append((dst, i, u.get(k, 0), i + 1, v.get(k, 0)))
+        if kind == "check":
+            held = forms[target]
+            checks.append(tuple((k, value.get(k, 0), held.get(k, 0))
+                                for k in sorted(value.keys() | held.keys())))
+        else:
+            forms[target] = value
+    return tuple(code), len(code) + 2, tuple(checks), branches
+
+
+def _run_program(program: _Program, params: AlexanderParams, solvable: bool) -> ColoringSystem:
+    """The system of :func:`_run_forms` at (n, t), from the plan's program (see :func:`_program`)."""
+    code, slots, checks, branches = program
+    n, c = params.n, []
+    for s in (params.t, params.t_inverse):  # a set's s and 1 - s; a solve's u and -u*s
+        u = pow(1 - s, -1, n) if solvable else 0
+        c += (s, (1 - s) % n, u, -u * s % n)
+    v = [0] * slots
+    v[1] = 1
+    for d, i, a, j, b in code:
+        v[d] = (c[i] * v[a] + c[j] * v[b]) % n
+    rows = tuple(row for check in checks
+                 if (row := tuple((k, x) for k, a, b in check if (x := (v[a] - v[b]) % n))))
+    return ColoringSystem(len(rows), branches, rows)
+
+
+def _class_of(params: AlexanderParams) -> tuple[bool, bool]:
+    """The class of (n, t) a plan reads: (t = 1, 1 - t a unit mod n)."""
+    return params.t == 1, gcd(1 - params.t, params.n) == 1
 
 
 class Forcing:
@@ -542,16 +618,21 @@ class Forcing:
     checks alone (:meth:`system`), which are eliminated, and on ints to
     lift each solution to every arc (:meth:`lift`).  A plan reads of
     (n, t) only its class, t = 1 (trivial) and 1 - t a unit (over-arcs
-    solve), so it is compiled once per class.  The plans and the component
-    count are kept on p itself (see :class:`QuandlePresentation`), so a
-    Forcing is a cheap view: every Forcing of one p, in one call or in the
-    next, compiles only the classes no earlier one compiled.  Counts,
-    eliminations, lifts and histograms are made afresh on every call.
+    solve), so it is compiled once per class.  A class's checks run first
+    over dict forms; a class asked for again gets its plan compiled to slot
+    code (:meth:`system`), which runs each later (n, t) with no dict.  The
+    plans, the programs and the component count are kept on p itself (see
+    :class:`QuandlePresentation`), so a Forcing is a cheap view: every
+    Forcing of one p, in one call or in the next, compiles only what no
+    earlier one compiled.  Counts, eliminations, lifts and histograms are
+    made afresh on every call.
     """
 
     def __init__(self, p: QuandlePresentation):
         self.p = p
-        self._steps: dict[tuple[bool, bool], list[_Step]] = p.__dict__.setdefault("_plans", {})
+        kept = p.__dict__
+        self._steps: dict[tuple[bool, bool], list[_Step]] = kept.setdefault("_plans", {})
+        self._programs: dict[tuple[bool, bool], _Program] = kept.setdefault("_programs", {})
 
     @property
     def components(self) -> int:
@@ -561,24 +642,37 @@ class Forcing:
             kept["_component_count"] = len(_components(self.p.arc_count, self.p.relations))
         return kept["_component_count"]
 
-    def _steps_at(self, params: AlexanderParams) -> list[_Step]:
-        """The plan of params' class, compiled on first use."""
-        arcs, kind = self.p.arc_count, (params.t == 1, gcd(1 - params.t, params.n) == 1)
+    def _steps_at(self, kind: tuple[bool, bool]) -> list[_Step]:
+        """The plan of a class (t = 1, 1 - t a unit), compiled on first use."""
         if kind not in self._steps:
             trivial, solvable = kind
+            arcs = self.p.arc_count
             self._steps[kind] = _compile(self.p, range(-1, arcs), arcs, trivial, (solvable, solvable))
         return self._steps[kind]
 
     def system(self, params: AlexanderParams) -> ColoringSystem:
-        """The checks alone over the branches at (n, t), no forms (see :func:`_run_forms`)."""
-        return _run_forms(self._steps_at(params), self.p.arc_count, params)
+        """The checks alone over the branches at (n, t), no forms kept.
+
+        A class's first run is the dict one (:func:`_run_forms`): building a
+        program costs two or three such runs, and a presentation queried
+        once never repays it.  Once the plan runs again, it is
+        compiled to slot code (:func:`_program`), kept on p, and run from
+        then on (:func:`_run_program`).
+        """
+        kind = _class_of(params)
+        program = self._programs.get(kind)
+        if program is None:
+            if kind not in self._steps:
+                return _run_forms(self._steps_at(kind), self.p.arc_count, params)
+            program = self._programs[kind] = _program(self._steps[kind], self.p.arc_count)
+        return _run_program(program, params, kind[1])
 
     def lift(self, params: AlexanderParams) -> Lift:
         """Branch values at (n, t) -> every arc's color: the plan run once on ints (:func:`_run`).
 
         Its ``mix`` is the int one, cu*u + cv*v mod n; the checks' pairs are not read.
         """
-        steps, n = self._steps_at(params), params.n
+        steps, n = self._steps_at(_class_of(params)), params.n
         mix = lambda u, cu, v, cv: (cu * u + cv * v) % n
         return lambda x: _run(steps, self.p.arc_count, params, x.__getitem__, mix)[0]
 

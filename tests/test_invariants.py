@@ -808,6 +808,30 @@ def test_a_second_call_on_a_presentation_compiles_nothing(monkeypatch):
     assert [call() for call in calls] == first
 
 
+def test_a_class_that_runs_again_runs_its_slot_program(monkeypatch):
+    # a class's first run is the dict one and builds no program; the second
+    # compiles the plan to slot code once; the third runs that code alone
+    import quandlecolor.solver as solver
+
+    def failing(name):
+        return lambda *args: pytest.fail(f"{name} called")
+
+    built = []
+    program = solver._program
+    p = _fresh("allen_swenberg")
+    monkeypatch.setattr(solver, "_program", failing("_program"))
+    first = [Forcing(p).system(AlexanderParams(9, t)) for t in (2, 4)]  # both classes
+    other = Forcing(_fresh("allen_swenberg")).system(AlexanderParams(23, 5))
+    monkeypatch.setattr(solver, "_program", lambda *args: built.append(args) or program(*args))
+    assert [Forcing(p).system(AlexanderParams(9, t)) for t in (2, 4)] == first
+    assert len(built) == 2
+    for name in ("_compile", "_run_forms", "_program"):
+        monkeypatch.setattr(solver, name, failing(name))
+    assert [Forcing(p).system(AlexanderParams(9, t)) for t in (2, 4)] == first
+    # another cell of a class runs the same program
+    assert Forcing(p).system(AlexanderParams(23, 5)) == other
+
+
 def test_answers_on_a_reused_presentation_equal_those_on_a_fresh_one():
     # one presentation per link serves every cell, and each answer is checked
     # against a new diagram's presentation, which compiles its plan afresh
@@ -827,7 +851,10 @@ def test_what_a_presentation_keeps_holds_no_reference_to_it():
     # wait for the cyclic garbage collector
     p = _fresh("allen_swenberg")
     before = sys.getrefcount(p)
-    compare(p, p, (9,))  # t = 1 and both classes of plan
+    # t = 1 and both classes of plan, each run by both sides of a cell, so
+    # each class is reused and keeps its slot program too
+    compare(p, p, (9,))
+    assert set(p.__dict__["_programs"]) == {(False, True), (False, False)}
     assert sys.getrefcount(p) == before
 
 
@@ -934,7 +961,7 @@ def test_trivial_counts_from_the_component_count(monkeypatch):
     # diagram's union-find: no plan is compiled, run or eliminated
     import quandlecolor.solver as solver
 
-    for name in ("_compile", "_run_forms", "_eliminate"):
+    for name in ("_compile", "_run_forms", "_program", "_run_program", "_eliminate"):
         monkeypatch.setattr(solver, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     for d in _trivial_cell_diagrams():
         p, c = extract(d), d.component_count()

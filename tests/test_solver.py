@@ -652,6 +652,36 @@ def test_one_forcing_answers_every_class_of_t_in_turn():
             sizes = dict(Counter(map(image_size, expected)))
             assert forcing.image_sizes(params, 10**6) == (len(expected), sizes), (name, t)
 
+
+def test_slot_programs_run_as_the_dict_forms_do():
+    # a reused class runs its plan's slot program (_program, _run_program),
+    # a first one the dict forms (_run_forms): the two must give == systems,
+    # rows listed by ascending branch, on every catalog link at every unit of
+    # n = 2..23, on the grown diagrams of the kernel pin, and past 64 bits
+    big = 10**18 + 9
+    cases = [(extract(catalog(name)), [(n, t) for n in range(2, 24) for t in range(1, n)
+                                        if gcd(t, n) == 1])
+             for name in catalog_names()]
+    cases += [(extract(d), [(9, 2), (8, 3), (16, 5), (15, 2), (9, 1)])
+              for d in (grown("trefoil", 200, 7), grown("hopf_sum", 150, 8),
+                        grown("allen_swenberg", 250, 9))]
+    cases.append((extract(catalog("allen_swenberg")), [(big, t) for t in (1, 2, 3, big - 1, 10**17)]))
+    kinds = set()
+    for p, cells in cases:
+        programs = {}
+        for n, t in cells:
+            params = AlexanderParams(n, t)
+            kind = solver._class_of(params)
+            steps = solver.Forcing(p)._steps_at(kind)
+            if kind not in programs:
+                programs[kind] = solver._program(steps, p.arc_count)
+            forms = solver._run_forms(steps, p.arc_count, params)
+            assert solver._run_program(programs[kind], params, kind[1]) == forms, (p.arc_count, n, t)
+            assert all(list(row) == sorted(row) for row in forms.entries)
+            kinds.add(kind)
+    assert kinds == {(True, False), (False, True), (False, False)}
+
+
 def test_forcing_steps_follow_the_two_facts():
     # solve steps exist only when 1 - t is a unit, and a trivial quandle's
     # steps copy and compare (e = 0) and never read an over-arc
